@@ -16,6 +16,7 @@ import numpy as np
 import requests
 
 from . import kernels
+from ._http import HttpClient
 from .errors import BackendError, NumericError, ParameterError
 
 
@@ -105,32 +106,20 @@ class MockAttentionBackend:
         return AttentionWindow(q_block=q, k_block=k, layer=layer)
 
 
-class HttpAttentionBackend:
+class HttpAttentionBackend(HttpClient):
     """Fetches Q/K blocks through the POST /attention wire contract."""
-
-    def __init__(self, base_url: str, timeout_s: float = 30.0, retries: int = 2):
-        self.base_url = base_url.rstrip("/")
-        self.timeout_s = timeout_s
-        self.retries = retries
 
     def attention_window(self, chunk_id: int, layer: int, length: int) -> AttentionWindow:
         payload = {"chunk_id": chunk_id, "layer": layer}
-        last_error: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                resp = requests.post(
-                    f"{self.base_url}/attention", json=payload, timeout=self.timeout_s
+        try:
+            doc = self._post("/attention", payload)
+            q = np.asarray(doc["q"], dtype=np.float64)
+            k = np.asarray(doc["k"], dtype=np.float64)
+            if k.ndim != 2 or k.shape[0] != length:
+                raise ValueError(
+                    f"backend returned {k.shape[0] if k.ndim == 2 else '?'} key rows "
+                    f"for a {length}-token chunk"
                 )
-                resp.raise_for_status()
-                doc = resp.json()
-                q = np.asarray(doc["q"], dtype=np.float64)
-                k = np.asarray(doc["k"], dtype=np.float64)
-                if k.ndim != 2 or k.shape[0] != length:
-                    raise ValueError(
-                        f"backend returned {k.shape[0] if k.ndim == 2 else '?'} key rows "
-                        f"for a {length}-token chunk"
-                    )
-                return AttentionWindow(q_block=q, k_block=k, layer=layer)
-            except (requests.RequestException, KeyError, ValueError, TypeError) as exc:
-                last_error = exc
-        raise BackendError(chunk_id, layer, str(last_error))
+        except (requests.RequestException, KeyError, ValueError, TypeError) as exc:
+            raise BackendError(chunk_id, layer, str(exc)) from exc
+        return AttentionWindow(q_block=q, k_block=k, layer=layer)

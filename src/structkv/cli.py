@@ -13,9 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .chunking import Chunk, partition_chunks
+from .chunking import Chunk
 from .config import PipelineConfig
-from .cpg import Cpg, build_cpg, export_cpg_json, import_cpg_json
+from .cpg import Cpg, export_cpg_json
 from .errors import ConfigError, ParameterError, StructKVError
 from .lexer import load_source, tokenize
 from .metrics import (
@@ -24,8 +24,15 @@ from .metrics import (
     structure_score,
     topk_overlap_jaccard,
 )
-from .parsing import parse_subset
-from .pipeline import load_corpus, load_external_cpgs, run_pipeline
+from .pipeline import (
+    chunk_graph,
+    context_tokens,
+    index_corpus,
+    load_corpus,
+    load_external_cpgs,
+    run_pipeline,
+    score_chunks,
+)
 from .plan import CompressionPlan, canonical_json
 
 
@@ -35,10 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.handler(args)
         return 0
-    except StructKVError as exc:
-        _emit_error(exc)
-        return 1
-    except OSError as exc:
+    except (StructKVError, OSError) as exc:
         _emit_error(exc)
         return 1
 
@@ -129,83 +133,52 @@ def _corpus_dir(args: argparse.Namespace, cfg: PipelineConfig) -> str:
 
 def _cmd_chunk(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
-    corpus = load_corpus(args.dir, cfg.include)
-    chunks = []
-    next_id = 0
-    for f in corpus:
-        toks = tokenize(f)
-        for chunk in partition_chunks(f, toks, cfg.chunking, start_id=next_id):
-            chunks.append(
-                {
-                    "id": chunk.id,
-                    "file": chunk.file,
-                    "token_range": list(chunk.token_range),
-                    "line_range": list(chunk.line_range),
-                    "length": chunk.length,
-                }
-            )
-            next_id = chunk.id + 1
-    path = _write(args.out, "chunks.json", {"chunks": chunks})
-    print(path)
+    index = index_corpus(load_corpus(args.dir, cfg.include), cfg.chunking)
+    chunks = [dataclasses.asdict(chunk) for chunk in index.chunks]
+    print(_write(args.out, "chunks.json", {"chunks": chunks}))
 
 
 def _cmd_cpg(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
-    target = str(Path(args.file))
     if args.dir:
-        corpus = load_corpus(args.dir, cfg.include)
+        root = Path(args.dir)
+        corpus = load_corpus(root, cfg.include)
+        target = Path(args.file).resolve()
+        wanted = {f.path for f in corpus if (root / f.path).resolve() == target}
     else:
-        corpus = [load_source(target)]
-    docs = []
-    next_id = 0
-    for f in corpus:
-        toks = tokenize(f)
-        for chunk in partition_chunks(f, toks, cfg.chunking, start_id=next_id):
-            next_id = chunk.id + 1
-            if f.path != target:
-                continue
-            ast = parse_subset(chunk, toks)
-            docs.append(json.loads(export_cpg_json(build_cpg(ast, chunk, toks))))
+        corpus = [load_source(args.file)]
+        wanted = {corpus[0].path}
+    index = index_corpus(corpus, cfg.chunking)
+    docs = [
+        json.loads(export_cpg_json(chunk_graph(chunk, src, index.tokens[src.path])))
+        for chunk, src in zip(index.chunks, index.chunk_files)
+        if src.path in wanted
+    ]
     if not docs:
-        raise ParameterError(f"{target}: no chunks produced (is it under --dir?)")
-    path = _write(args.out, "cpg.json", docs)
-    print(path)
+        raise ParameterError(f"{args.file}: no chunks produced (is it under --dir?)")
+    print(_write(args.out, "cpg.json", docs))
 
 
 def _cmd_score(args: argparse.Namespace) -> None:
-    from . import scoring
-    from .lexer import SourceFile
-    from .pipeline import _make_scorer  # shared backend construction
-
     cfg = _load_config(args)
-    corpus = load_corpus(_corpus_dir(args, cfg), cfg.include)
-    if not corpus:
-        raise ParameterError("corpus is empty")
-    query_tokens = tokenize(SourceFile("<query>", args.query))
-    prefix_tokens = (
-        tokenize(SourceFile("<prefix>", cfg.prefix)) if cfg.prefix else []
-    )
-    scorer = _make_scorer(cfg)
-    scores = []
-    next_id = 0
-    for f in corpus:
-        toks = tokenize(f)
-        for chunk in partition_chunks(f, toks, cfg.chunking, start_id=next_id):
-            next_id = chunk.id + 1
-            value = scoring.score_chunk(scorer, prefix_tokens, chunk, query_tokens, toks)
-            scores.append((chunk.id, value))
-    k = min(cfg.selection.k, len(scores))
-    selected = scoring.select_topk(scores, k)
-    path = _write(
-        args.out,
-        "scores.json",
-        {
-            "scores": [{"chunk_id": cid, "ppl": value} for cid, value in scores],
-            "selected": selected,
-            "k": k,
-        },
-    )
-    print(path)
+    index = index_corpus(load_corpus(_corpus_dir(args, cfg), cfg.include), cfg.chunking)
+    query_tokens, prefix_tokens = context_tokens(args.query, cfg)
+    scores, selected = score_chunks(index, query_tokens, prefix_tokens, cfg)
+    doc = {
+        "scores": [{"chunk_id": cid, "ppl": value} for cid, value in scores],
+        "selected": selected,
+        "k": len(selected),
+    }
+    print(_write(args.out, "scores.json", doc))
+
+
+def _plan_and_write(cfg: PipelineConfig, query: str, directory: str, outdir: str) -> None:
+    corpus = load_corpus(directory, cfg.include)
+    external = load_external_cpgs(cfg.external_cpg_file) if cfg.external_cpg_file else None
+    plan, report = run_pipeline(corpus, query, cfg, external_cpgs=external)
+    plan_path = _write(outdir, "plan.json", plan.to_dict())
+    _write(outdir, "report.json", report.to_dict())
+    print(plan_path)
 
 
 def _cmd_compress(args: argparse.Namespace) -> None:
@@ -218,29 +191,20 @@ def _cmd_compress(args: argparse.Namespace) -> None:
     query = args.query or cfg.query
     if not query:
         raise ConfigError("no query: pass --query or set query in the config")
-    corpus = load_corpus(_corpus_dir(args, cfg), cfg.include)
-    external = load_external_cpgs(cfg.external_cpg_file) if cfg.external_cpg_file else None
-    plan, report = run_pipeline(corpus, query, cfg, external_cpgs=external)
-    plan_path = _write(args.out, "plan.json", plan.to_dict())
-    _write(args.out, "report.json", report.to_dict())
-    print(plan_path)
+    _plan_and_write(cfg, query, _corpus_dir(args, cfg), args.out)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
     plan = CompressionPlan.from_json(Path(args.plan).read_text(encoding="utf-8"))
-    directory = getattr(args, "dir", None) or cfg.corpus_dir
+    # plan paths are relative to the corpus root; absolute ones stay as they are
+    root = Path(args.dir or cfg.corpus_dir or ".")
+    sources = {name: load_source(root / name) for name in sorted({c.file for c in plan.chunks})}
+    file_tokens = {name: tokenize(src) for name, src in sources.items()}
     external = load_external_cpgs(args.external_cpgs) if args.external_cpgs else {}
     cpgs: dict[int, Cpg] = {}
     for chunk_plan in plan.chunks:
-        file_path = (
-            str(Path(directory) / chunk_plan.file)
-            if directory and not Path(chunk_plan.file).exists()
-            else chunk_plan.file
-        )
-        src = load_source(file_path)
-        src = dataclasses.replace(src, path=chunk_plan.file)
-        toks = tokenize(src)
+        toks = file_tokens[chunk_plan.file]
         start, end = chunk_plan.token_range
         if end > len(toks):
             raise ParameterError(
@@ -254,10 +218,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
             line_range=(toks[start].line, toks[end - 1].line),
             length=end - start,
         )
-        if chunk.id in external:
-            cpgs[chunk.id] = import_cpg_json(external[chunk.id], chunk)
-        else:
-            cpgs[chunk.id] = build_cpg(parse_subset(chunk, toks), chunk, toks)
+        cpgs[chunk.id] = chunk_graph(chunk, sources[chunk.file], toks, external.get(chunk.id))
     report = structure_score(plan, cpgs)
     doc = report.to_dict()
     doc["config_fingerprint"] = plan.config_fingerprint
@@ -268,8 +229,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         )
     if args.gold:
         doc.update(_gold_metrics(args.gold))
-    path = _write(args.out, "report.json", doc)
-    print(path)
+    print(_write(args.out, "report.json", doc))
 
 
 def _gold_metrics(path: str) -> dict:
@@ -297,12 +257,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
         raise ConfigError("config must set corpus_dir")
     if not cfg.query:
         raise ConfigError("config must set query")
-    corpus = load_corpus(cfg.corpus_dir, cfg.include)
-    external = load_external_cpgs(cfg.external_cpg_file) if cfg.external_cpg_file else None
-    plan, report = run_pipeline(corpus, cfg.query, cfg, external_cpgs=external)
-    plan_path = _write(args.out, "plan.json", plan.to_dict())
-    _write(args.out, "report.json", report.to_dict())
-    print(plan_path)
+    _plan_and_write(cfg, cfg.query, cfg.corpus_dir, args.out)
 
 
 if __name__ == "__main__":

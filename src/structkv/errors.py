@@ -14,7 +14,7 @@ class ConfigError(StructKVError, ValueError):
 
 
 class EncodingError(StructKVError, ValueError):
-    """Source bytes are not valid UTF-8."""
+    """Source bytes are not valid in their declared encoding (UTF-8 by default)."""
 
 
 class SchemaError(StructKVError, ValueError):

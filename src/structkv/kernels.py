@@ -1,9 +1,4 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
-
-The jitted path is the default whenever numba imports cleanly; set
-``STRUCTKV_NUMBA=0`` (also ``false``/``off``/``numpy``) to force the
-numpy fallback. Both paths compute identical results up to float
-round-off and are compared in ``benchmarks/bench_kernels.py``.
+"""Hot numeric kernels, vectorized with numpy.
 
 Kernels:
   - attention_mass: column sums of a row-softmaxed scaled score matrix
@@ -13,25 +8,10 @@ Kernels:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-_FLAG = os.environ.get("STRUCTKV_NUMBA", "auto").strip().lower()
-USE_NUMBA = HAS_NUMBA and _FLAG not in ("0", "false", "off", "numpy")
-
-
-# -- pure-numpy path ----------------------------------------------------------
-
-
-def attention_mass_numpy(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+def attention_mass(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """u(j) = sum over rows of softmax(q @ k.T / sqrt(d)), max-stabilized."""
     logits = q @ k.T / np.sqrt(q.shape[1])
     logits -= logits.max(axis=1, keepdims=True)
@@ -40,7 +20,7 @@ def attention_mass_numpy(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return weights.sum(axis=0)
 
 
-def sliding_mean_numpy(u: np.ndarray, window: int) -> np.ndarray:
+def sliding_mean(u: np.ndarray, window: int) -> np.ndarray:
     half = window // 2
     n = u.shape[0]
     csum = np.concatenate(([0.0], np.cumsum(u)))
@@ -50,7 +30,7 @@ def sliding_mean_numpy(u: np.ndarray, window: int) -> np.ndarray:
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
-def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
+def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
     """Row-vectorized DP; deletions applied with a running-minimum pass."""
     if a.size == 0:
         return int(b.size)
@@ -67,90 +47,3 @@ def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
         np.add(np.minimum.accumulate(row - jrange), jrange, out=row)
         prev, row = row, prev
     return int(prev[-1])
-
-
-# -- numba path ---------------------------------------------------------------
-
-
-def _attention_mass_loops(q, k):  # pragma: no cover - exercised via jit
-    w, d = q.shape
-    lc = k.shape[0]
-    logits = np.dot(q, k.T)  # BLAS under the hood; loops only for the softmax
-    scale = 1.0 / np.sqrt(d)
-    u = np.zeros(lc)
-    for t in range(w):
-        m = -np.inf
-        for j in range(lc):
-            s = logits[t, j] * scale
-            logits[t, j] = s
-            if s > m:
-                m = s
-        z = 0.0
-        for j in range(lc):
-            e = np.exp(logits[t, j] - m)
-            logits[t, j] = e
-            z += e
-        for j in range(lc):
-            u[j] += logits[t, j] / z
-    return u
-
-
-def _sliding_mean_loops(u, window):  # pragma: no cover - exercised via jit
-    half = window // 2
-    n = u.shape[0]
-    out = np.empty(n)
-    for j in range(n):
-        lo = j - half
-        if lo < 0:
-            lo = 0
-        hi = j + half + 1
-        if hi > n:
-            hi = n
-        s = 0.0
-        for x in range(lo, hi):
-            s += u[x]
-        out[j] = s / (hi - lo)
-    return out
-
-
-def _levenshtein_loops(a, b):  # pragma: no cover - exercised via jit
-    la = a.shape[0]
-    lb = b.shape[0]
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    prev = np.arange(lb + 1)
-    row = np.empty(lb + 1, dtype=np.int64)
-    for i in range(la):
-        row[0] = i + 1
-        for j in range(1, lb + 1):
-            cost = 0 if a[i] == b[j - 1] else 1
-            best = prev[j - 1] + cost
-            if prev[j] + 1 < best:
-                best = prev[j] + 1
-            if row[j - 1] + 1 < best:
-                best = row[j - 1] + 1
-            row[j] = best
-        prev, row = row, prev
-    return int(prev[lb])
-
-
-if HAS_NUMBA:
-    attention_mass_numba = njit(cache=True)(_attention_mass_loops)
-    sliding_mean_numba = njit(cache=True)(_sliding_mean_loops)
-    levenshtein_numba = njit(cache=True)(_levenshtein_loops)
-else:  # pragma: no cover
-    attention_mass_numba = None
-    sliding_mean_numba = None
-    levenshtein_numba = None
-
-
-if USE_NUMBA:
-    attention_mass = attention_mass_numba
-    sliding_mean = sliding_mean_numba
-    levenshtein = levenshtein_numba
-else:
-    attention_mass = attention_mass_numpy
-    sliding_mean = sliding_mean_numpy
-    levenshtein = levenshtein_numpy

@@ -13,6 +13,8 @@ physical stream for the parser; it is never part of a file's token list.
 
 from __future__ import annotations
 
+import io
+import tokenize as py_tokenize
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -36,7 +38,7 @@ class TokenKind(str, Enum):
 @dataclass(frozen=True)
 class Token:
     text: str
-    byte_offset: int
+    byte_offset: int  # into the UTF-8 encoding of the decoded text
     line: int
     column: int
     kind: TokenKind
@@ -71,10 +73,14 @@ _STRING_PREFIXES = frozenset({"r", "b", "u", "f", "rb", "br", "fr", "rf"})
 
 
 def load_source(path: str | Path, language_tag: str = "subset_py") -> SourceFile:
+    """Read a file, decoding by its PEP 263 coding cookie (UTF-8 without one).
+    A UTF-8 byte-order mark stays in the content, so the token byte offsets
+    of a UTF-8 file are offsets into the file."""
     raw = Path(path).read_bytes()
     try:
-        content = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
+        encoding, _ = py_tokenize.detect_encoding(io.BytesIO(raw).readline)
+        content = raw.decode("utf-8" if encoding == "utf-8-sig" else encoding)
+    except (SyntaxError, UnicodeDecodeError) as exc:
         raise EncodingError(f"{path}: {exc}") from exc
     return SourceFile(path=str(path), content=content, language_tag=language_tag)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -19,7 +20,7 @@ from . import attention as attn
 from . import metrics as metrics_mod
 from . import scoring
 from . import spans as spans_mod
-from .chunking import Chunk, partition_chunks
+from .chunking import Chunk, ChunkConfig, partition_chunks
 from .config import PipelineConfig
 from .cpg import Cpg, build_cpg, import_cpg_json
 from .errors import ConfigError, ParameterError, SchemaError
@@ -48,18 +49,89 @@ def query_position(prefix_len: int, chunk_lengths: Sequence[int]) -> int:
 
 
 def load_corpus(directory: str | Path, include: Sequence[str] = ("**/*.py",)) -> list[SourceFile]:
-    """Source files under a directory, sorted by path for determinism."""
+    """Source files under a directory, keyed by corpus-relative POSIX path
+    and sorted by that path string."""
     root = Path(directory)
     paths: set[Path] = set()
     for pattern in include:
         paths.update(p for p in root.glob(pattern) if p.is_file())
-    return [load_source(p) for p in sorted(paths)]
+    files = [replace(load_source(p), path=p.relative_to(root).as_posix()) for p in paths]
+    return sorted(files, key=lambda f: f.path)
 
 
-def _as_query_tokens(query: str | Sequence[Token]) -> list[Token]:
-    if isinstance(query, str):
-        return tokenize(SourceFile(path="<query>", content=query))
-    return list(query)
+@dataclass(frozen=True)
+class CorpusIndex:
+    """The query-independent view of a corpus: files sorted by path string,
+    their tokens, and chunks numbered from 0 in that file order."""
+
+    files: tuple[SourceFile, ...]
+    tokens: dict[str, list[Token]]  # by file path
+    chunks: tuple[Chunk, ...]  # chunks[i].id == i
+    chunk_files: tuple[SourceFile, ...]  # the file of each chunk, by chunk id
+
+
+def index_corpus(files: Sequence[SourceFile], chunking: ChunkConfig) -> CorpusIndex:
+    """Lex and chunk every file; the one place chunk ids are assigned."""
+    ordered = sorted(files, key=lambda f: f.path)
+    tokens: dict[str, list[Token]] = {}
+    chunks: list[Chunk] = []
+    chunk_files: list[SourceFile] = []
+    for f in ordered:
+        if f.path in tokens:
+            raise ParameterError(f"duplicate path in corpus: {f.path}")
+        toks = tokens[f.path] = tokenize(f)
+        for chunk in partition_chunks(f, toks, chunking, start_id=len(chunks)):
+            chunks.append(chunk)
+            chunk_files.append(f)
+    return CorpusIndex(tuple(ordered), tokens, tuple(chunks), tuple(chunk_files))
+
+
+def chunk_graph(
+    chunk: Chunk,
+    source: SourceFile,
+    file_tokens: list[Token],
+    document: str | bytes | None = None,
+) -> Cpg:
+    """A chunk's property graph: the external document when there is one,
+    else the built-in analyzer for subset files, else an empty graph
+    (attention-only treatment)."""
+    if document is not None:
+        return import_cpg_json(document, chunk)
+    if source.language_tag == "subset_py":
+        return build_cpg(parse_subset(chunk, file_tokens), chunk, file_tokens)
+    return Cpg(nodes=(), edges=(), chunk_id=chunk.id)
+
+
+def context_tokens(
+    query: str | Sequence[Token], cfg: PipelineConfig
+) -> tuple[list[Token], list[Token]]:
+    """(query tokens, prefix tokens); the query must produce a token."""
+    query_tokens = tokenize(SourceFile("<query>", query)) if isinstance(query, str) else [*query]
+    if not query_tokens:
+        raise ParameterError("query must produce at least one token")
+    prefix_tokens = tokenize(SourceFile("<prefix>", cfg.prefix)) if cfg.prefix else []
+    return query_tokens, prefix_tokens
+
+
+def score_chunks(
+    index: CorpusIndex,
+    query_tokens: Sequence[Token],
+    prefix_tokens: Sequence[Token],
+    cfg: PipelineConfig,
+) -> tuple[list[tuple[int, float]], list[int]]:
+    """Every chunk's (id, score) in id order, and the selected top-k ids."""
+    if not index.chunks:
+        raise ParameterError("corpus produced no chunks")
+    scorer = _make_scorer(cfg)
+
+    def score_one(chunk: Chunk) -> tuple[int, float]:
+        value = scoring.score_chunk(
+            scorer, prefix_tokens, chunk, query_tokens, index.tokens[chunk.file]
+        )
+        return (chunk.id, value)
+
+    scores = _map(score_one, index.chunks, cfg.workers)
+    return scores, scoring.select_topk(scores, min(cfg.selection.k, len(scores)))
 
 
 def run_pipeline(
@@ -74,62 +146,20 @@ def run_pipeline(
     a document use it instead of the built-in analyzer, and chunks of
     non-subset files without one get an empty graph (attention-only).
     """
-    if not corpus:
-        raise ParameterError("corpus must be non-empty")
-    files = sorted(corpus, key=lambda f: f.path)
-    seen: set[str] = set()
-    for f in files:
-        if f.path in seen:
-            raise ParameterError(f"duplicate path in corpus: {f.path}")
-        seen.add(f.path)
-
-    query_tokens = _as_query_tokens(query)
-    if not query_tokens:
-        raise ParameterError("query must produce at least one token")
-    prefix_tokens = (
-        tokenize(SourceFile(path="<prefix>", content=cfg.prefix)) if cfg.prefix else []
-    )
+    query_tokens, prefix_tokens = context_tokens(query, cfg)
     prefix_len = len(prefix_tokens)
-
-    file_tokens: dict[str, list[Token]] = {}
-    chunks: list[Chunk] = []
-    chunk_file: dict[int, SourceFile] = {}
-    next_id = 0
-    for f in files:
-        toks = tokenize(f)
-        file_tokens[f.path] = toks
-        for chunk in partition_chunks(f, toks, cfg.chunking, start_id=next_id):
-            chunks.append(chunk)
-            chunk_file[chunk.id] = f
-            next_id = chunk.id + 1
-    if not chunks:
-        raise ParameterError("corpus produced no chunks")
-
-    scorer = _make_scorer(cfg)
-
-    def score_one(chunk: Chunk) -> tuple[int, float]:
-        value = scoring.score_chunk(
-            scorer, prefix_tokens, chunk, query_tokens, file_tokens[chunk.file]
-        )
-        return (chunk.id, value)
-
-    scores = _map(score_one, chunks, cfg.workers)
-    scores.sort(key=lambda item: item[0])
-    k = min(cfg.selection.k, len(scores))
-    selected_ids = set(scoring.select_topk(scores, k))
+    index = index_corpus(corpus, cfg.chunking)
+    scores, selected_ids = score_chunks(index, query_tokens, prefix_tokens, cfg)
     ppl_by_id = dict(scores)
-    selected = [c for c in chunks if c.id in selected_ids]
+    selected = [index.chunks[cid] for cid in selected_ids]
 
     docs = external_cpgs or {}
 
     def analyze_one(chunk: Chunk) -> tuple[int, Cpg]:
-        src = chunk_file[chunk.id]
-        if chunk.id in docs:
-            return chunk.id, import_cpg_json(docs[chunk.id], chunk)
-        if src.language_tag == "subset_py":
-            ast = parse_subset(chunk, file_tokens[src.path])
-            return chunk.id, build_cpg(ast, chunk, file_tokens[src.path])
-        return chunk.id, Cpg(nodes=(), edges=(), chunk_id=chunk.id)
+        graph = chunk_graph(
+            chunk, index.chunk_files[chunk.id], index.tokens[chunk.file], docs.get(chunk.id)
+        )
+        return chunk.id, graph
 
     cpgs = dict(_map(analyze_one, selected, cfg.workers))
 
@@ -146,7 +176,7 @@ def run_pipeline(
 
     def compress_one(args: tuple[Chunk, float, float, float, int]) -> ChunkPlan:
         chunk, sigma, norm, mult, chunk_budget = args
-        toks = file_tokens[chunk.file]
+        toks = index.tokens[chunk.file]
         if cfg.span.enabled:
             candidates = spans_mod.build_spans(chunk, cpgs[chunk.id], cfg.span, toks)
             span_scores = [

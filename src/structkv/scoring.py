@@ -8,8 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-import requests
-
+from ._http import HttpClient
 from .chunking import Chunk
 from .cpg import Cpg, EdgeKind, NodeKind
 from .errors import ConfigError, ParameterError, ScoringError
@@ -122,13 +121,8 @@ class MockScorer:
         return 1.0 - len(c & q) / max(1, len(q))
 
 
-class HttpScorer:
+class HttpScorer(HttpClient):
     """Scores chunks through the POST /score_ppl wire contract."""
-
-    def __init__(self, base_url: str, timeout_s: float = 30.0, retries: int = 2):
-        self.base_url = base_url.rstrip("/")
-        self.timeout_s = timeout_s
-        self.retries = retries
 
     def score(
         self,
@@ -141,17 +135,8 @@ class HttpScorer:
             "chunk": [t.text for t in chunk_tokens],
             "query": [t.text for t in query],
         }
-        last_error: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                resp = requests.post(
-                    f"{self.base_url}/score_ppl", json=payload, timeout=self.timeout_s
-                )
-                resp.raise_for_status()
-                return float(resp.json()["nll_mean"])
-            except (requests.RequestException, KeyError, ValueError, TypeError) as exc:
-                last_error = exc
-        raise RuntimeError(f"scorer backend failed after {self.retries + 1} attempts: {last_error}")
+        doc = self._post("/score_ppl", payload)
+        return float(doc["nll_mean"])
 
 
 def score_chunk(

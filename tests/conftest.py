@@ -27,3 +27,16 @@ def single_chunk(code: str, path: str = "t.py"):
     )
     assert len(chunks) == 1, f"expected one chunk, got {len(chunks)}"
     return chunks[0], toks
+
+
+def check_plan_invariants(plan) -> int:
+    """Assert protection dominance, budget exactness and query position on
+    every layer of every chunk; return the number of layers checked."""
+    checked = 0
+    for chunk in plan.chunks:
+        for layer in chunk.layers:
+            assert set(chunk.protected) <= set(layer.kept)
+            assert len(layer.kept) == min(chunk.budget, chunk.length)
+            assert all(pos < plan.query_start_position for pos in layer.positions)
+            checked += 1
+    return checked

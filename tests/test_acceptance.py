@@ -19,7 +19,7 @@ import pytest
 from cpg_cases import CASES
 from synth import synth_corpus, synth_query
 
-from conftest import single_chunk
+from conftest import check_plan_invariants, single_chunk
 from structkv.allocation import AllocationConfig, budget, multiplier, normalize_scores
 from structkv.attention import AttentionWindow, importance
 from structkv.chunking import Chunk, ChunkConfig
@@ -225,11 +225,7 @@ def test_criterion_4_protection_dominance_and_budget_exactness(plan_battery):
         )
         plans.append(extra_plan)
         for plan in plans:
-            for chunk in plan.chunks:
-                for layer in chunk.layers:
-                    assert set(chunk.protected) <= set(layer.kept)
-                    assert len(layer.kept) == min(chunk.budget, chunk.length)
-                    checked += 1
+            checked += check_plan_invariants(plan)
         assert checked > 0
 
 

@@ -55,6 +55,29 @@ class TestChunkCommand:
         assert doc["chunks"][0]["file"].endswith("alpha.py")
 
 
+    def test_ids_match_plan_ids(self, tmp_path):
+        # "a.py" sorts before "a/x.py" as a string but after it as a Path
+        root = tmp_path / "repo"
+        (root / "a").mkdir(parents=True)
+        (root / "a.py").write_text(ALPHA)
+        (root / "a" / "x.py").write_text(BETA)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chunking": {"min_chunk_tokens": 4}}))
+        out = tmp_path / "out"
+        common = ["--config", str(cfg), "--out", str(out)]
+        assert main(["chunk", str(root), *common]) == 0
+        assert main(
+            ["compress", "--cap", "0.4", "--k", "9", "--dir", str(root), "--query", "parse",
+             *common]
+        ) == 0
+        chunks = read_json(out / "chunks.json")["chunks"]
+        listed = {c["id"]: (c["file"], c["token_range"]) for c in chunks}
+        plan = CompressionPlan.from_json((out / "plan.json").read_text())
+        planned = {c.chunk_id: (c.file, list(c.token_range)) for c in plan.chunks}
+        assert listed == planned
+        assert planned[0][0] == "a.py"
+
+
 class TestCpgCommand:
     def test_emits_sidecar_documents(self, corpus_dir, config_file, tmp_path):
         out = tmp_path / "out"
@@ -91,6 +114,16 @@ class TestCpgCommand:
         assert rc == 0
         docs = read_json(out / "cpg.json")
         assert docs[0]["chunk_id"] == 1  # beta sorts after alpha
+
+    def test_file_matched_after_resolving(self, corpus_dir, config_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(corpus_dir)
+        out = tmp_path / "out"
+        rc = main(
+            ["cpg", "beta.py", "--dir", str(corpus_dir), "--config", str(config_file),
+             "--out", str(out)]
+        )
+        assert rc == 0
+        assert read_json(out / "cpg.json")[0]["chunk_id"] == 1
 
 
 class TestScoreCommand:
@@ -144,6 +177,23 @@ class TestCompressCommand:
         assert 0.0 <= report["structure_score"] <= 1.0
 
 
+    def test_dir_spelling_does_not_change_plan(
+        self, corpus_dir, config_file, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(corpus_dir.parent)
+        plans = []
+        for spelling in ("repo", str(corpus_dir)):
+            out = tmp_path / f"out{len(plans)}"
+            rc = main(
+                ["compress", "--cap", "0.4", "--k", "2", "--dir", spelling,
+                 "--query", "parse raw config", "--config", str(config_file), "--out", str(out)]
+            )
+            assert rc == 0
+            plans.append((out / "plan.json").read_bytes())
+        assert plans[0] == plans[1]
+        assert b'"file":"alpha.py"' in plans[0]
+
+
 class TestEvaluateCommand:
     def test_report_matches_pipeline_report(self, corpus_dir, config_file, tmp_path):
         out = tmp_path / "out"
@@ -173,6 +223,27 @@ class TestEvaluateCommand:
         assert fresh["per_category_retention"] == original["per_category_retention"]
         assert "config_fingerprint" in fresh
         assert 0.0 <= fresh["ranking_overlap_top20"] <= 1.0
+
+    def test_plan_files_resolve_against_corpus_dir(
+        self, corpus_dir, config_file, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        main(
+            [
+                "compress", "--cap", "0.4", "--k", "2", "--query", "parse raw config",
+                "--config", str(config_file), "--out", str(out),
+            ]
+        )
+        # a same-named file in the working directory must not be picked up
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "alpha.py").write_text("x = 1\n")
+        rc = main(
+            ["evaluate", "--plan", str(out / "plan.json"), "--config", str(config_file),
+             "--out", str(tmp_path / "out2")]
+        )
+        assert rc == 0
+        fresh = read_json(tmp_path / "out2" / "report.json")
+        assert fresh["structure_score"] == read_json(out / "report.json")["structure_score"]
 
     def test_gold_file_adds_overlap_and_edit_metrics(
         self, corpus_dir, config_file, tmp_path

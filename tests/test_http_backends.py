@@ -102,6 +102,15 @@ class TestHttpScorer:
         assert len(server.requests) == 2
 
 
+    def test_client_error_is_not_retried(self, server):
+        chunk, tokens = single_chunk("x = 1\n")
+        query = tokenize(SourceFile("<q>", "x"))
+        scorer = HttpScorer(url(server) + "/missing", retries=3)
+        with pytest.raises(ScoringError):
+            score_chunk(scorer, [], chunk, query, tokens)
+        assert [path for path, _ in server.requests] == ["/missing/score_ppl"]
+
+
 class TestHttpAttentionBackend:
     def test_wire_format_and_shapes(self, server):
         backend = HttpAttentionBackend(url(server))
@@ -125,6 +134,13 @@ class TestHttpAttentionBackend:
         window = backend.attention_window(chunk_id=0, layer=0, length=6)
         assert window.k_block.shape[0] == 6
         assert len(server.requests) == 2
+
+    def test_client_error_is_not_retried(self, server):
+        backend = HttpAttentionBackend(url(server) + "/missing", retries=3)
+        with pytest.raises(BackendError) as err:
+            backend.attention_window(chunk_id=2, layer=1, length=6)
+        assert err.value.chunk_id == 2 and err.value.layer == 1
+        assert [path for path, _ in server.requests] == ["/missing/attention"]
 
     def test_server_down_is_backend_error(self):
         backend = HttpAttentionBackend("http://127.0.0.1:9", retries=0, timeout_s=0.05)

@@ -1,8 +1,4 @@
-"""Both kernel paths must agree; the active path follows the env flag."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels against independent oracles."""
 
 import numpy as np
 import pytest
@@ -30,76 +26,27 @@ def codes(s):
     return np.array([ord(c) for c in s], dtype=np.int64)
 
 
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-
-
-class TestDispatch:
-    def test_active_path_matches_flag(self):
-        if kernels.USE_NUMBA:
-            assert kernels.attention_mass is kernels.attention_mass_numba
-            assert kernels.sliding_mean is kernels.sliding_mean_numba
-            assert kernels.levenshtein is kernels.levenshtein_numba
-        else:
-            assert kernels.attention_mass is kernels.attention_mass_numpy
-            assert kernels.sliding_mean is kernels.sliding_mean_numpy
-            assert kernels.levenshtein is kernels.levenshtein_numpy
-
-    def test_flag_forces_numpy_fallback(self):
-        env = dict(os.environ, STRUCTKV_NUMBA="0")
-        code = (
-            "from structkv import kernels; "
-            "assert not kernels.USE_NUMBA; "
-            "assert kernels.attention_mass is kernels.attention_mass_numpy"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
 class TestAttentionMass:
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            w, lc, d = rng.integers(1, 12), rng.integers(1, 64), rng.integers(1, 16)
-            q = rng.standard_normal((w, d))
-            k = rng.standard_normal((lc, d))
-            a = kernels.attention_mass_numpy(q, k)
-            b = kernels.attention_mass_numba(q, k)
-            np.testing.assert_allclose(a, b, atol=1e-12)
-
     def test_row_mass_sums_to_window_height(self):
         rng = np.random.default_rng(1)
         q = rng.standard_normal((7, 5))
         k = rng.standard_normal((40, 5))
-        u = kernels.attention_mass_numpy(q, k)
+        u = kernels.attention_mass(q, k)
         assert u.sum() == pytest.approx(7.0, abs=1e-9)
         assert (u >= 0).all()
 
     def test_extreme_logits_stable(self):
         q = np.array([[1000.0], [-1000.0]])
         k = np.array([[1.0], [2.0], [3.0]])
-        for fn in (kernels.attention_mass_numpy, kernels.attention_mass_numba):
-            if fn is None:
-                continue
-            u = fn(q, k)
-            assert np.isfinite(u).all()
-            assert u.sum() == pytest.approx(2.0)
+        u = kernels.attention_mass(q, k)
+        assert np.isfinite(u).all()
+        assert u.sum() == pytest.approx(2.0)
 
 
 class TestSlidingMean:
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            n = int(rng.integers(1, 200))
-            window = int(rng.choice([1, 3, 5, 9]))
-            u = rng.random(n)
-            a = kernels.sliding_mean_numpy(u, window)
-            b = kernels.sliding_mean_numba(u, window)
-            np.testing.assert_allclose(a, b, atol=1e-9)
-
     def test_matches_direct_means(self):
         u = np.arange(10, dtype=np.float64)
-        out = kernels.sliding_mean_numpy(u, 3)
+        out = kernels.sliding_mean(u, 3)
         expect = [np.mean(u[max(0, j - 1) : j + 2]) for j in range(10)]
         np.testing.assert_allclose(out, expect)
 
@@ -116,18 +63,10 @@ class TestLevenshtein:
         ],
     )
     def test_known_distances(self, a, b, expect):
-        assert kernels.levenshtein_numpy(codes(a), codes(b)) == expect
-        if kernels.HAS_NUMBA:
-            assert kernels.levenshtein_numba(codes(a), codes(b)) == expect
+        assert kernels.levenshtein(codes(a), codes(b)) == expect
 
     @given(st.text(max_size=25), st.text(max_size=25))
     @settings(max_examples=150, deadline=None)
     def test_matches_python_oracle(self, a, b):
         expect = python_levenshtein(a, b)
-        assert kernels.levenshtein_numpy(codes(a), codes(b)) == expect
-
-    @needs_numba
-    @given(st.text(max_size=25), st.text(max_size=25))
-    @settings(max_examples=50, deadline=None)
-    def test_numba_matches_python_oracle(self, a, b):
-        assert kernels.levenshtein_numba(codes(a), codes(b)) == python_levenshtein(a, b)
+        assert kernels.levenshtein(codes(a), codes(b)) == expect

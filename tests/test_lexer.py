@@ -167,6 +167,13 @@ class TestLoadSource:
         src = load_source(p)
         assert "héllo" in src.content
 
+    def test_decodes_by_coding_cookie(self, tmp_path):
+        p = tmp_path / "latin.py"
+        p.write_bytes(b"# -*- coding: iso-8859-1 -*-\nx = '\xe9t\xe9'\n")
+        src = load_source(p)
+        assert "x = 'été'" in src.content
+        assert reconstruct(src, tokenize(src)) == src.content
+
     def test_invalid_utf8_raises(self, tmp_path):
         p = tmp_path / "bad.py"
         p.write_bytes(b"x = 1\xff\xfe\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,11 @@ from structkv.parsing import parse_subset
 from structkv.chunking import partition_chunks
 from structkv.pipeline import (
     assign_scoring_positions,
+    load_corpus,
     query_position,
     run_pipeline,
 )
+from conftest import check_plan_invariants
 from synth import synth_corpus, synth_query
 
 GOLDEN_FILES = [
@@ -199,3 +202,15 @@ class TestRunPipeline:
         plan, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         for chunk in plan.chunks:
             assert chunk.spans == () and chunk.protected == ()
+
+
+def test_invariants_hold_on_stdlib_packages():
+    """Real code, including sources declared in latin-1 and koi8-r: every
+    chunk is planned and every layer keeps the paper's invariants."""
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    cfg = PipelineConfig(selection=SelectionConfig(k=1000, layers=2), seed=5)
+    for package in ("json", "test/encoded_modules"):
+        corpus = load_corpus(stdlib / package)
+        plan, _ = run_pipeline(corpus, "decode the encoded module text", cfg)
+        assert {c.file for c in plan.chunks} == {f.path for f in corpus}
+        assert check_plan_invariants(plan) == 2 * len(plan.chunks)
