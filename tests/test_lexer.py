@@ -1,3 +1,6 @@
+import sysconfig
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,37 @@ def lex(text):
 
 def kinds_and_texts(tokens):
     return [(t.kind, t.text) for t in tokens]
+
+
+def follows_identifier_rule(text):
+    return (text[0].isalpha() or text[0] == "_") and all(c.isalnum() or c == "_" for c in text)
+
+
+K = TokenKind
+
+# Grammar corners, each walk recorded from the character-scanning lexer.
+EDGE_WALKS = [
+    (" \r\n", [(K.NEWLINE, "\r\n")]),  # the CR joins the newline, not the gap
+    ("# c\r\n", [(K.COMMENT, "# c"), (K.NEWLINE, "\r\n")]),
+    ("'abc\\", [(K.STRING, "'abc\\")]),  # backslash at end of input
+    ("''''x", [(K.STRING, "''''x")]),
+    ("'un\nx", [(K.STRING, "'un"), (K.NEWLINE, "\n"), (K.IDENTIFIER, "x")]),
+    ("rbx'a'", [(K.IDENTIFIER, "rbx"), (K.STRING, "'a'")]),
+    ("ur'a'", [(K.IDENTIFIER, "ur"), (K.STRING, "'a'")]),
+    ("Rb'a'", [(K.STRING, "Rb'a'")]),
+    ("1..2", [(K.NUMBER, "1"), (K.PUNCTUATION, "."), (K.NUMBER, ".2")]),
+    ("1e5e3", [(K.NUMBER, "1e5"), (K.IDENTIFIER, "e3")]),
+    ("1_e", [(K.NUMBER, "1_"), (K.IDENTIFIER, "e")]),
+    ("0bar", [(K.NUMBER, "0bar")]),
+    ("1.e5", [(K.NUMBER, "1.e5")]),
+    (
+        "a := b[...]",
+        [(K.IDENTIFIER, "a"), (K.PUNCTUATION, ":"), (K.OPERATOR, "="), (K.IDENTIFIER, "b"),
+         (K.PUNCTUATION, "[")] + [(K.PUNCTUATION, ".")] * 3 + [(K.PUNCTUATION, "]")],
+    ),
+    ("x\\\r\n y", [(K.IDENTIFIER, "x"), (K.NEWLINE, "\r\n"), (K.IDENTIFIER, "y")]),
+    ("a @= b", [(K.IDENTIFIER, "a"), (K.OPERATOR, "@"), (K.OPERATOR, "="), (K.IDENTIFIER, "b")]),
+]
 
 
 class TestGoldenWalks:
@@ -76,6 +110,10 @@ class TestGoldenWalks:
         ops = [t.text for t in toks if t.kind is TokenKind.OPERATOR]
         assert ops == ["//=", "**", "!="]
 
+    @pytest.mark.parametrize("text, expected", EDGE_WALKS, ids=[repr(t) for t, _ in EDGE_WALKS])
+    def test_edge_case_walk(self, text, expected):
+        assert kinds_and_texts(lex(text)) == expected
+
     def test_unknown_chars_degrade(self):
         toks = lex("a $ b ?")
         assert [t.kind for t in toks] == [
@@ -100,6 +138,7 @@ class TestStreamInvariants:
         "weird $ % ^^ tokens ... -> :=\n",
         't = """triple\nwith \'quotes\'\n"""\n',
         "x\\\n  = 1\n",
+        "x² = ½ + ①\n",
     ]
 
     @pytest.mark.parametrize("text", CASES)
@@ -118,9 +157,7 @@ class TestStreamInvariants:
     def test_identifier_rule(self, text):
         for t in lex(text):
             if t.kind is TokenKind.IDENTIFIER:
-                assert (t.text[0].isalpha() or t.text[0] == "_") and all(
-                    c.isalnum() or c == "_" for c in t.text
-                )
+                assert follows_identifier_rule(t.text)
 
     @given(st.text(max_size=300))
     @settings(max_examples=200, deadline=None)
@@ -179,3 +216,21 @@ class TestLoadSource:
         p.write_bytes(b"x = 1\xff\xfe\n")
         with pytest.raises(EncodingError):
             load_source(p)
+
+
+STDLIB = Path(sysconfig.get_paths()["stdlib"])
+
+
+@pytest.mark.parametrize("package", ["json", "pydoc_data", "test/encoded_modules"])
+def test_stream_invariants_on_stdlib(package):
+    """Long literals (pydoc_data) and text decoded from latin-1 and koi8-r
+    (encoded_modules) keep the round-trip, offset and identifier rules."""
+    paths = sorted((STDLIB / package).glob("*.py"))
+    assert paths
+    for path in paths:
+        src = load_source(path)
+        toks = tokenize(src)
+        assert reconstruct(src, toks) == src.content, path
+        offsets = [t.byte_offset for t in toks]
+        assert all(a < b for a, b in zip(offsets, offsets[1:])), path
+        assert all(follows_identifier_rule(t.text) for t in toks if t.kind is TokenKind.IDENTIFIER), path
