@@ -5,15 +5,16 @@ span widths and retention counts are all raw counts over these tokens.
 Physical tokens carry their exact source text, so interleaving token texts
 with the source gaps between them reconstructs the file byte for byte.
 
-Newline tokens are emitted only at bracket depth zero, which makes a
-"logical line" exactly the token run between two newline tokens.  The
-indent/dedent layer (:func:`block_markers`) is synthesized on top of the
-physical stream for the parser; it is never part of a file's token list.
+The grammar is the one regex ``_TOKEN``: at each position its alternatives
+are tried in order and the first that matches is the token.  Newline
+tokens are emitted only at bracket depth zero, which makes a "logical
+line" exactly the token run between two newline tokens.
 """
 
 from __future__ import annotations
 
 import io
+import re
 import tokenize as py_tokenize
 from dataclasses import dataclass
 from enum import Enum
@@ -31,8 +32,6 @@ class TokenKind(str, Enum):
     PUNCTUATION = "punctuation"
     COMMENT = "comment"
     NEWLINE = "newline"
-    INDENT = "indent"
-    DEDENT = "dedent"
 
 
 @dataclass(frozen=True)
@@ -59,17 +58,34 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Longest-first so maximal munch falls out of the scan order.
-_OPERATORS = (
-    "**=", "//=", ">>=", "<<=", "...",
-    "->", ":=", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=",
-    "&=", "|=", "^=", "**", "//", "<<", ">>",
-    "+", "-", "*", "/", "%", "<", ">", "=", "&", "|", "^", "~", "@", "!",
+# String bodies are written as runs, not one character per step, so the
+# backtracking stack stays small on long literals.  An unterminated string
+# ends at the end of its line (single quotes) or of the input (triple).
+_TOKEN = re.compile(
+    r"""
+      (?P<newline>\r?\n)
+    | (?P<gap>(?:[ \t\f\v]+|\r(?!\n)|\\(?=[\r\n]))+)
+    | (?P<comment>\#[^\r\n]*(?:\r(?=[^\n])[^\r\n]*)*)
+    | (?P<string>(?:[rR][bBfF]?|[bBfF][rR]?|[uU])?
+        (?: '{3}(?:[^'\\]+|\\[\s\S]?|'(?!''))*(?:'{3})?
+          | "{3}(?:[^"\\]+|\\[\s\S]?|"(?!""))*(?:"{3})?
+          | '(?:[^'\\\n]+|\\[\s\S]?)*'?
+          | "(?:[^"\\\n]+|\\[\s\S]?)*"? ))
+    | (?P<word>[^\W\d]\w*)
+    | (?P<number>0[xXoObB]\w*
+        | (?:\d[\d_]*(?:\.(?!\.)[\d_]*)?|\.\d[\d_]*)(?:[eE][+-]?\d[\d_]*)?[jJ]?)
+    | (?P<punctuation>[()\[\]{},:.;])
+    | (?P<operator>\*\*=?|//=?|>>=?|<<=?|->|[=!<>+\-*/%&|^]=|[\s\S])
+    """,
+    re.VERBOSE,
 )
-_PUNCTUATION = "()[]{},:.;"
-_OPEN = "([{"
-_CLOSE = ")]}"
-_STRING_PREFIXES = frozenset({"r", "b", "u", "f", "rb", "br", "fr", "rf"})
+_KINDS = {
+    "comment": TokenKind.COMMENT,
+    "string": TokenKind.STRING,
+    "number": TokenKind.NUMBER,
+    "punctuation": TokenKind.PUNCTUATION,
+    "operator": TokenKind.OPERATOR,
+}
 
 
 def load_source(path: str | Path, language_tag: str = "subset_py") -> SourceFile:
@@ -85,14 +101,6 @@ def load_source(path: str | Path, language_tag: str = "subset_py") -> SourceFile
     return SourceFile(path=str(path), content=content, language_tag=language_tag)
 
 
-def _is_ident_head(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_tail(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
 def tokenize(source: SourceFile) -> list[Token]:
     """Lex ``source.content`` into its physical token sequence.
 
@@ -101,168 +109,55 @@ def tokenize(source: SourceFile) -> list[Token]:
     failing, so arbitrary text can pass through the engine.
     """
     text = source.content
+    wide = not text.isascii()
+    match = _TOKEN.match
     tokens: list[Token] = []
-    i = 0
     n = len(text)
-    byte_pos = 0
+    pos = 0
+    extra = 0  # UTF-8 bytes beyond one per character before ``pos``
     line = 1
-    col = 1
+    line_start = 0  # index of the first character of ``line``
     depth = 0  # ( [ { nesting; newlines inside brackets are plain gaps
-
-    def emit(tok_text: str, kind: TokenKind) -> None:
-        tokens.append(Token(tok_text, byte_pos, line, col, kind))
-
-    def advance(tok_text: str) -> None:
-        nonlocal i, byte_pos, line, col
-        i += len(tok_text)
-        byte_pos += len(tok_text.encode("utf-8"))
-        newlines = tok_text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok_text) - tok_text.rfind("\n")
-        else:
-            col += len(tok_text)
-
-    while i < n:
-        ch = text[i]
-
-        if ch == "\r" and i + 1 < n and text[i + 1] == "\n":
+    while pos < n:
+        m = match(text, pos)
+        group = m.lastgroup
+        end = m.end()
+        if group == "gap":
+            pos = end
+            continue
+        if group == "newline":
             if depth == 0:
-                emit("\r\n", TokenKind.NEWLINE)
-            advance("\r\n")
+                tokens.append(Token(m.group(), pos + extra, line, pos - line_start + 1, TokenKind.NEWLINE))
+            line += 1
+            line_start = pos = end
             continue
-        if ch == "\n":
-            if depth == 0:
-                emit("\n", TokenKind.NEWLINE)
-            advance("\n")
-            continue
-        if ch in " \t\r\f\v":
-            advance(ch)
-            continue
-        if ch == "\\" and i + 1 < n and text[i + 1] in "\r\n":
-            # explicit line continuation: swallow the backslash as a gap
-            advance(ch)
-            continue
-
-        if ch == "#":
-            end = text.find("\n", i)
-            if end == -1:
-                end = n
-            if end > 0 and text[end - 1] == "\r":
-                end -= 1
-            comment = text[i:end]
-            emit(comment, TokenKind.COMMENT)
-            advance(comment)
-            continue
-
-        literal = _match_string(text, i)
-        if literal is not None:
-            emit(literal, TokenKind.STRING)
-            advance(literal)
-            continue
-
-        if _is_ident_head(ch):
-            j = i + 1
-            while j < n and _is_ident_tail(text[j]):
-                j += 1
-            word = text[i:j]
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENTIFIER
-            emit(word, kind)
-            advance(word)
-            continue
-
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            num = _match_number(text, i)
-            emit(num, TokenKind.NUMBER)
-            advance(num)
-            continue
-
-        if ch in _PUNCTUATION:
-            if ch in _OPEN:
-                depth += 1
-            elif ch in _CLOSE:
-                depth = max(0, depth - 1)
-            emit(ch, TokenKind.PUNCTUATION)
-            advance(ch)
-            continue
-
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                emit(op, TokenKind.OPERATOR)
-                advance(op)
-                break
+        tok = m.group()
+        if group == "word":
+            if tok in KEYWORDS:
+                kind = TokenKind.KEYWORD
+            elif tok[0] > "\x7f" and not tok[0].isalpha():
+                # \w also admits digits and numerals that are not letters: such
+                # a head is a token of its own and lexing resumes after it
+                tok = tok[0]
+                end = pos + 1
+                kind = TokenKind.NUMBER if tok.isdigit() else TokenKind.OPERATOR
+            else:
+                kind = TokenKind.IDENTIFIER
         else:
-            # anything unrecognized becomes a one-character operator token
-            emit(ch, TokenKind.OPERATOR)
-            advance(ch)
-
+            kind = _KINDS[group]
+            if group == "punctuation":
+                if tok in "([{":
+                    depth += 1
+                elif tok in ")]}" and depth:
+                    depth -= 1
+        tokens.append(Token(tok, pos + extra, line, pos - line_start + 1, kind))
+        if wide and not tok.isascii():
+            extra += len(tok.encode("utf-8")) - len(tok)
+        if group == "string" and "\n" in tok:
+            line += tok.count("\n")
+            line_start = pos + tok.rfind("\n") + 1
+        pos = end
     return tokens
-
-
-def _match_string(text: str, i: int) -> str | None:
-    n = len(text)
-    j = i
-    prefix_end = j
-    while prefix_end < n and prefix_end - j < 2 and text[prefix_end].isalpha():
-        prefix_end += 1
-    if prefix_end > j:
-        if text[j:prefix_end].lower() not in _STRING_PREFIXES:
-            prefix_end = j
-        if prefix_end >= n or text[prefix_end] not in "'\"":
-            prefix_end = j
-    if prefix_end >= n or text[prefix_end] not in "'\"":
-        if text[i] not in "'\"":
-            return None
-        prefix_end = i
-    quote = text[prefix_end]
-    if text.startswith(quote * 3, prefix_end):
-        close = quote * 3
-        k = prefix_end + 3
-    else:
-        close = quote
-        k = prefix_end + 1
-    while k < n:
-        if text[k] == "\\" and k + 1 < n:
-            k += 2
-            continue
-        if text.startswith(close, k):
-            return text[i : k + len(close)]
-        if len(close) == 1 and text[k] == "\n":
-            return text[i:k]  # unterminated: stop at end of line
-        k += 1
-    return text[i:n]
-
-
-def _match_number(text: str, i: int) -> str:
-    n = len(text)
-    j = i
-    if text[j] == "0" and j + 1 < n and text[j + 1] in "xXoObB":
-        j += 2
-        while j < n and (text[j].isalnum() or text[j] == "_"):
-            j += 1
-        return text[i:j]
-    seen_dot = False
-    seen_exp = False
-    while j < n:
-        ch = text[j]
-        if ch.isdigit() or ch == "_":
-            j += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            if j + 1 < n and text[j + 1] == ".":  # leave ".." / "..." alone
-                break
-            seen_dot = True
-            j += 1
-        elif ch in "eE" and not seen_exp and j + 1 < n and (
-            text[j + 1].isdigit() or (text[j + 1] in "+-" and j + 2 < n and text[j + 2].isdigit())
-        ):
-            seen_exp = True
-            j += 2 if text[j + 1] in "+-" else 1
-        elif ch in "jJ":
-            j += 1
-            break
-        else:
-            break
-    return text[i:j]
 
 
 def reconstruct(source: SourceFile, tokens: list[Token]) -> str:
@@ -298,50 +193,19 @@ class LogicalLine:
         return self.sig_start < 0
 
 
-def logical_lines(tokens: list[Token], lo: int = 0, hi: int | None = None) -> list[LogicalLine]:
-    if hi is None:
-        hi = len(tokens)
+def logical_lines(tokens: list[Token]) -> list[LogicalLine]:
     lines: list[LogicalLine] = []
-    i = lo
-    while i < hi:
+    n = len(tokens)
+    i = 0
+    while i < n:
         start = i
         sig = -1
-        while i < hi and tokens[i].kind is not TokenKind.NEWLINE:
+        while i < n and tokens[i].kind is not TokenKind.NEWLINE:
             if sig < 0 and tokens[i].kind is not TokenKind.COMMENT:
                 sig = i
             i += 1
-        if i < hi:
+        if i < n:
             i += 1  # consume the newline
         col = tokens[sig].column if sig >= 0 else 0
         lines.append(LogicalLine(start, i, sig, col))
     return lines
-
-
-def block_markers(tokens: list[Token]) -> list[Token]:
-    """Insert zero-width indent/dedent tokens around nesting changes.
-
-    This is the layout layer consumed by the block parser.  Marker tokens
-    reuse the position of the line's first significant token and carry empty
-    text, so they never perturb reconstruction of the physical stream.
-    """
-    out: list[Token] = []
-    indents: list[int] = []
-    for ln in logical_lines(tokens):
-        if not ln.blank:
-            first = tokens[ln.sig_start]
-            while indents and ln.indent_col < indents[-1]:
-                indents.pop()
-                out.append(Token("", first.byte_offset, first.line, first.column, TokenKind.DEDENT))
-            if not indents:
-                indents.append(ln.indent_col)
-            elif ln.indent_col > indents[-1]:
-                indents.append(ln.indent_col)
-                out.append(Token("", first.byte_offset, first.line, first.column, TokenKind.INDENT))
-        out.extend(tokens[ln.start : ln.end])
-    if tokens:
-        last = tokens[-1]
-        end_off = last.byte_offset + len(last.text.encode("utf-8"))
-        while len(indents) > 1:
-            indents.pop()
-            out.append(Token("", end_off, last.line, last.column, TokenKind.DEDENT))
-    return out

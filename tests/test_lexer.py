@@ -9,7 +9,6 @@ from structkv.errors import EncodingError
 from structkv.lexer import (
     SourceFile,
     TokenKind,
-    block_markers,
     load_source,
     logical_lines,
     reconstruct,
@@ -114,6 +113,17 @@ class TestGoldenWalks:
     def test_edge_case_walk(self, text, expected):
         assert kinds_and_texts(lex(text)) == expected
 
+    def test_non_letter_word_characters(self):
+        # \w admits digits and numerals that are not letters (², ½, ①); they
+        # never start an identifier, and each is a token of its own: a number
+        # when str.isdigit() holds, else an operator.  So "1²" is two numbers.
+        assert kinds_and_texts(lex("x² = ½ + ①")) == [
+            (K.IDENTIFIER, "x²"), (K.OPERATOR, "="), (K.OPERATOR, "½"), (K.OPERATOR, "+"), (K.NUMBER, "①"),
+        ]
+        assert kinds_and_texts(lex("1² ²9 ①x")) == [
+            (K.NUMBER, "1"), (K.NUMBER, "²"), (K.NUMBER, "²"), (K.NUMBER, "9"), (K.NUMBER, "①"), (K.IDENTIFIER, "x"),
+        ]
+
     def test_unknown_chars_degrade(self):
         toks = lex("a $ b ?")
         assert [t.kind for t in toks] == [
@@ -185,16 +195,6 @@ class TestLayout:
         lines = [ln for ln in logical_lines(toks) if not ln.blank]
         assert [ln.indent_col for ln in lines] == [1, 5, 1]
 
-    def test_block_markers_balanced(self):
-        toks = lex("def f():\n    if a:\n        b = 1\n    return b\n")
-        marks = [t.kind for t in block_markers(toks)]
-        assert marks.count(TokenKind.INDENT) == marks.count(TokenKind.DEDENT) == 2
-
-    def test_marker_tokens_zero_width(self):
-        toks = block_markers(lex("if a:\n    b = 1\n"))
-        for t in toks:
-            if t.kind in (TokenKind.INDENT, TokenKind.DEDENT):
-                assert t.text == ""
 
 
 class TestLoadSource:
