@@ -16,7 +16,7 @@ from pathlib import Path
 from .chunking import Chunk
 from .config import PipelineConfig
 from .cpg import Cpg, export_cpg_json
-from .errors import ConfigError, ParameterError, StructKVError
+from .errors import ConfigError, ParameterError, SchemaError, StructKVError
 from .lexer import load_source, tokenize
 from .metrics import (
     normalized_edit_distance,
@@ -233,7 +233,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 
 
 def _gold_metrics(path: str) -> dict:
-    gold_doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        gold_doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(gold_doc, dict):
+        raise SchemaError(f"{path}: a gold file must be a JSON object")
+    for key in ("predicted", "gold"):
+        if not _scalars(gold_doc.get(key)):
+            raise SchemaError(f"{path}: {key!r} must be an array of strings or numbers")
+    for key in ("predicted_text", "gold_text"):
+        if key in gold_doc and not (isinstance(gold_doc[key], str) or _scalars(gold_doc[key])):
+            raise SchemaError(f"{path}: {key!r} must be a string or an array of tokens")
     metrics = set_metrics(set(gold_doc["predicted"]), set(gold_doc["gold"]))
     out = {
         "set_metrics": {
@@ -249,6 +260,10 @@ def _gold_metrics(path: str) -> dict:
             gold_doc["predicted_text"], gold_doc["gold_text"]
         )
     return out
+
+
+def _scalars(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, (str, int, float)) for v in value)
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> None:

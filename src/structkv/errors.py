@@ -18,7 +18,7 @@ class EncodingError(StructKVError, ValueError):
 
 
 class SchemaError(StructKVError, ValueError):
-    """A graph interchange document does not match the documented schema."""
+    """An input document (graph, plan or gold file) does not match its documented schema."""
 
 
 class UnsupportedKindError(SchemaError):

@@ -342,3 +342,33 @@ class TestErrorObjects:
         assert rc == 1
         capsys.readouterr()
         assert not (out / "plan.json").exists()
+
+    @pytest.fixture
+    def plan_file(self, corpus_dir, config_file, tmp_path):
+        out = tmp_path / "planned"
+        main(["pipeline", "--config", str(config_file), "--out", str(out)])
+        return out / "plan.json"
+
+    def evaluate_error(self, capsys, plan, *extra):
+        rc = main(["evaluate", "--plan", str(plan), *extra, "--out", str(Path(plan).parent / "ev")])
+        assert rc == 1
+        return json.loads(capsys.readouterr().err)["error"]
+
+    def test_evaluate_plan_not_json(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text("{not json")
+        err = self.evaluate_error(capsys, plan)
+        assert err["type"] == "SchemaError" and "invalid JSON" in err["message"]
+
+    def test_evaluate_plan_missing_field(self, plan_file, corpus_dir, capsys):
+        doc = read_json(plan_file)
+        del doc["chunks"][0]["file"]
+        plan_file.write_text(json.dumps(doc))
+        err = self.evaluate_error(capsys, plan_file, "--dir", str(corpus_dir))
+        assert err["type"] == "SchemaError" and "'file'" in err["message"]
+
+    def test_evaluate_gold_missing_key(self, plan_file, corpus_dir, tmp_path, capsys):
+        gold = tmp_path / "gold.json"
+        gold.write_text(json.dumps({"predicted": ["a.py"]}))
+        err = self.evaluate_error(capsys, plan_file, "--dir", str(corpus_dir), "--gold", str(gold))
+        assert err["type"] == "SchemaError" and "'gold'" in err["message"]
