@@ -60,6 +60,8 @@ def server():
     thread.start()
     yield httpd
     httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=5)
 
 
 def url(httpd):
