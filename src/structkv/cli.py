@@ -42,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.handler(args)
         return 0
-    except (StructKVError, OSError) as exc:
+    except (StructKVError, OSError, UnicodeDecodeError) as exc:
         _emit_error(exc)
         return 1
 

@@ -360,6 +360,11 @@ class TestErrorObjects:
         err = self.evaluate_error(capsys, plan)
         assert err["type"] == "SchemaError" and "invalid JSON" in err["message"]
 
+    def test_evaluate_plan_not_utf8(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(b"\xff\xfe{")
+        assert self.evaluate_error(capsys, plan)["type"] == "UnicodeDecodeError"
+
     def test_evaluate_plan_missing_field(self, plan_file, corpus_dir, capsys):
         doc = read_json(plan_file)
         del doc["chunks"][0]["file"]
