@@ -136,8 +136,9 @@ def tokenize(source: SourceFile) -> list[Token]:
             if tok in KEYWORDS:
                 kind = TokenKind.KEYWORD
             elif tok[0] > "\x7f" and not tok[0].isalpha():
-                # \w also admits digits and numerals that are not letters: such
-                # a head is a token of its own and lexing resumes after it
+                # every ASCII head is a letter or "_", but \w also admits digits
+                # and numerals that are not letters (², ½, ①): such a head is a
+                # token of its own and lexing resumes after it
                 tok = tok[0]
                 end = pos + 1
                 kind = TokenKind.NUMBER if tok.isdigit() else TokenKind.OPERATOR
