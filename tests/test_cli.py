@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from structkv.cli import main
+from structkv.errors import SchemaError
 from structkv.plan import CompressionPlan
 
 ALPHA = (
@@ -377,3 +378,20 @@ class TestErrorObjects:
         gold.write_text(json.dumps({"predicted": ["a.py"]}))
         err = self.evaluate_error(capsys, plan_file, "--dir", str(corpus_dir), "--gold", str(gold))
         assert err["type"] == "SchemaError" and "'gold'" in err["message"]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: [d],
+            lambda d: d["chunks"][0].update(file=3),
+            lambda d: d["chunks"][0].update(token_range=[0]),
+            lambda d: d["chunks"][0]["layers"][0].update(kept=["1"]),
+            lambda d: d.update(seed=True),
+        ],
+        ids=["not-an-object", "file-number", "range-not-pair", "kept-strings", "seed-bool"],
+    )
+    def test_plan_mistyped_field_is_schema_error(self, plan_file, mutate):
+        doc = read_json(plan_file)
+        doc = mutate(doc) or doc
+        with pytest.raises(SchemaError):
+            CompressionPlan.from_json(json.dumps(doc))
