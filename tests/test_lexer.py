@@ -30,7 +30,8 @@ def follows_identifier_rule(text):
 
 K = TokenKind
 
-# Grammar corners, each walk recorded from the character-scanning lexer.
+# Grammar corners: CR handling, string prefixes and ends, number boundaries and
+# the operators that punctuation shadows (":=", "...").
 EDGE_WALKS = [
     (" \r\n", [(K.NEWLINE, "\r\n")]),  # the CR joins the newline, not the gap
     ("# c\r\n", [(K.COMMENT, "# c"), (K.NEWLINE, "\r\n")]),
@@ -194,7 +195,6 @@ class TestLayout:
         toks = lex("if a:\n    b = 1\nc = 2\n")
         lines = [ln for ln in logical_lines(toks) if not ln.blank]
         assert [ln.indent_col for ln in lines] == [1, 5, 1]
-
 
 
 class TestLoadSource:
