@@ -47,49 +47,47 @@ class SetMetrics:
     gold_empty: bool = False
 
 
-def _critical_tokens(cpg: Cpg, category: str | None = None) -> set[int]:
-    out: set[int] = set()
-    for node in cpg.nodes:
-        if category is not None and node.kind.value != category:
-            continue
-        out.update(range(*node.token_range))
-    return out
+def _retentions(
+    plan: CompressionPlan, cpgs: dict[int, Cpg]
+) -> tuple[list[tuple[int, float]], dict[str, list[float]]]:
+    """Retentions of every (layer, chunk) pair with critical tokens, in one walk.
 
-
-def _pair_retentions(
-    plan: CompressionPlan, cpgs: dict[int, Cpg], category: str | None
-) -> list[tuple[int, float]]:
-    """(layer, retention) for every (layer, chunk) pair with critical tokens."""
-    pairs: list[tuple[int, float]] = []
+    Returns (layer, retention) over all critical tokens, and per node kind
+    the retentions of the pairs whose chunk has tokens of that kind; both
+    lists follow plan order, so their sums do not depend on how they were
+    collected.
+    """
+    overall: list[tuple[int, float]] = []
+    by_category: dict[str, list[float]] = {c: [] for c in CATEGORIES}
     for chunk in plan.chunks:
         cpg = cpgs.get(chunk.chunk_id)
         if cpg is None:
             continue
-        critical = _critical_tokens(cpg, category)
+        by_kind: dict[str, set[int]] = {}
+        for node in cpg.nodes:
+            by_kind.setdefault(node.kind.value, set()).update(range(*node.token_range))
+        critical = set().union(*by_kind.values())
         if not critical:
             continue
         for layer_plan in chunk.layers:
             kept = set(layer_plan.kept)
-            pairs.append((layer_plan.layer, len(critical & kept) / len(critical)))
-    return pairs
+            overall.append((layer_plan.layer, len(critical & kept) / len(critical)))
+            for category, tokens in by_kind.items():
+                if tokens:
+                    by_category[category].append(len(tokens & kept) / len(tokens))
+    return overall, by_category
 
 
 def structure_score(plan: CompressionPlan, cpgs: dict[int, Cpg]) -> RetentionReport:
-    pairs = _pair_retentions(plan, cpgs, category=None)
+    pairs, by_category = _retentions(plan, cpgs)
     overall = sum(r for _, r in pairs) / len(pairs) if pairs else 0.0
-    per_layer: dict[int, float] = {}
-    for layer in sorted({l for l, _ in pairs}):
-        values = [r for l, r in pairs if l == layer]
-        per_layer[layer] = sum(values) / len(values)
-    per_category: dict[str, float] = {}
-    for category in CATEGORIES:
-        value = category_retention(plan, cpgs, category)
-        if value is not None:
-            per_category[category] = value
+    by_layer: dict[int, list[float]] = {}
+    for layer, r in pairs:
+        by_layer.setdefault(layer, []).append(r)
     return RetentionReport(
         structure_score=overall,
-        per_category_retention=per_category,
-        per_layer=per_layer,
+        per_category_retention={c: sum(v) / len(v) for c, v in by_category.items() if v},
+        per_layer={layer: sum(v) / len(v) for layer, v in sorted(by_layer.items())},
         pairs_counted=len(pairs),
     )
 
@@ -100,10 +98,8 @@ def category_retention(
     """Retention restricted to one node kind; None when the kind is absent."""
     if category not in CATEGORIES:
         raise ParameterError(f"unknown category {category!r}")
-    pairs = _pair_retentions(plan, cpgs, category=category)
-    if not pairs:
-        return None
-    return sum(r for _, r in pairs) / len(pairs)
+    values = _retentions(plan, cpgs)[1][category]
+    return sum(values) / len(values) if values else None
 
 
 def topk_overlap_jaccard(
