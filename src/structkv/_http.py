@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import time
 
+import orjson
 import requests
+
+# Seconds to wait before the first retry; each further retry waits twice as long.
+BACKOFF_S = 0.05
 
 
 class HttpClient:
@@ -19,8 +24,11 @@ class HttpClient:
         """POST ``payload`` as JSON to ``route`` and return the decoded reply.
 
         Connection errors, timeouts and 5xx replies are retried up to
-        ``retries`` times; the last one is raised. Any other failure, a 4xx
-        reply included, raises at once.
+        ``retries`` times, sleeping ``BACKOFF_S``, then twice that, and so
+        on before each retry; the last failure is raised. Any other failure,
+        a 4xx reply included, raises at once. The reply must be strict UTF-8
+        JSON: a body that is not, or that holds a ``NaN`` or ``Infinity``
+        literal, raises ``orjson.JSONDecodeError`` (a ``ValueError``).
         """
         for attempt in itertools.count():
             try:
@@ -28,7 +36,8 @@ class HttpClient:
             except (requests.ConnectionError, requests.Timeout):
                 if attempt >= self.retries:
                     raise
-                continue
-            if resp.status_code < 500 or attempt >= self.retries:
-                resp.raise_for_status()
-                return resp.json()
+            else:
+                if resp.status_code < 500 or attempt >= self.retries:
+                    resp.raise_for_status()
+                    return orjson.loads(resp.content)
+            time.sleep(BACKOFF_S * 2**attempt)

@@ -120,6 +120,11 @@ class HttpAttentionBackend(HttpClient):
                     f"backend returned {k.shape[0] if k.ndim == 2 else '?'} key rows "
                     f"for a {length}-token chunk"
                 )
+            if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1 or q.shape[1] != k.shape[1]:
+                raise ValueError(
+                    f"backend returned a {q.shape} query block for {k.shape} keys; "
+                    "it must be a non-empty matrix as wide as the keys"
+                )
         except (requests.RequestException, KeyError, ValueError, TypeError) as exc:
             raise BackendError(chunk_id, layer, str(exc)) from exc
         return AttentionWindow(q_block=q, k_block=k, layer=layer)

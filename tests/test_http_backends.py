@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import single_chunk
+from structkv import _http
 from structkv.attention import HttpAttentionBackend
 from structkv.errors import BackendError, ScoringError
 from structkv.lexer import SourceFile, tokenize
@@ -42,7 +43,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(404)
             self.end_headers()
             return
-        data = json.dumps(payload).encode()
+        data = json.dumps(payload).encode() if self.server.body is None else self.server.body
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -56,7 +57,10 @@ def server():
     httpd.requests = []
     httpd.fail_next = 0
     httpd.key_rows = 6
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    httpd.body = None  # raw bytes to reply with instead of the computed payload
+    thread = threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield httpd
     httpd.shutdown()
@@ -148,3 +152,92 @@ class TestHttpAttentionBackend:
         backend = HttpAttentionBackend("http://127.0.0.1:9", retries=0, timeout_s=0.05)
         with pytest.raises(BackendError):
             backend.attention_window(0, 0, 4)
+
+    @pytest.mark.parametrize(
+        "q",
+        [[1.0, 2.0, 3.0], [], [[]], [[1.0, 2.0]]],
+        ids=["one-d", "empty", "no-columns", "narrower-than-k"],
+    )
+    def test_malformed_query_block_is_backend_error(self, server, q):
+        server.body = json.dumps({"q": q, "k": [[0.5, 0.25, 1.0]] * 6}).encode()
+        backend = HttpAttentionBackend(url(server), retries=0)
+        with pytest.raises(BackendError) as err:
+            backend.attention_window(chunk_id=4, layer=2, length=6)
+        assert err.value.chunk_id == 4 and err.value.layer == 2
+
+
+class TestWireDecoding:
+    def test_floats_decode_exactly(self, server):
+        edge = [5e-324, -0.0, 1e308, -1.7976931348623157e308, 2.2250738585072014e-308]
+        seventeen = [0.1 + 0.2, 1 / 3 + 1e-16, float(np.nextafter(1.0, 2.0)), 123456789.12345679]
+        q = np.array([edge[:3], edge[2:]])
+        k = np.vstack(
+            [np.array([seventeen[:3], seventeen[1:]]), np.random.default_rng(5).standard_normal((4, 3))]
+        )
+        server.body = json.dumps({"q": q.tolist(), "k": k.tolist()}).encode()
+        window = HttpAttentionBackend(url(server)).attention_window(0, 0, length=6)
+        assert np.array_equal(window.q_block, q) and np.array_equal(window.k_block, k)
+        assert np.array_equal(np.signbit(window.q_block), np.signbit(q))
+
+    BAD_BODIES = {
+        "not-json": b"<html>upstream timeout</html>",
+        "nan": b'{"q": [[NaN, 1.0, 2.0]], "k": [[1.0, 2.0, 3.0]], "nll_mean": NaN}',
+        "infinity": b'{"q": [[Infinity, 1.0, 2.0]], "k": [[1.0, 2.0, 3.0]], "nll_mean": Infinity}',
+        "not-utf8": b'{"q": [[1.0, 2.0, 3.0]], "k": [[1.0, 2.0, 3.0]], "nll_mean": "\xff"}',
+    }
+
+    @pytest.mark.parametrize("body", BAD_BODIES.values(), ids=BAD_BODIES.keys())
+    def test_bad_attention_reply_fails_once(self, server, body):
+        server.body = body
+        backend = HttpAttentionBackend(url(server), retries=3)
+        with pytest.raises(BackendError) as err:
+            backend.attention_window(chunk_id=1, layer=3, length=1)
+        assert err.value.chunk_id == 1 and err.value.layer == 3
+        assert len(server.requests) == 1
+
+    @pytest.mark.parametrize("body", BAD_BODIES.values(), ids=BAD_BODIES.keys())
+    def test_bad_score_reply_fails_once(self, server, body):
+        server.body = body
+        chunk, tokens = single_chunk("x = 1\n")
+        query = tokenize(SourceFile("<q>", "x"))
+        with pytest.raises(ScoringError) as err:
+            score_chunk(HttpScorer(url(server), retries=3), [], chunk, query, tokens)
+        assert err.value.chunk_id == chunk.id
+        assert len(server.requests) == 1
+
+
+class TestBackoff:
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        delays = []
+        monkeypatch.setattr(_http.time, "sleep", delays.append)
+        return delays
+
+    def test_server_errors_back_off_exponentially(self, server, sleeps):
+        server.fail_next = 10
+        backend = HttpAttentionBackend(url(server), retries=3)
+        with pytest.raises(BackendError):
+            backend.attention_window(0, 0, length=6)
+        assert sleeps == pytest.approx([0.05, 0.1, 0.2])
+        assert len(server.requests) == 4
+
+    def test_backoff_then_succeed(self, server, sleeps):
+        server.fail_next = 2
+        chunk, tokens = single_chunk("x = 1\n")
+        query = tokenize(SourceFile("<q>", "x"))
+        score_chunk(HttpScorer(url(server), retries=2), [], chunk, query, tokens)
+        assert sleeps == pytest.approx([0.05, 0.1])
+        assert len(server.requests) == 3
+
+    def test_connection_errors_back_off(self, sleeps):
+        backend = HttpAttentionBackend("http://127.0.0.1:9", retries=2, timeout_s=0.05)
+        with pytest.raises(BackendError):
+            backend.attention_window(0, 0, 4)
+        assert sleeps == pytest.approx([0.05, 0.1])
+
+    def test_client_error_neither_retries_nor_sleeps(self, server, sleeps):
+        backend = HttpAttentionBackend(url(server) + "/missing", retries=3)
+        with pytest.raises(BackendError):
+            backend.attention_window(0, 0, length=6)
+        assert sleeps == []
+        assert len(server.requests) == 1

@@ -1,0 +1,46 @@
+"""Packaging: the distribution declares what the package imports."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def imported_top_level_modules() -> set[str]:
+    names: set[str] = set()
+    for path in (ROOT / "src" / "structkv").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def declared_distributions() -> set[str]:
+    doc = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    # PEP 508: the name comes first, before any extras, version or marker
+    return {
+        re.match(r"[A-Za-z0-9._-]+", spec).group().lower().replace("_", "-")
+        for spec in doc["project"]["dependencies"]
+    }
+
+
+def test_third_party_imports_are_declared():
+    third_party = {
+        name
+        for name in imported_top_level_modules()
+        if name not in sys.stdlib_module_names and name != "structkv"
+    }
+    assert "numpy" in third_party  # the walk found the package's imports
+    # every third-party module imported so far shares its distribution's name
+    declared = declared_distributions()
+    missing = sorted(n for n in third_party if n.lower().replace("_", "-") not in declared)
+    assert not missing, f"imported but not in pyproject dependencies: {missing}"
