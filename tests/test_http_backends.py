@@ -68,6 +68,14 @@ def server():
     thread.join(timeout=5)
 
 
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The delays the HTTP client sleeps, recorded instead of slept."""
+    delays = []
+    monkeypatch.setattr(_http.time, "sleep", delays.append)
+    return delays
+
+
 def url(httpd):
     return f"http://127.0.0.1:{httpd.server_address[1]}"
 
@@ -141,12 +149,13 @@ class TestHttpAttentionBackend:
         assert window.k_block.shape[0] == 6
         assert len(server.requests) == 2
 
-    def test_client_error_is_not_retried(self, server):
+    def test_client_error_is_not_retried(self, server, sleeps):
         backend = HttpAttentionBackend(url(server) + "/missing", retries=3)
         with pytest.raises(BackendError) as err:
             backend.attention_window(chunk_id=2, layer=1, length=6)
         assert err.value.chunk_id == 2 and err.value.layer == 1
         assert [path for path, _ in server.requests] == ["/missing/attention"]
+        assert sleeps == []
 
     def test_server_down_is_backend_error(self):
         backend = HttpAttentionBackend("http://127.0.0.1:9", retries=0, timeout_s=0.05)
@@ -207,12 +216,6 @@ class TestWireDecoding:
 
 
 class TestBackoff:
-    @pytest.fixture
-    def sleeps(self, monkeypatch):
-        delays = []
-        monkeypatch.setattr(_http.time, "sleep", delays.append)
-        return delays
-
     def test_server_errors_back_off_exponentially(self, server, sleeps):
         server.fail_next = 10
         backend = HttpAttentionBackend(url(server), retries=3)
@@ -234,10 +237,3 @@ class TestBackoff:
         with pytest.raises(BackendError):
             backend.attention_window(0, 0, 4)
         assert sleeps == pytest.approx([0.05, 0.1])
-
-    def test_client_error_neither_retries_nor_sleeps(self, server, sleeps):
-        backend = HttpAttentionBackend(url(server) + "/missing", retries=3)
-        with pytest.raises(BackendError):
-            backend.attention_window(0, 0, length=6)
-        assert sleeps == []
-        assert len(server.requests) == 1
