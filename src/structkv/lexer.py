@@ -19,6 +19,7 @@ import tokenize as py_tokenize
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import EncodingError
 
@@ -34,8 +35,9 @@ class TokenKind(str, Enum):
     NEWLINE = "newline"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One physical token; a tuple record, equal to the plain tuple of its fields."""
+
     text: str
     byte_offset: int  # into the UTF-8 encoding of the decoded text
     line: int
@@ -111,6 +113,8 @@ def tokenize(source: SourceFile) -> list[Token]:
     text = source.content
     wide = not text.isascii()
     match = _TOKEN.match
+    # tuple.__new__ skips the generated Token.__new__, as namedtuple._make does
+    new = tuple.__new__
     tokens: list[Token] = []
     n = len(text)
     pos = 0
@@ -127,7 +131,8 @@ def tokenize(source: SourceFile) -> list[Token]:
             continue
         if group == "newline":
             if depth == 0:
-                tokens.append(Token(m.group(), pos + extra, line, pos - line_start + 1, TokenKind.NEWLINE))
+                col = pos - line_start + 1
+                tokens.append(new(Token, (m.group(), pos + extra, line, col, TokenKind.NEWLINE)))
             line += 1
             line_start = pos = end
             continue
@@ -151,7 +156,7 @@ def tokenize(source: SourceFile) -> list[Token]:
                     depth += 1
                 elif tok in ")]}" and depth:
                     depth -= 1
-        tokens.append(Token(tok, pos + extra, line, pos - line_start + 1, kind))
+        tokens.append(new(Token, (tok, pos + extra, line, pos - line_start + 1, kind)))
         if wide and not tok.isascii():
             extra += len(tok.encode("utf-8")) - len(tok)
         if group == "string" and "\n" in tok:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from structkv.errors import EncodingError
 from structkv.lexer import (
     SourceFile,
+    Token,
     TokenKind,
     load_source,
     logical_lines,
@@ -133,6 +134,26 @@ class TestGoldenWalks:
             TokenKind.IDENTIFIER,
             TokenKind.OPERATOR,
         ]
+
+
+class TestTokenRecord:
+    def test_field_order(self):
+        assert Token._fields == ("text", "byte_offset", "line", "column", "kind")
+
+    def test_equals_literal_tuples(self):
+        assert lex("é = 1\n") == [
+            ("é", 0, 1, 1, K.IDENTIFIER),
+            ("=", 3, 1, 3, K.OPERATOR),
+            ("1", 5, 1, 5, K.NUMBER),
+            ("\n", 6, 1, 6, K.NEWLINE),
+        ]
+
+    def test_immutable_and_without_instance_dict(self):
+        tok = lex("x")[0]
+        with pytest.raises(AttributeError):
+            tok.text = "y"
+        # a per-token __dict__ is the memory the tuple record saves
+        assert not hasattr(tok, "__dict__")
 
 
 class TestStreamInvariants:
