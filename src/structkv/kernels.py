@@ -12,12 +12,16 @@ import numpy as np
 
 
 def attention_mass(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """u(j) = sum over rows of softmax(q @ k.T / sqrt(d)), max-stabilized."""
-    logits = q @ k.T / np.sqrt(q.shape[1])
+    """u(j) = sum over rows of softmax(q @ k.T / sqrt(d)), max-stabilized.
+
+    The scale goes on the W x d query block, not the W x L logits; the
+    exponential runs in place, and the column mass is one vector-matrix
+    product: u = (1 / z) @ E with E = exp(logits - row max), z = E's row sums.
+    """
+    logits = (q / np.sqrt(q.shape[1])) @ k.T
     logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights.sum(axis=0)
+    weights = np.exp(logits, out=logits)
+    return (1.0 / weights.sum(axis=1)) @ weights
 
 
 def sliding_mean(u: np.ndarray, window: int) -> np.ndarray:

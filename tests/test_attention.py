@@ -61,6 +61,16 @@ class TestImportance:
             assert u == pytest.approx(expect, abs=1e-9)
             assert abs(u.sum() - w) < 1e-6
 
+    @pytest.mark.parametrize("lc", [1, 19, 624, 4096])
+    def test_matches_brute_force_at_planner_window(self, lc):
+        # the default window height and head width, from one key up to a
+        # long chunk; the kernel's summation order stays within a few ulps
+        rng = np.random.default_rng(lc)
+        q = rng.standard_normal((128, 32))
+        k = rng.standard_normal((lc, 32))
+        u = importance(AttentionWindow(q, k, 0))
+        assert u == pytest.approx(brute_force_mass(q.tolist(), k.tolist()), abs=1e-12)
+
     def test_shift_invariance(self):
         # with q = ones and d = 1 the logits are exactly the k values, so
         # shifting k shifts every logit of every row by the same constant
