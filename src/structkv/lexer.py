@@ -7,8 +7,9 @@ with the source gaps between them reconstructs the file byte for byte.
 
 The grammar is the one regex ``_TOKEN``: at each position its alternatives
 are tried in order and the first that matches is the token.  Newline
-tokens are emitted only at bracket depth zero, which makes a "logical
-line" exactly the token run between two newline tokens.
+tokens are emitted only at bracket depth zero and never for a newline
+escaped by a backslash, which makes a "logical line" exactly the token run
+between two newline tokens.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ KEYWORDS = frozenset(
 # ends at the end of its line (single quotes) or of the input (triple).
 _TOKEN = re.compile(
     r"""
-      (?P<newline>\r?\n)
-    | (?P<gap>(?:[ \t\f\v]+|\r(?!\n)|\\(?=[\r\n]))+)
+      (?P<newline>\\?\r?\n)
+    | (?P<gap>(?:[ \t\f\v]+|\r(?!\n)|\\(?=\r))+)
     | (?P<comment>\#[^\r\n]*(?:\r(?=[^\n])[^\r\n]*)*)
     | (?P<string>(?:[rR][bBfF]?|[bBfF][rR]?|[uU])?
         (?: '{3}(?:[^'\\]+|\\[\s\S]?|'(?!''))*(?:'{3})?
@@ -130,7 +131,8 @@ def tokenize(source: SourceFile) -> list[Token]:
             pos = end
             continue
         if group == "newline":
-            if depth == 0:
+            # inside brackets, or escaped by a backslash, it only ends a line
+            if depth == 0 and text[pos] != "\\":
                 col = pos - line_start + 1
                 tokens.append(new(Token, (m.group(), pos + extra, line, col, TokenKind.NEWLINE)))
             line += 1

@@ -52,7 +52,7 @@ EDGE_WALKS = [
         [(K.IDENTIFIER, "a"), (K.PUNCTUATION, ":"), (K.OPERATOR, "="), (K.IDENTIFIER, "b"),
          (K.PUNCTUATION, "[")] + [(K.PUNCTUATION, ".")] * 3 + [(K.PUNCTUATION, "]")],
     ),
-    ("x\\\r\n y", [(K.IDENTIFIER, "x"), (K.NEWLINE, "\r\n"), (K.IDENTIFIER, "y")]),
+    ("x\\\r\n y", [(K.IDENTIFIER, "x"), (K.IDENTIFIER, "y")]),  # a continuation is no newline
     ("a @= b", [(K.IDENTIFIER, "a"), (K.OPERATOR, "@"), (K.OPERATOR, "="), (K.IDENTIFIER, "b")]),
 ]
 
@@ -211,6 +211,12 @@ class TestLayout:
     def test_newlines_suppressed_in_brackets(self):
         toks = lex("f(\n  1,\n  2,\n)\n")
         assert sum(1 for t in toks if t.kind is TokenKind.NEWLINE) == 1
+
+    def test_continuation_joins_lines(self):
+        toks = lex("x = a + \\\n    1\ny = 2\n")
+        one = next(t for t in toks if t.text == "1")
+        assert (one.line, one.column) == (2, 5)
+        assert [ln.indent_col for ln in logical_lines(toks)] == [1, 1]
 
     def test_logical_lines_indent(self):
         toks = lex("if a:\n    b = 1\nc = 2\n")

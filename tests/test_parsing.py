@@ -165,3 +165,13 @@ def test_never_raises_on_garbage():
     ast = parse("def ) ( ::\n  ??? $$$\nwhile:\n")
     assert isinstance(ast.body, list)
     assert ast.diagnostics  # degradations are reported
+
+
+def test_backslash_continuation_stays_in_the_statement():
+    _, toks = single_chunk("def f(a):\n    x = a + \\\n        1\n    return x\n")
+    ast = parse_tokens(toks)
+    assert ast.diagnostics == []
+    assign = ast.body[0].body[0]
+    assert isinstance(assign, Assign) and assign.targets == ("x",)
+    lo, hi = assign.value_span
+    assert [t.text for t in toks[lo:hi]] == ["a", "+", "1", "\n"]
