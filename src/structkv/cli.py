@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .chunking import Chunk
 from .config import PipelineConfig
-from .cpg import Cpg, export_cpg_json
+from .cpg import Cpg
 from .errors import ConfigError, ParameterError, SchemaError, StructKVError
 from .lexer import load_source, tokenize
 from .metrics import (
@@ -134,8 +134,7 @@ def _corpus_dir(args: argparse.Namespace, cfg: PipelineConfig) -> str:
 def _cmd_chunk(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
     index = index_corpus(load_corpus(args.dir, cfg.include), cfg.chunking)
-    chunks = [dataclasses.asdict(chunk) for chunk in index.chunks]
-    print(_write(args.out, "chunks.json", {"chunks": chunks}))
+    print(_write(args.out, "chunks.json", {"chunks": index.chunks}))
 
 
 def _cmd_cpg(args: argparse.Namespace) -> None:
@@ -149,14 +148,12 @@ def _cmd_cpg(args: argparse.Namespace) -> None:
         corpus = [load_source(args.file)]
         wanted = {corpus[0].path}
     index = index_corpus(corpus, cfg.chunking)
-    docs = [
-        json.loads(export_cpg_json(chunk_graph(chunk, src, index.tokens[src.path])))
-        for chunk, src in zip(index.chunks, index.chunk_files)
-        if src.path in wanted
+    graphs = [
+        chunk_graph(chunk, index.tokens[chunk.file]) for chunk in index.chunks if chunk.file in wanted
     ]
-    if not docs:
+    if not graphs:
         raise ParameterError(f"{args.file}: no chunks produced (is it under --dir?)")
-    print(_write(args.out, "cpg.json", docs))
+    print(_write(args.out, "cpg.json", graphs))
 
 
 def _cmd_score(args: argparse.Namespace) -> None:
@@ -176,7 +173,7 @@ def _plan_and_write(cfg: PipelineConfig, query: str, directory: str, outdir: str
     corpus = load_corpus(directory, cfg.include)
     external = load_external_cpgs(cfg.external_cpg_file) if cfg.external_cpg_file else None
     plan, report = run_pipeline(corpus, query, cfg, external_cpgs=external)
-    plan_path = _write(outdir, "plan.json", plan.to_dict())
+    plan_path = _write(outdir, "plan.json", plan)
     _write(outdir, "report.json", report.to_dict())
     print(plan_path)
 
@@ -199,8 +196,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     plan = CompressionPlan.from_json(Path(args.plan).read_text(encoding="utf-8"))
     # plan paths are relative to the corpus root; absolute ones stay as they are
     root = Path(args.dir or cfg.corpus_dir or ".")
-    sources = {name: load_source(root / name) for name in sorted({c.file for c in plan.chunks})}
-    file_tokens = {name: tokenize(src) for name, src in sources.items()}
+    names = sorted({c.file for c in plan.chunks})
+    file_tokens = {name: tokenize(load_source(root / name)) for name in names}
     external = load_external_cpgs(args.external_cpgs) if args.external_cpgs else {}
     cpgs: dict[int, Cpg] = {}
     for chunk_plan in plan.chunks:
@@ -218,7 +215,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
             line_range=(toks[start].line, toks[end - 1].line),
             length=end - start,
         )
-        cpgs[chunk.id] = chunk_graph(chunk, sources[chunk.file], toks, external.get(chunk.id))
+        cpgs[chunk.id] = chunk_graph(chunk, toks, external.get(chunk.id))
     report = structure_score(plan, cpgs)
     doc = report.to_dict()
     doc["config_fingerprint"] = plan.config_fingerprint

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chunking import Chunk, chunk_slice
-from .errors import SchemaError, TokenRangeError, UnsupportedKindError
+from .errors import SchemaError, TokenRangeError
 from .lexer import Token, TokenKind
 from .parsing import (
     Assign,
@@ -31,6 +31,7 @@ from .parsing import (
     Stmt,
     While,
 )
+from .plan import canonical_json, read_record
 
 
 class NodeKind(str, Enum):
@@ -69,6 +70,10 @@ class Cpg:
     chunk_id: int
 
 
+def _edge_order(e: CpgEdge) -> tuple[int, int, str]:
+    return (e.src, e.dst, e.kind.value)
+
+
 def build_cpg(ast: Ast, chunk: Chunk, file_tokens: list[Token]) -> Cpg:
     """Build the chunk's property graph from its parsed statement AST."""
     tokens = chunk_slice(file_tokens, chunk)
@@ -79,7 +84,7 @@ def build_cpg(ast: Ast, chunk: Chunk, file_tokens: list[Token]) -> Cpg:
     edges = sorted(
         {CpgEdge(a, b, EdgeKind.CFG) for a, b in builder.cfg_edges}
         | {CpgEdge(a, b, EdgeKind.PDG) for a, b in builder.pdg_edges},
-        key=lambda e: (e.src, e.dst, e.kind.value),
+        key=_edge_order,
     )
     return Cpg(nodes=tuple(builder.nodes), edges=tuple(edges), chunk_id=chunk.id)
 
@@ -359,30 +364,16 @@ class _Builder:
 
 # -- JSON interchange ---------------------------------------------------------
 
-_NODE_KINDS = {k.value for k in NodeKind}
-_EDGE_KINDS = {k.value for k in EdgeKind}
+
+def _sorted(cpg: Cpg) -> Cpg:
+    """The canonical order: nodes by id, edges by (src, dst, kind)."""
+    nodes = tuple(sorted(cpg.nodes, key=lambda n: n.id))
+    return Cpg(nodes, tuple(sorted(cpg.edges, key=_edge_order)), cpg.chunk_id)
 
 
 def export_cpg_json(cpg: Cpg) -> str:
     """Canonical serialization: nodes by id, edges by (src, dst, kind)."""
-    doc = {
-        "chunk_id": cpg.chunk_id,
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind.value,
-                "token_range": [n.token_range[0], n.token_range[1]],
-                "line": n.line,
-                "symbols": sorted(n.symbols),
-            }
-            for n in sorted(cpg.nodes, key=lambda n: n.id)
-        ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "kind": e.kind.value}
-            for e in sorted(cpg.edges, key=lambda e: (e.src, e.dst, e.kind.value))
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return canonical_json(_sorted(cpg))
 
 
 def import_cpg_json(document: bytes | str, chunk: Chunk) -> Cpg:
@@ -396,83 +387,20 @@ def import_cpg_json(document: bytes | str, chunk: Chunk) -> Cpg:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level value must be an object")
-    for key in ("chunk_id", "nodes", "edges"):
-        if key not in doc:
-            raise SchemaError(f"missing required key {key!r}")
-    if not isinstance(doc["chunk_id"], int) or doc["chunk_id"] != chunk.id:
-        raise SchemaError(
-            f"chunk_id {doc['chunk_id']!r} does not match target chunk {chunk.id}"
-        )
-    if not isinstance(doc["nodes"], list) or not isinstance(doc["edges"], list):
-        raise SchemaError("'nodes' and 'edges' must be arrays")
-
-    nodes = []
-    for item in doc["nodes"]:
-        nodes.append(_parse_node(item, chunk))
-    ids = sorted(n.id for n in nodes)
-    if ids != list(range(len(nodes))):
+    cpg = _sorted(read_record(Cpg, doc, "graph"))
+    if cpg.chunk_id != chunk.id:
+        raise SchemaError(f"chunk_id {cpg.chunk_id} does not match target chunk {chunk.id}")
+    if [n.id for n in cpg.nodes] != list(range(len(cpg.nodes))):
         raise SchemaError("node ids must be dense and unique")
-    id_set = set(ids)
-
-    edges = []
-    for item in doc["edges"]:
-        edges.append(_parse_edge(item, id_set))
-
-    return Cpg(
-        nodes=tuple(sorted(nodes, key=lambda n: n.id)),
-        edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.kind.value))),
-        chunk_id=chunk.id,
-    )
-
-
-def _parse_node(item: object, chunk: Chunk) -> CpgNode:
-    if not isinstance(item, dict):
-        raise SchemaError("node entries must be objects")
-    try:
-        nid = item["id"]
-        kind = item["kind"]
-        rng = item["token_range"]
-        line = item["line"]
-        symbols = item["symbols"]
-    except KeyError as exc:
-        raise SchemaError(f"node missing key {exc.args[0]!r}") from exc
-    if not isinstance(nid, int) or not isinstance(line, int):
-        raise SchemaError("node id and line must be integers")
-    if not isinstance(kind, str) or kind not in _NODE_KINDS:
-        raise UnsupportedKindError(f"unsupported node kind {kind!r}")
-    if (
-        not isinstance(rng, list)
-        or len(rng) != 2
-        or not all(isinstance(v, int) for v in rng)
-    ):
-        raise SchemaError("token_range must be a [start, end) integer pair")
-    start, end = rng
-    if not (0 <= start < end <= chunk.length):
-        raise TokenRangeError(
-            f"token_range [{start},{end}) outside chunk of {chunk.length} tokens"
-        )
-    if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
-        raise SchemaError("symbols must be an array of strings")
-    return CpgNode(nid, NodeKind(kind), (start, end), line, frozenset(symbols))
-
-
-def _parse_edge(item: object, ids: set[int]) -> CpgEdge:
-    if not isinstance(item, dict):
-        raise SchemaError("edge entries must be objects")
-    try:
-        src = item["src"]
-        dst = item["dst"]
-        kind = item["kind"]
-    except KeyError as exc:
-        raise SchemaError(f"edge missing key {exc.args[0]!r}") from exc
-    if not isinstance(src, int) or not isinstance(dst, int):
-        raise SchemaError("edge endpoints must be integers")
-    if not isinstance(kind, str) or kind not in _EDGE_KINDS:
-        raise UnsupportedKindError(f"unsupported edge kind {kind!r}")
-    if src not in ids or dst not in ids:
-        raise SchemaError(f"edge references unknown node ({src}, {dst})")
-    if kind == EdgeKind.PDG.value and src == dst:
-        raise SchemaError("pdg edges must connect distinct nodes")
-    return CpgEdge(src, dst, EdgeKind(kind))
+    for n in cpg.nodes:
+        start, end = n.token_range
+        if not 0 <= start < end <= chunk.length:
+            raise TokenRangeError(
+                f"token_range [{start},{end}) outside chunk of {chunk.length} tokens"
+            )
+    for e in cpg.edges:
+        if not (0 <= e.src < len(cpg.nodes) and 0 <= e.dst < len(cpg.nodes)):
+            raise SchemaError(f"edge references unknown node ({e.src}, {e.dst})")
+        if e.kind is EdgeKind.PDG and e.src == e.dst:
+            raise SchemaError("pdg edges must connect distinct nodes")
+    return cpg

@@ -50,7 +50,6 @@ class Token(NamedTuple):
 class SourceFile:
     path: str
     content: str
-    language_tag: str = "subset_py"  # "subset_py" | "external"
 
 
 KEYWORDS = frozenset(
@@ -91,7 +90,7 @@ _KINDS = {
 }
 
 
-def load_source(path: str | Path, language_tag: str = "subset_py") -> SourceFile:
+def load_source(path: str | Path) -> SourceFile:
     """Read a file, decoding by its PEP 263 coding cookie (UTF-8 without one).
     A UTF-8 byte-order mark stays in the content, so the token byte offsets
     of a UTF-8 file are offsets into the file."""
@@ -101,7 +100,7 @@ def load_source(path: str | Path, language_tag: str = "subset_py") -> SourceFile
         content = raw.decode("utf-8" if encoding == "utf-8-sig" else encoding)
     except (SyntaxError, UnicodeDecodeError) as exc:
         raise EncodingError(f"{path}: {exc}") from exc
-    return SourceFile(path=str(path), content=content, language_tag=language_tag)
+    return SourceFile(path=str(path), content=content)
 
 
 def tokenize(source: SourceFile) -> list[Token]:

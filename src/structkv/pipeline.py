@@ -67,7 +67,6 @@ class CorpusIndex:
     files: tuple[SourceFile, ...]
     tokens: dict[str, list[Token]]  # by file path
     chunks: tuple[Chunk, ...]  # chunks[i].id == i
-    chunk_files: tuple[SourceFile, ...]  # the file of each chunk, by chunk id
 
 
 def index_corpus(files: Sequence[SourceFile], chunking: ChunkConfig) -> CorpusIndex:
@@ -75,31 +74,21 @@ def index_corpus(files: Sequence[SourceFile], chunking: ChunkConfig) -> CorpusIn
     ordered = sorted(files, key=lambda f: f.path)
     tokens: dict[str, list[Token]] = {}
     chunks: list[Chunk] = []
-    chunk_files: list[SourceFile] = []
     for f in ordered:
         if f.path in tokens:
             raise ParameterError(f"duplicate path in corpus: {f.path}")
         toks = tokens[f.path] = tokenize(f)
-        for chunk in partition_chunks(f, toks, chunking, start_id=len(chunks)):
-            chunks.append(chunk)
-            chunk_files.append(f)
-    return CorpusIndex(tuple(ordered), tokens, tuple(chunks), tuple(chunk_files))
+        chunks.extend(partition_chunks(f, toks, chunking, start_id=len(chunks)))
+    return CorpusIndex(tuple(ordered), tokens, tuple(chunks))
 
 
-def chunk_graph(
-    chunk: Chunk,
-    source: SourceFile,
-    file_tokens: list[Token],
-    document: str | bytes | None = None,
-) -> Cpg:
+def chunk_graph(chunk: Chunk, file_tokens: list[Token], document: str | bytes | None = None) -> Cpg:
     """A chunk's property graph: the external document when there is one,
-    else the built-in analyzer for subset files, else an empty graph
-    (attention-only treatment)."""
+    else the built-in analyzer's. A document with no nodes asks for
+    attention-only treatment."""
     if document is not None:
         return import_cpg_json(document, chunk)
-    if source.language_tag == "subset_py":
-        return build_cpg(parse_subset(chunk, file_tokens), chunk, file_tokens)
-    return Cpg(nodes=(), edges=(), chunk_id=chunk.id)
+    return build_cpg(parse_subset(chunk, file_tokens), chunk, file_tokens)
 
 
 def context_tokens(
@@ -143,8 +132,7 @@ def run_pipeline(
     """Produce a compression plan and its retention report.
 
     ``external_cpgs`` maps chunk ids to interchange documents; chunks with
-    a document use it instead of the built-in analyzer, and chunks of
-    non-subset files without one get an empty graph (attention-only).
+    a document use it instead of the built-in analyzer.
     """
     query_tokens, prefix_tokens = context_tokens(query, cfg)
     prefix_len = len(prefix_tokens)
@@ -156,10 +144,7 @@ def run_pipeline(
     docs = external_cpgs or {}
 
     def analyze_one(chunk: Chunk) -> tuple[int, Cpg]:
-        graph = chunk_graph(
-            chunk, index.chunk_files[chunk.id], index.tokens[chunk.file], docs.get(chunk.id)
-        )
-        return chunk.id, graph
+        return chunk.id, chunk_graph(chunk, index.tokens[chunk.file], docs.get(chunk.id))
 
     cpgs = dict(_map(analyze_one, selected, cfg.workers))
 

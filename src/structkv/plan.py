@@ -9,15 +9,30 @@ runs and worker counts.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
+from enum import Enum
 
-from .errors import SchemaError
+from .errors import SchemaError, UnsupportedKindError
 
 
 def canonical_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted keys and minimal separators. A record (dataclass instance) is
+    written as the object of its fields and a frozenset as a sorted array;
+    any other type JSON lacks raises :class:`TypeError`."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)
+
+
+def _encode(obj: object) -> object:
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def fingerprint(obj: object) -> str:
@@ -66,98 +81,26 @@ class CompressionPlan:
     seed: int
     config_fingerprint: str
 
-    def to_dict(self) -> dict:
-        return {
-            "chunks": [
-                {
-                    "chunk_id": c.chunk_id,
-                    "file": c.file,
-                    "token_range": list(c.token_range),
-                    "length": c.length,
-                    "ppl": c.ppl,
-                    "sigma": c.sigma,
-                    "normalized_score": c.normalized_score,
-                    "multiplier": c.multiplier,
-                    "budget": c.budget,
-                    "span_budget": c.span_budget,
-                    "spans": [
-                        {
-                            "anchor_node": s.anchor_node,
-                            "stage": s.stage,
-                            "score": s.score,
-                            "token_range": list(s.token_range),
-                        }
-                        for s in c.spans
-                    ],
-                    "protected": list(c.protected),
-                    "layers": [
-                        {
-                            "layer": l.layer,
-                            "kept": list(l.kept),
-                            "positions": list(l.positions),
-                        }
-                        for l in c.layers
-                    ],
-                }
-                for c in self.chunks
-            ],
-            "prefix_len": self.prefix_len,
-            "query_len": self.query_len,
-            "query_start_position": self.query_start_position,
-            "layer_count": self.layer_count,
-            "seed": self.seed,
-            "config_fingerprint": self.config_fingerprint,
-        }
-
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        return canonical_json(self)
+
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, doc: object) -> "CompressionPlan":
-        """Inverse of :meth:`to_dict`; a missing or mistyped field raises
-        :class:`SchemaError` naming the field."""
-        chunks = tuple(
-            ChunkPlan(
-                chunk_id=_field(c, "chunk_id", int),
-                file=_field(c, "file", str),
-                token_range=_ints(c, "token_range", pair=True),
-                length=_field(c, "length", int),
-                ppl=_field(c, "ppl", _REAL),
-                sigma=_field(c, "sigma", _REAL),
-                normalized_score=_field(c, "normalized_score", _REAL),
-                multiplier=_field(c, "multiplier", _REAL),
-                budget=_field(c, "budget", int),
-                span_budget=_field(c, "span_budget", int),
-                spans=tuple(
-                    SpanRecord(
-                        anchor_node=_field(s, "anchor_node", int),
-                        stage=_field(s, "stage", int),
-                        score=_field(s, "score", _REAL),
-                        token_range=_ints(s, "token_range", pair=True),
-                    )
-                    for s in _field(c, "spans", list)
-                ),
-                protected=_ints(c, "protected"),
-                layers=tuple(
-                    LayerPlan(
-                        layer=_field(l, "layer", int),
-                        kept=_ints(l, "kept"),
-                        positions=_ints(l, "positions"),
-                    )
-                    for l in _field(c, "layers", list)
-                ),
-            )
-            for c in _field(doc, "chunks", list)
-        )
-        return cls(
-            chunks=chunks,
-            prefix_len=_field(doc, "prefix_len", int),
-            query_len=_field(doc, "query_len", int),
-            query_start_position=_field(doc, "query_start_position", int),
-            layer_count=_field(doc, "layer_count", int),
-            seed=_field(doc, "seed", int),
-            config_fingerprint=_field(doc, "config_fingerprint", str),
-        )
+        """Inverse of :meth:`to_dict`. A missing or mistyped field, or a chunk
+        whose ``token_range`` is not ``[start, start + length)`` with
+        ``0 <= start`` and ``0 < length``, raises :class:`SchemaError`."""
+        plan = read_record(cls, doc, "plan")
+        for c in plan.chunks:
+            start, end = c.token_range
+            if not 0 <= start < end or c.length != end - start:
+                raise SchemaError(
+                    f"plan: chunk {c.chunk_id} has token_range {list(c.token_range)} "
+                    f"and length {c.length}"
+                )
+        return plan
 
     @classmethod
     def from_json(cls, text: str) -> "CompressionPlan":
@@ -168,24 +111,90 @@ class CompressionPlan:
         return cls.from_dict(doc)
 
 
-_REAL = (int, float)
+R = typing.TypeVar("R")
 
 
-def _field(doc: object, key: str, kind: type | tuple[type, ...]):
-    """``doc[key]`` when ``doc`` is an object holding a ``kind`` value there.
-    JSON booleans count as no number."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"plan: expected an object with {key!r}, got {type(doc).__name__}")
-    if key not in doc:
-        raise SchemaError(f"plan: missing field {key!r}")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise SchemaError(f"plan: field {key!r} has the wrong type {type(value).__name__}")
-    return value
+def read_record(cls: type[R], doc: object, what: str) -> R:
+    """The ``cls`` record that ``doc``, a parsed JSON document in the form
+    :func:`canonical_json` writes, holds. Keys that name no field are
+    ignored. A missing or mistyped field raises :class:`SchemaError` naming
+    it, prefixed by ``what``; a value outside its enum raises
+    :class:`UnsupportedKindError`."""
+    try:
+        return _reader(cls)(doc, "the document")
+    except SchemaError as exc:
+        raise type(exc)(f"{what}: {exc}") from None
 
 
-def _ints(doc: object, key: str, pair: bool = False) -> tuple[int, ...]:
-    values = _field(doc, key, list)
-    if any(type(v) is not int for v in values) or (pair and len(values) != 2):
-        raise SchemaError(f"plan: field {key!r} must be {'a pair' if pair else 'a list'} of integers")
-    return tuple(values)
+_SCALARS = {  # annotation: (the JSON value types it accepts, its name in errors)
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+@functools.cache
+def _reader(tp: object) -> typing.Callable[[object, str], object]:
+    """``read(value, label)``: ``value`` as annotation ``tp`` types it, or a
+    :class:`SchemaError` naming ``label``. JSON booleans are no numbers."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        fields = [
+            (f.name, f"field {f.name!r}", _reader(hints[f.name])) for f in dataclasses.fields(tp)
+        ]
+
+        def read(value, label):
+            if not isinstance(value, dict):
+                raise _mistyped(label, value, "an object")
+            try:
+                return tp(*[read_field(value[name], at) for name, at, read_field in fields])
+            except KeyError as exc:
+                raise SchemaError(f"missing field {exc.args[0]!r}") from None
+
+    elif tp in _SCALARS:
+        accepted, expected = _SCALARS[tp]
+
+        def read(value, label):
+            if type(value) not in accepted:
+                raise _mistyped(label, value, expected)
+            return value
+
+    elif isinstance(tp, type) and issubclass(tp, Enum):
+
+        def read(value, label):
+            try:
+                return tp(value)
+            except ValueError:
+                raise UnsupportedKindError(f"{label} has the unsupported value {value!r}") from None
+
+    elif args == (int, ...):  # the long index arrays: one type check per array
+
+        def read(value, label):
+            if not isinstance(value, list) or not {*map(type, value)} <= {int}:
+                raise _mistyped(label, value, "an array of integers")
+            return tuple(value)
+
+    elif origin is frozenset or args[-1:] == (...,):
+        read_item = _reader(args[0])
+
+        def read(value, label):
+            if not isinstance(value, list):
+                raise _mistyped(label, value, "an array")
+            return origin(read_item(v, label) for v in value)
+
+    elif origin is tuple:
+        read_items = [_reader(a) for a in args]
+
+        def read(value, label):
+            if not isinstance(value, list) or len(value) != len(read_items):
+                raise _mistyped(label, value, f"an array of {len(read_items)} items")
+            return tuple(r(v, label) for r, v in zip(read_items, value))
+
+    else:
+        raise TypeError(f"no JSON reader for {tp!r}")
+    return read
+
+
+def _mistyped(label: str, value: object, expected: str) -> SchemaError:
+    return SchemaError(f"{label} must be {expected}, got {type(value).__name__}")

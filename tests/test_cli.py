@@ -5,7 +5,7 @@ import pytest
 
 from structkv.cli import main
 from structkv.errors import SchemaError
-from structkv.plan import CompressionPlan
+from structkv.plan import CompressionPlan, canonical_json
 
 ALPHA = (
     "def read_config(path):\n    raw = load(path)\n    cfg = parse(raw)\n"
@@ -387,11 +387,33 @@ class TestErrorObjects:
             lambda d: d["chunks"][0].update(token_range=[0]),
             lambda d: d["chunks"][0]["layers"][0].update(kept=["1"]),
             lambda d: d.update(seed=True),
+            lambda d: d["chunks"][0].update(ppl=True),
+            lambda d: d["chunks"][0].update(budget=1.5),
+            lambda d: d["chunks"][0]["spans"][0].update(token_range=[0, 1, 2]),
+            lambda d: d["chunks"][0].update(token_range=[-40, 5], length=45),
+            lambda d: d["chunks"][0].update(token_range=[5, 5], length=0),
+            lambda d: d["chunks"][0].update(length=d["chunks"][0]["length"] + 1),
         ],
-        ids=["not-an-object", "file-number", "range-not-pair", "kept-strings", "seed-bool"],
+        ids=[
+            "not-an-object", "file-number", "range-not-pair", "kept-strings", "seed-bool",
+            "ppl-bool", "budget-float", "span-range-triple", "range-negative", "range-empty",
+            "length-not-range",
+        ],
     )
     def test_plan_mistyped_field_is_schema_error(self, plan_file, mutate):
         doc = read_json(plan_file)
         doc = mutate(doc) or doc
         with pytest.raises(SchemaError):
             CompressionPlan.from_json(json.dumps(doc))
+
+    def test_evaluate_rejects_negative_chunk_range(self, plan_file, corpus_dir, capsys):
+        doc = read_json(plan_file)
+        doc["chunks"][0].update(token_range=[-40, 5], length=45)
+        plan_file.write_text(json.dumps(doc))
+        err = self.evaluate_error(capsys, plan_file, "--dir", str(corpus_dir))
+        assert err["type"] == "SchemaError" and "token_range" in err["message"]
+
+    @pytest.mark.parametrize("value", [{1, 2}, object()], ids=["set", "object"])
+    def test_canonical_json_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            canonical_json(value)

@@ -116,6 +116,13 @@ class TestInterchange:
         with pytest.raises(TokenRangeError):
             import_cpg_json(json.dumps(doc), chunk)
 
+    def test_boolean_line_rejected(self):
+        cpg, chunk, _ = graph(CASES[0]["code"])
+        doc = json.loads(export_cpg_json(cpg))
+        doc["nodes"][0]["line"] = True
+        with pytest.raises(SchemaError, match="'line'"):
+            import_cpg_json(json.dumps(doc), chunk)
+
     def test_chunk_id_mismatch_rejected(self):
         cpg, chunk, _ = graph(CASES[0]["code"])
         doc = json.loads(export_cpg_json(cpg))

@@ -1,6 +1,7 @@
 """Packaging: the distribution declares what the package imports."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -44,3 +45,25 @@ def test_third_party_imports_are_declared():
     declared = declared_distributions()
     missing = sorted(n for n in third_party if n.lower().replace("_", "-") not in declared)
     assert not missing, f"imported but not in pyproject dependencies: {missing}"
+
+
+def test_benchmark_imports_resolve():
+    """Every name the benchmark imports from the package exists, so a rename
+    in the package fails here rather than in a benchmark run."""
+    imported = 0
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            for module, name in names:
+                if module.split(".")[0] != "structkv":
+                    continue
+                owner = importlib.import_module(module)
+                if name is not None and not hasattr(owner, name):
+                    importlib.import_module(f"{module}.{name}")  # a submodule, or an error
+                imported += 1
+    assert imported  # the walk found the benchmark's imports

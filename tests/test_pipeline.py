@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import sysconfig
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from structkv.cpg import build_cpg, export_cpg_json
 from structkv.errors import ConfigError, ParameterError, ScoringError
 from structkv.lexer import SourceFile, tokenize
 from structkv.parsing import parse_subset
+from structkv.plan import CompressionPlan
 from structkv.chunking import partition_chunks
 from structkv.pipeline import (
     assign_scoring_positions,
@@ -161,8 +163,8 @@ class TestRunPipeline:
             run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg)
 
     def test_external_cpg_documents_override_builtin(self):
-        # export the builtin graphs, relabel the files as external, feed the
-        # documents back in: the plan must match the all-builtin run
+        # export the builtin graphs and feed the documents back in: the plan
+        # must match the all-builtin run
         cfg = golden_config()
         baseline, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg)
 
@@ -175,17 +177,13 @@ class TestRunPipeline:
                 ast = parse_subset(chunk, toks)
                 docs[chunk.id] = export_cpg_json(build_cpg(ast, chunk, toks))
 
-        external_files = [
-            dataclasses.replace(f, language_tag="external") for f in GOLDEN_FILES
-        ]
-        plan, _ = run_pipeline(external_files, GOLDEN_QUERY, cfg, external_cpgs=docs)
+        plan, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
         assert plan.to_json() == baseline.to_json()
 
     def test_external_file_without_document_degrades_to_attention_only(self):
-        external_files = [
-            dataclasses.replace(f, language_tag="external") for f in GOLDEN_FILES
-        ]
-        plan, report = run_pipeline(external_files, GOLDEN_QUERY, golden_config())
+        empty = {i: json.dumps({"chunk_id": i, "nodes": [], "edges": []}) for i in range(3)}
+        plan, report = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, golden_config(), external_cpgs=empty)
+        assert len(plan.chunks) == 2
         for chunk in plan.chunks:
             assert chunk.sigma == 0.0
             assert chunk.protected == ()
@@ -214,3 +212,4 @@ def test_invariants_hold_on_stdlib_packages():
         plan, _ = run_pipeline(corpus, "decode the encoded module text", cfg)
         assert {c.file for c in plan.chunks} == {f.path for f in corpus}
         assert check_plan_invariants(plan) == 2 * len(plan.chunks)
+        assert CompressionPlan.from_json(plan.to_json()) == plan
