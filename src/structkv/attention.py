@@ -11,6 +11,7 @@ without a model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import requests
@@ -61,7 +62,7 @@ def pool(u: np.ndarray, window: int) -> np.ndarray:
 
 
 def select_tokens(
-    u_pooled: np.ndarray, protected: list[int], b: int, layer: int
+    u_pooled: np.ndarray, protected: Sequence[int], b: int, layer: int
 ) -> LayerKeepSet:
     """Protected tokens plus the highest-importance residuals, up to ``b``.
 

@@ -69,12 +69,23 @@ def _retentions(
         critical = set().union(*by_kind.values())
         if not critical:
             continue
+        previous = None
         for layer_plan in chunk.layers:
-            kept = set(layer_plan.kept)
-            overall.append((layer_plan.layer, len(critical & kept) / len(critical)))
-            for category, tokens in by_kind.items():
-                if tokens:
-                    by_category[category].append(len(tokens & kept) / len(tokens))
+            # layers that share their keep set with the layer before (the
+            # pipeline shares it where protection fills the budget) reuse
+            # that layer's retentions
+            if layer_plan.kept is not previous:
+                previous = layer_plan.kept
+                kept = set(previous)
+                retention = len(critical & kept) / len(critical)
+                kind_retentions = [
+                    (category, len(tokens & kept) / len(tokens))
+                    for category, tokens in by_kind.items()
+                    if tokens
+                ]
+            overall.append((layer_plan.layer, retention))
+            for category, value in kind_retentions:
+                by_category[category].append(value)
     return overall, by_category
 
 

@@ -61,10 +61,9 @@ def load_corpus(directory: str | Path, include: Sequence[str] = ("**/*.py",)) ->
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    """The query-independent view of a corpus: files sorted by path string,
-    their tokens, and chunks numbered from 0 in that file order."""
+    """The query-independent view of a corpus: every file's tokens, and
+    chunks numbered from 0 in the order of the files' path strings."""
 
-    files: tuple[SourceFile, ...]
     tokens: dict[str, list[Token]]  # by file path
     chunks: tuple[Chunk, ...]  # chunks[i].id == i
 
@@ -79,7 +78,7 @@ def index_corpus(files: Sequence[SourceFile], chunking: ChunkConfig) -> CorpusIn
             raise ParameterError(f"duplicate path in corpus: {f.path}")
         toks = tokens[f.path] = tokenize(f)
         chunks.extend(partition_chunks(f, toks, chunking, start_id=len(chunks)))
-    return CorpusIndex(tuple(ordered), tokens, tuple(chunks))
+    return CorpusIndex(tokens, tuple(chunks))
 
 
 def chunk_graph(chunk: Chunk, file_tokens: list[Token], document: str | bytes | None = None) -> Cpg:
@@ -173,7 +172,7 @@ def run_pipeline(
             b_span = spans_mod.span_budget(chunk_budget, cfg.span)
             selections = spans_mod.select_spans(candidates, span_scores, protections, b_span)
             chosen = [candidates[s.index] for s in selections]
-            protected = spans_mod.protect_tokens(chosen, chunk_budget, chunk)
+            protected = tuple(spans_mod.protect_tokens(chosen, chunk_budget, chunk))
             span_records = tuple(
                 SpanRecord(
                     anchor_node=candidates[s.index].anchor_node,
@@ -185,23 +184,33 @@ def run_pipeline(
             )
         else:
             b_span = 0
-            protected = []
+            protected = ()
             span_records = ()
 
         position_base = assign_scoring_positions(prefix_len, chunk).start
-        layer_plans = []
-        for layer in range(cfg.selection.layers):
-            window = backend.attention_window(chunk.id, layer, chunk.length)
-            u = attn.importance(window)
-            u_pooled = attn.pool(u, cfg.attention.pool_window)
-            keep = attn.select_tokens(u_pooled, protected, chunk_budget, layer)
-            layer_plans.append(
-                LayerPlan(
-                    layer=layer,
-                    kept=keep.kept,
-                    positions=tuple(position_base + i for i in keep.kept),
+        if len(protected) >= min(chunk_budget, chunk.length):
+            # Protection fills the budget, so select_tokens would keep exactly
+            # the protected set on every layer: fetch no Q/K, score nothing,
+            # and let every layer share one pair of tuples.
+            positions = tuple(position_base + i for i in protected)
+            layer_plans = [
+                LayerPlan(layer=layer, kept=protected, positions=positions)
+                for layer in range(cfg.selection.layers)
+            ]
+        else:
+            layer_plans = []
+            for layer in range(cfg.selection.layers):
+                window = backend.attention_window(chunk.id, layer, chunk.length)
+                u = attn.importance(window)
+                u_pooled = attn.pool(u, cfg.attention.pool_window)
+                keep = attn.select_tokens(u_pooled, protected, chunk_budget, layer)
+                layer_plans.append(
+                    LayerPlan(
+                        layer=layer,
+                        kept=keep.kept,
+                        positions=tuple(position_base + i for i in keep.kept),
+                    )
                 )
-            )
         return ChunkPlan(
             chunk_id=chunk.id,
             file=chunk.file,
@@ -214,7 +223,7 @@ def run_pipeline(
             budget=chunk_budget,
             span_budget=b_span,
             spans=span_records,
-            protected=tuple(protected),
+            protected=protected,
             layers=tuple(layer_plans),
         )
 

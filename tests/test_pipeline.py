@@ -9,7 +9,8 @@ from structkv.allocation import AllocationConfig
 from structkv.chunking import Chunk, ChunkConfig
 from structkv.config import PipelineConfig, SelectionConfig
 from structkv.cpg import build_cpg, export_cpg_json
-from structkv.errors import ConfigError, ParameterError, ScoringError
+from structkv.attention import MockAttentionBackend
+from structkv.errors import BackendError, ConfigError, ParameterError, ScoringError
 from structkv.lexer import SourceFile, tokenize
 from structkv.parsing import parse_subset
 from structkv.plan import CompressionPlan
@@ -162,6 +163,40 @@ class TestRunPipeline:
         with pytest.raises(ScoringError):
             run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg)
 
+    def test_fully_protected_chunk_skips_attention(self, monkeypatch):
+        # golden chunk 0 protects exactly its budget (18 tokens); chunk 1
+        # protects nothing and is the only one that needs attention
+        calls = []
+        fetch = MockAttentionBackend.attention_window
+
+        def recording(self, chunk_id, layer, length):
+            calls.append((chunk_id, layer))
+            return fetch(self, chunk_id, layer, length)
+
+        monkeypatch.setattr(MockAttentionBackend, "attention_window", recording)
+        plan, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
+        assert sorted(calls) == [(1, 0), (1, 1)]
+        full = plan.chunks[0]
+        assert full.chunk_id == 0 and len(full.protected) == full.budget
+        first, *rest = full.layers
+        assert rest and all(
+            layer.kept is first.kept and layer.positions is first.positions for layer in rest
+        )
+        expected = Path(__file__).parent / "data" / "golden_plan.json"
+        assert plan.to_json() + "\n" == expected.read_text(encoding="utf-8")
+
+    def test_attention_failure_names_the_chunk_that_asked(self):
+        cfg = golden_config()
+        cfg = dataclasses.replace(
+            cfg,
+            attention=dataclasses.replace(
+                cfg.attention, backend="http", url="http://127.0.0.1:9", retries=0, timeout_s=0.05
+            ),
+        )
+        with pytest.raises(BackendError) as err:
+            run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        assert err.value.chunk_id == 1
+
     def test_external_cpg_documents_override_builtin(self):
         # export the builtin graphs and feed the documents back in: the plan
         # must match the all-builtin run
@@ -212,4 +247,7 @@ def test_invariants_hold_on_stdlib_packages():
         plan, _ = run_pipeline(corpus, "decode the encoded module text", cfg)
         assert {c.file for c in plan.chunks} == {f.path for f in corpus}
         assert check_plan_invariants(plan) == 2 * len(plan.chunks)
+        for chunk in plan.chunks:
+            if len(chunk.protected) >= min(chunk.budget, chunk.length):
+                assert all(layer.kept == chunk.protected for layer in chunk.layers)
         assert CompressionPlan.from_json(plan.to_json()) == plan
