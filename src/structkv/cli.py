@@ -33,7 +33,7 @@ from .pipeline import (
     run_pipeline,
     score_chunks,
 )
-from .plan import CompressionPlan, canonical_json
+from .plan import CompressionPlan, canonical_json, read_record
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -89,7 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="recompute retention metrics for a plan")
     p_eval.add_argument("--plan", required=True)
     p_eval.add_argument("--dir")
-    p_eval.add_argument("--external-cpgs", help="sidecar graph documents (JSON array)")
+    p_eval.add_argument(
+        "--external-cpgs",
+        help="sidecar graph documents (JSON array; falls back to config external_cpg_file)",
+    )
     p_eval.add_argument(
         "--gold",
         help="JSON file with 'predicted'/'gold' sets (and optionally "
@@ -198,7 +201,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     root = Path(args.dir or cfg.corpus_dir or ".")
     names = sorted({c.file for c in plan.chunks})
     file_tokens = {name: tokenize(load_source(root / name)) for name in names}
-    external = load_external_cpgs(args.external_cpgs) if args.external_cpgs else {}
+    sidecar = args.external_cpgs or cfg.external_cpg_file
+    external = load_external_cpgs(sidecar) if sidecar else {}
     cpgs: dict[int, Cpg] = {}
     for chunk_plan in plan.chunks:
         toks = file_tokens[chunk_plan.file]
@@ -229,38 +233,28 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     print(_write(args.out, "report.json", doc))
 
 
+@dataclasses.dataclass(frozen=True)
+class GoldFile:
+    """The ``evaluate --gold`` document: two sets for the set-overlap metrics
+    and, optionally, two texts (strings, or arrays of tokens) for the
+    normalized edit distance."""
+
+    predicted: tuple[str | int | float, ...]
+    gold: tuple[str | int | float, ...]
+    predicted_text: str | tuple[str | int | float, ...] | None = None
+    gold_text: str | tuple[str | int | float, ...] | None = None
+
+
 def _gold_metrics(path: str) -> dict:
     try:
-        gold_doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(gold_doc, dict):
-        raise SchemaError(f"{path}: a gold file must be a JSON object")
-    for key in ("predicted", "gold"):
-        if not _scalars(gold_doc.get(key)):
-            raise SchemaError(f"{path}: {key!r} must be an array of strings or numbers")
-    for key in ("predicted_text", "gold_text"):
-        if key in gold_doc and not (isinstance(gold_doc[key], str) or _scalars(gold_doc[key])):
-            raise SchemaError(f"{path}: {key!r} must be a string or an array of tokens")
-    metrics = set_metrics(set(gold_doc["predicted"]), set(gold_doc["gold"]))
-    out = {
-        "set_metrics": {
-            "precision": metrics.precision,
-            "recall": metrics.recall,
-            "f1": metrics.f1,
-            "jaccard": metrics.jaccard,
-            "gold_empty": metrics.gold_empty,
-        }
-    }
-    if "predicted_text" in gold_doc and "gold_text" in gold_doc:
-        out["edit_distance"] = normalized_edit_distance(
-            gold_doc["predicted_text"], gold_doc["gold_text"]
-        )
+    gold = read_record(GoldFile, doc, path)
+    out = {"set_metrics": set_metrics(set(gold.predicted), set(gold.gold))}
+    if gold.predicted_text is not None and gold.gold_text is not None:
+        out["edit_distance"] = normalized_edit_distance(gold.predicted_text, gold.gold_text)
     return out
-
-
-def _scalars(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, (str, int, float)) for v in value)
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> None:

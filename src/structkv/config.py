@@ -1,4 +1,4 @@
-"""Aggregate engine configuration with JSON loading and validation."""
+"""Aggregate engine configuration, read from JSON by :func:`plan.read_record`."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from pathlib import Path
 
 from .allocation import AllocationConfig
 from .chunking import ChunkConfig
-from .errors import ConfigError
-from .plan import fingerprint
+from .errors import ConfigError, SchemaError
+from .plan import fingerprint, read_record
 from .spans import SpanConfig
 
 
@@ -84,42 +84,23 @@ class PipelineConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def fingerprint(self) -> str:
-        """Hash of every knob that shapes the plan (paths excluded)."""
-        core = self.to_dict()
-        for key in ("corpus_dir", "external_cpg_file", "workers"):
-            core.pop(key, None)
-        return fingerprint(core)
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["include"] = list(self.include)
-        return out
+        """Hash of every knob that shapes the plan (paths and workers excluded)."""
+        return fingerprint(
+            {
+                f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)
+                if f.name not in ("corpus_dir", "external_cpg_file", "workers")
+            }
+        )
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "PipelineConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        sub = {
-            "chunking": ChunkConfig,
-            "allocation": AllocationConfig,
-            "span": SpanConfig,
-            "attention": AttentionConfig,
-            "scorer": ScorerConfig,
-            "selection": SelectionConfig,
-        }
-        for key, value in doc.items():
-            if key in sub:
-                kwargs[key] = _build(sub[key], value, key)
-            elif key == "include":
-                kwargs[key] = tuple(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+    def from_dict(cls, doc: object, what: str = "config") -> "PipelineConfig":
+        """The config ``doc`` holds; see :func:`read_record`. Any mismatch
+        with the records' fields raises :class:`ConfigError`."""
+        try:
+            return read_record(cls, doc, what)
+        except SchemaError as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineConfig":
@@ -129,19 +110,4 @@ class PipelineConfig:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        return cls.from_dict(doc)
-
-
-def _build(cls: type, data: object, name: str):
-    if isinstance(data, cls):
-        return data
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"invalid {name!r} section: {exc}") from exc
+        return cls.from_dict(doc, str(path))

@@ -286,5 +286,7 @@ def load_external_cpgs(path: str | Path) -> dict[int, str]:
     for item in doc:
         if not isinstance(item, dict) or not isinstance(item.get("chunk_id"), int):
             raise SchemaError(f"{path}: every document needs an integer chunk_id")
+        if item["chunk_id"] in out:
+            raise SchemaError(f"{path}: more than one document for chunk_id {item['chunk_id']}")
         out[item["chunk_id"]] = json.dumps(item)
     return out

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import types
 import typing
 from dataclasses import dataclass
 from enum import Enum
@@ -116,10 +117,12 @@ R = typing.TypeVar("R")
 
 def read_record(cls: type[R], doc: object, what: str) -> R:
     """The ``cls`` record that ``doc``, a parsed JSON document in the form
-    :func:`canonical_json` writes, holds. Keys that name no field are
-    ignored. A missing or mistyped field raises :class:`SchemaError` naming
-    it, prefixed by ``what``; a value outside its enum raises
-    :class:`UnsupportedKindError`."""
+    :func:`canonical_json` writes, holds. A field with a default may be
+    omitted. A key that names no field, a missing field without a default
+    or a mistyped value raises :class:`SchemaError` naming it, prefixed by
+    ``what``; a value outside its enum raises :class:`UnsupportedKindError`.
+    Values are not coerced: a JSON ``1`` read into a ``float`` field stays
+    the ``int`` 1."""
     try:
         return _reader(cls)(doc, "the document")
     except SchemaError as exc:
@@ -130,6 +133,8 @@ _SCALARS = {  # annotation: (the JSON value types it accepts, its name in errors
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
+    bool: ((bool,), "true or false"),
+    type(None): ((type(None),), "null"),
 }
 
 
@@ -140,17 +145,27 @@ def _reader(tp: object) -> typing.Callable[[object, str], object]:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
-        fields = [
-            (f.name, f"field {f.name!r}", _reader(hints[f.name])) for f in dataclasses.fields(tp)
-        ]
+        fields = {
+            f.name: (f"field {f.name!r}", _reader(hints[f.name])) for f in dataclasses.fields(tp)
+        }
+        required = {
+            f.name
+            for f in dataclasses.fields(tp)
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        }
 
         def read(value, label):
             if not isinstance(value, dict):
                 raise _mistyped(label, value, "an object")
-            try:
-                return tp(*[read_field(value[name], at) for name, at, read_field in fields])
-            except KeyError as exc:
-                raise SchemaError(f"missing field {exc.args[0]!r}") from None
+            if unknown := value.keys() - fields.keys():
+                raise SchemaError(f"unknown key {min(unknown)!r}")
+            if missing := required - value.keys():
+                raise SchemaError(f"missing field {min(missing)!r}")
+            kwargs = {}
+            for name, item in value.items():
+                at, read_field = fields[name]
+                kwargs[name] = read_field(item, at)
+            return tp(**kwargs)
 
     elif tp in _SCALARS:
         accepted, expected = _SCALARS[tp]
@@ -159,6 +174,25 @@ def _reader(tp: object) -> typing.Callable[[object, str], object]:
             if type(value) not in accepted:
                 raise _mistyped(label, value, expected)
             return value
+
+    elif origin in (typing.Union, types.UnionType):
+        alternatives = [_reader(a) for a in args]
+
+        def read(value, label):
+            for read_alternative in alternatives:
+                try:
+                    return read_alternative(value, label)
+                except SchemaError:
+                    pass
+            raise _mistyped(label, value, str(tp))
+
+    elif origin is dict and args[0] is str:
+        read_value = _reader(args[1])
+
+        def read(value, label):
+            if not isinstance(value, dict):
+                raise _mistyped(label, value, "an object")
+            return {key: read_value(item, label) for key, item in value.items()}
 
     elif isinstance(tp, type) and issubclass(tp, Enum):
 

@@ -44,6 +44,8 @@ class SpanConfig:
             raise ConfigError("b_min and min_span_tokens must be positive")
         if self.merge_gap_lines < 0:
             raise ConfigError("merge_gap_lines must be non-negative")
+        if unknown := self.weights.keys() - DEFAULT_SPAN_WEIGHTS.keys():
+            raise ConfigError(f"unknown span weights {sorted(unknown)}")
         for key in DEFAULT_SPAN_WEIGHTS:
             if key not in self.weights:
                 raise ConfigError(f"missing span weight {key!r}")

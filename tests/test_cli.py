@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from structkv.cli import main
+from structkv.config import PipelineConfig
 from structkv.errors import SchemaError
 from structkv.plan import CompressionPlan, canonical_json
 
@@ -282,6 +283,35 @@ class TestEvaluateCommand:
         assert doc["set_metrics"]["f1"] == pytest.approx(2 / 3)
         assert doc["edit_distance"] == pytest.approx(3 / 7)
 
+    def test_config_sidecar_used_without_external_cpgs_flag(self, tmp_path):
+        # the sidecar gives alpha's only chunk the empty graph (attention-only);
+        # evaluate must read it from the config as pipeline did, not rebuild it
+        root = tmp_path / "golden"
+        root.mkdir()
+        (root / "alpha.py").write_text(ALPHA)
+        sidecar = tmp_path / "cpgs.json"
+        sidecar.write_text(json.dumps([{"chunk_id": 0, "nodes": [], "edges": []}]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "chunking": {"min_chunk_tokens": 4},
+                    "selection": {"k": 1, "layers": 2},
+                    "corpus_dir": str(root),
+                    "query": "parse raw config",
+                    "external_cpg_file": str(sidecar),
+                }
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(
+            ["evaluate", "--plan", str(out / "plan.json"), "--config", str(cfg),
+             "--out", str(tmp_path / "out2")]
+        ) == 0
+        planned = read_json(out / "report.json")["structure_score"]
+        assert read_json(tmp_path / "out2" / "report.json")["structure_score"] == planned == 0.0
+
 
 class TestPipelineCommand:
     def test_runs_from_config_alone(self, config_file, tmp_path):
@@ -308,6 +338,45 @@ class TestErrorObjects:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
         assert "capacity" in err["error"]["message"]
+
+    @pytest.mark.parametrize(
+        ("doc", "field"),
+        [
+            ({"seed": "0"}, "seed"),
+            ({"workers": "2"}, "workers"),
+            ({"prefix": 5}, "prefix"),
+            ({"attention": {"window": 2.5}}, "window"),
+            ({"include": "**/*.py"}, "include"),
+            ({"span": {"enabled": "no"}}, "enabled"),
+            ({"selection": {"k": "3"}}, "k"),
+            ({"allocation": {"capacity_ratio": True}}, "capacity_ratio"),
+            ({"scorer": {"retry": 3}}, "retry"),
+        ],
+        ids=[
+            "seed-string", "workers-string", "prefix-number", "window-float", "include-string",
+            "enabled-string", "k-string", "capacity-bool", "unknown-section-key",
+        ],
+    )
+    def test_mistyped_config(self, corpus_dir, tmp_path, capsys, doc, field):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(
+            ["compress", "--cap", "0.4", "--k", "2", "--dir", str(corpus_dir), "--query", "q",
+             "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert f"'{field}'" in err["message"] and "bad.json" in err["message"]
+
+    def test_null_url_accepted(self, corpus_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"attention": {"url": None}, "chunking": {"min_chunk_tokens": 4}}))
+        rc = main(
+            ["compress", "--cap", "0.4", "--k", "2", "--dir", str(corpus_dir), "--query", "q",
+             "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert rc == 0
 
     def test_invalid_ratio_from_cli(self, corpus_dir, tmp_path, capsys):
         rc = main(
@@ -380,6 +449,22 @@ class TestErrorObjects:
         assert err["type"] == "SchemaError" and "'gold'" in err["message"]
 
     @pytest.mark.parametrize(
+        ("doc", "field"),
+        [
+            ({"predicted": [True], "gold": []}, "predicted"),
+            ({"predicted": [], "gold": "a.py"}, "gold"),
+            ({"predicted": [], "gold": [], "gold_text": 3}, "gold_text"),
+            ({"predicted": [], "gold": [], "golden": []}, "golden"),
+        ],
+        ids=["bool-item", "gold-string", "text-number", "unknown-key"],
+    )
+    def test_evaluate_gold_mistyped(self, plan_file, corpus_dir, tmp_path, capsys, doc, field):
+        gold = tmp_path / "gold.json"
+        gold.write_text(json.dumps(doc))
+        err = self.evaluate_error(capsys, plan_file, "--dir", str(corpus_dir), "--gold", str(gold))
+        assert err["type"] == "SchemaError" and f"'{field}'" in err["message"]
+
+    @pytest.mark.parametrize(
         "mutate",
         [
             lambda d: [d],
@@ -417,3 +502,11 @@ class TestErrorObjects:
     def test_canonical_json_rejects_other_types(self, value):
         with pytest.raises(TypeError):
             canonical_json(value)
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(block)
+    assert PipelineConfig.from_dict(doc) == PipelineConfig()
+    assert doc == json.loads(canonical_json(PipelineConfig()))  # every key is shown

@@ -10,14 +10,15 @@ from structkv.chunking import Chunk, ChunkConfig
 from structkv.config import PipelineConfig, SelectionConfig
 from structkv.cpg import build_cpg, export_cpg_json
 from structkv.attention import MockAttentionBackend
-from structkv.errors import BackendError, ConfigError, ParameterError, ScoringError
+from structkv.errors import BackendError, ConfigError, ParameterError, SchemaError, ScoringError
 from structkv.lexer import SourceFile, tokenize
 from structkv.parsing import parse_subset
-from structkv.plan import CompressionPlan
+from structkv.plan import CompressionPlan, canonical_json, read_record
 from structkv.chunking import partition_chunks
 from structkv.pipeline import (
     assign_scoring_positions,
     load_corpus,
+    load_external_cpgs,
     query_position,
     run_pipeline,
 )
@@ -52,6 +53,11 @@ def golden_config(**overrides):
         seed=7,
     )
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
+
+
+def test_golden_config_round_trips_through_json():
+    cfg = golden_config()
+    assert read_record(PipelineConfig, json.loads(canonical_json(cfg)), "config") == cfg
 
 
 class TestPositions:
@@ -223,6 +229,13 @@ class TestRunPipeline:
             assert chunk.sigma == 0.0
             assert chunk.protected == ()
         assert report.pairs_counted == 0
+
+    def test_sidecar_with_repeated_chunk_id_rejected(self, tmp_path):
+        sidecar = tmp_path / "cpgs.json"
+        doc = {"chunk_id": 1, "nodes": [], "edges": []}
+        sidecar.write_text(json.dumps([doc, {"chunk_id": 0, "nodes": [], "edges": []}, doc]))
+        with pytest.raises(SchemaError, match=r"cpgs\.json.*chunk_id 1"):
+            load_external_cpgs(sidecar)
 
     def test_mock_seed_changes_plan(self):
         a, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, golden_config(seed=7))

@@ -9,6 +9,7 @@ from structkv.cpg import build_cpg
 from structkv.errors import ConfigError
 from structkv.parsing import parse_subset
 from structkv.spans import (
+    DEFAULT_SPAN_WEIGHTS,
     SpanConfig,
     StructuralSpan,
     build_spans,
@@ -60,6 +61,11 @@ class TestConfig:
             SpanConfig(b_min=0)
         with pytest.raises(ConfigError):
             SpanConfig(weights={"call": 0.2})
+
+    def test_unknown_weight_name_rejected(self):
+        weights = {**DEFAULT_SPAN_WEIGHTS, "cal": 0.5}
+        with pytest.raises(ConfigError, match="'cal'"):
+            SpanConfig(weights=weights)
 
 
 class TestBuildSpans:
