@@ -60,6 +60,7 @@ from .spans import (
     SpanConfig,
     StructuralSpan,
     build_spans,
+    protect_chunk,
     protect_tokens,
     query_protection,
     score_span,

@@ -33,7 +33,7 @@ class AllocationConfig:
                 "multipliers must satisfy 0 < min <= max, got "
                 f"[{self.multiplier_min}, {self.multiplier_max}]"
             )
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
 

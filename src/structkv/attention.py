@@ -1,9 +1,9 @@
-"""Observation-window attention importance and per-layer residual selection.
+"""Observation-window attention importance and per-layer token selection.
 
 Importance is the column mass of the row-softmaxed scaled score matrix
 between the trailing query block and the chunk's key block. A sliding mean
-smooths it, and the top residual tokens fill whatever budget span
-protection left open. Backends produce the Q/K blocks; the mock backend
+smooths it, and the top tokens fill the budget of a chunk that span
+protection left empty. Backends produce the Q/K blocks; the mock backend
 derives them from a seeded generator so desk-scale runs are reproducible
 without a model.
 """
@@ -11,7 +11,6 @@ without a model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import requests
@@ -61,37 +60,18 @@ def pool(u: np.ndarray, window: int) -> np.ndarray:
     return kernels.sliding_mean(u, window)
 
 
-def select_tokens(
-    u_pooled: np.ndarray, protected: Sequence[int], b: int, layer: int
-) -> LayerKeepSet:
-    """Protected tokens plus the highest-importance residuals, up to ``b``.
-
-    Ties in importance break toward the smaller index; the keep set is
-    returned in ascending index order and has exactly min(b, L_c) entries.
-    """
+def select_tokens(u_pooled: np.ndarray, b: int, layer: int) -> LayerKeepSet:
+    """The ``b`` highest-importance tokens (all of them when ``b`` exceeds
+    the chunk), in ascending index order; ties go to the smaller index."""
     length = int(u_pooled.shape[0])
-    if len(protected) > b:
-        raise ParameterError(
-            f"{len(protected)} protected tokens exceed budget {b}"
-        )
-    keep_count = min(b, length)
-    protected_set = set(protected)
-    residual = keep_count - len(protected_set)
-    if residual > 0:
-        candidates = sorted(
-            (i for i in range(length) if i not in protected_set),
-            key=lambda i: (-u_pooled[i], i),
-        )
-        kept = sorted(protected_set.union(candidates[:residual]))
-    else:
-        kept = sorted(protected_set)
-    return LayerKeepSet(layer=layer, kept=tuple(kept))
+    ranked = sorted(range(length), key=lambda i: (-u_pooled[i], i))
+    return LayerKeepSet(layer=layer, kept=tuple(sorted(ranked[:b])))
 
 
 class MockAttentionBackend:
-    """Seeded Gaussian Q/K blocks; the generator seed is
-    corpus_seed XOR chunk_id XOR layer, so every (chunk, layer) pair is
-    reproducible in isolation."""
+    """Seeded Gaussian Q/K blocks; the generator is seeded with the
+    sequence [corpus_seed, chunk_id, layer], so every (chunk, layer) pair
+    is reproducible in isolation and no two pairs share a stream."""
 
     def __init__(self, seed: int, window: int = 128, dim: int = 32):
         if window < 1 or dim < 1:
@@ -101,7 +81,7 @@ class MockAttentionBackend:
         self.dim = dim
 
     def attention_window(self, chunk_id: int, layer: int, length: int) -> AttentionWindow:
-        rng = np.random.default_rng(self.seed ^ chunk_id ^ layer)
+        rng = np.random.default_rng([self.seed, chunk_id, layer])
         q = rng.standard_normal((self.window, self.dim))
         k = rng.standard_normal((length, self.dim))
         return AttentionWindow(q_block=q, k_block=k, layer=layer)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
+
+import orjson
 
 from .allocation import AllocationConfig
 from .chunking import ChunkConfig
@@ -15,7 +17,10 @@ from .spans import SpanConfig
 
 
 @dataclass(frozen=True)
-class ScorerConfig:
+class BackendConfig:
+    """The fields the scorer and attention sections share."""
+
+    section: ClassVar[str]
     backend: str = "mock"  # "mock" | "http"
     url: str | None = None
     timeout_s: float = 30.0
@@ -23,26 +28,29 @@ class ScorerConfig:
 
     def __post_init__(self) -> None:
         if self.backend not in ("mock", "http"):
-            raise ConfigError(f"unknown scorer backend {self.backend!r}")
+            raise ConfigError(f"unknown {self.section} backend {self.backend!r}")
         if self.backend == "http" and not self.url:
-            raise ConfigError("http scorer backend requires a url")
+            raise ConfigError(f"http {self.section} backend requires a url")
+        if not self.timeout_s > 0:
+            raise ConfigError(f"{self.section} timeout_s must be positive, got {self.timeout_s}")
+        if self.retries < 0:
+            raise ConfigError(f"{self.section} retries must be non-negative, got {self.retries}")
 
 
 @dataclass(frozen=True)
-class AttentionConfig:
-    backend: str = "mock"  # "mock" | "http"
-    url: str | None = None
-    timeout_s: float = 30.0
-    retries: int = 2
+class ScorerConfig(BackendConfig):
+    section = "scorer"
+
+
+@dataclass(frozen=True)
+class AttentionConfig(BackendConfig):
+    section = "attention"
     window: int = 128
     pool_window: int = 5
     dim: int = 32
 
     def __post_init__(self) -> None:
-        if self.backend not in ("mock", "http"):
-            raise ConfigError(f"unknown attention backend {self.backend!r}")
-        if self.backend == "http" and not self.url:
-            raise ConfigError("http attention backend requires a url")
+        super().__post_init__()
         if self.window < 1 or self.dim < 1:
             raise ConfigError("attention window and dim must be positive")
         if self.pool_window < 1 or self.pool_window % 2 == 0:
@@ -105,8 +113,8 @@ class PipelineConfig:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineConfig":
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            doc = orjson.loads(Path(path).read_bytes())
+        except orjson.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"{path}: {exc}") from exc

@@ -27,7 +27,7 @@ from .errors import ConfigError, ParameterError, SchemaError
 from .lexer import SourceFile, Token, load_source, tokenize
 from .metrics import RetentionReport
 from .parsing import parse_subset
-from .plan import ChunkPlan, CompressionPlan, LayerPlan, SpanRecord
+from .plan import ChunkPlan, CompressionPlan, LayerPlan
 
 
 def assign_scoring_positions(prefix_len: int, chunk: Chunk) -> range:
@@ -160,57 +160,23 @@ def run_pipeline(
 
     def compress_one(args: tuple[Chunk, float, float, float, int]) -> ChunkPlan:
         chunk, sigma, norm, mult, chunk_budget = args
-        toks = index.tokens[chunk.file]
-        if cfg.span.enabled:
-            candidates = spans_mod.build_spans(chunk, cpgs[chunk.id], cfg.span, toks)
-            span_scores = [
-                spans_mod.score_span(z, cfg.span)
-                + cfg.span.weights["query"] * spans_mod.query_protection(z, query_syms)
-                for z in candidates
-            ]
-            protections = [spans_mod.query_protection(z, query_syms) for z in candidates]
-            b_span = spans_mod.span_budget(chunk_budget, cfg.span)
-            selections = spans_mod.select_spans(candidates, span_scores, protections, b_span)
-            chosen = [candidates[s.index] for s in selections]
-            protected = tuple(spans_mod.protect_tokens(chosen, chunk_budget, chunk))
-            span_records = tuple(
-                SpanRecord(
-                    anchor_node=candidates[s.index].anchor_node,
-                    stage=s.stage,
-                    score=span_scores[s.index],
-                    token_range=candidates[s.index].token_range,
-                )
-                for s in selections
-            )
-        else:
-            b_span = 0
-            protected = ()
-            span_records = ()
-
+        protected, span_records, b_span = spans_mod.protect_chunk(
+            chunk, cpgs[chunk.id], chunk_budget, cfg.span, index.tokens[chunk.file], query_syms
+        )
         position_base = assign_scoring_positions(prefix_len, chunk).start
-        if len(protected) >= min(chunk_budget, chunk.length):
-            # Protection fills the budget, so select_tokens would keep exactly
-            # the protected set on every layer: fetch no Q/K, score nothing,
-            # and let every layer share one pair of tuples.
+        layer_plans = []
+        if protected or chunk_budget == 0:
+            # Protection decides the chunk: every layer keeps the protected
+            # set, fetches no Q/K and shares one pair of tuples.
             positions = tuple(position_base + i for i in protected)
-            layer_plans = [
-                LayerPlan(layer=layer, kept=protected, positions=positions)
-                for layer in range(cfg.selection.layers)
-            ]
+            for layer in range(cfg.selection.layers):
+                layer_plans.append(LayerPlan(layer, protected, positions))
         else:
-            layer_plans = []
             for layer in range(cfg.selection.layers):
                 window = backend.attention_window(chunk.id, layer, chunk.length)
-                u = attn.importance(window)
-                u_pooled = attn.pool(u, cfg.attention.pool_window)
-                keep = attn.select_tokens(u_pooled, protected, chunk_budget, layer)
-                layer_plans.append(
-                    LayerPlan(
-                        layer=layer,
-                        kept=keep.kept,
-                        positions=tuple(position_base + i for i in keep.kept),
-                    )
-                )
+                u_pooled = attn.pool(attn.importance(window), cfg.attention.pool_window)
+                kept = attn.select_tokens(u_pooled, chunk_budget, layer).kept
+                layer_plans.append(LayerPlan(layer, kept, tuple(position_base + i for i in kept)))
         return ChunkPlan(
             chunk_id=chunk.id,
             file=chunk.file,

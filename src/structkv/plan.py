@@ -18,14 +18,15 @@ import typing
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SchemaError, UnsupportedKindError
+from .errors import ConfigError, SchemaError, UnsupportedKindError
 
 
 def canonical_json(obj: object) -> str:
     """Sorted keys and minimal separators. A record (dataclass instance) is
     written as the object of its fields and a frozenset as a sorted array;
-    any other type JSON lacks raises :class:`TypeError`."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)
+    any other type JSON lacks raises :class:`TypeError`, and a NaN or
+    infinite float :class:`ValueError`."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode)
 
 
 def _encode(obj: object) -> object:
@@ -119,13 +120,14 @@ def read_record(cls: type[R], doc: object, what: str) -> R:
     """The ``cls`` record that ``doc``, a parsed JSON document in the form
     :func:`canonical_json` writes, holds. A field with a default may be
     omitted. A key that names no field, a missing field without a default
-    or a mistyped value raises :class:`SchemaError` naming it, prefixed by
-    ``what``; a value outside its enum raises :class:`UnsupportedKindError`.
-    Values are not coerced: a JSON ``1`` read into a ``float`` field stays
-    the ``int`` 1."""
+    or a mistyped value raises :class:`SchemaError` naming it and the record
+    it is in (``'scorer'``, ``'chunks.layers'``), prefixed by ``what``, as is
+    a record's own :class:`ConfigError`; a value outside its enum raises
+    :class:`UnsupportedKindError`. Values are not coerced: a JSON ``1`` read
+    into a ``float`` field stays the ``int`` 1."""
     try:
-        return _reader(cls)(doc, "the document")
-    except SchemaError as exc:
+        return _reader(cls)(doc, "")
+    except (SchemaError, ConfigError) as exc:
         raise type(exc)(f"{what}: {exc}") from None
 
 
@@ -140,95 +142,103 @@ _SCALARS = {  # annotation: (the JSON value types it accepts, its name in errors
 
 @functools.cache
 def _reader(tp: object) -> typing.Callable[[object, str], object]:
-    """``read(value, label)``: ``value`` as annotation ``tp`` types it, or a
-    :class:`SchemaError` naming ``label``. JSON booleans are no numbers."""
+    """``read(value, path)``: ``value`` as annotation ``tp`` types it, or a
+    :class:`SchemaError` naming ``path``, the dotted field path of ``value``
+    (``""`` for the document; items share their array's path). JSON
+    booleans are no numbers."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
-        fields = {
-            f.name: (f"field {f.name!r}", _reader(hints[f.name])) for f in dataclasses.fields(tp)
-        }
+        fields = {f.name: _reader(hints[f.name]) for f in dataclasses.fields(tp)}
         required = {
             f.name
             for f in dataclasses.fields(tp)
             if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         }
 
-        def read(value, label):
+        def read(value, path):
             if not isinstance(value, dict):
-                raise _mistyped(label, value, "an object")
+                raise _mistyped(path, value, "an object")
             if unknown := value.keys() - fields.keys():
-                raise SchemaError(f"unknown key {min(unknown)!r}")
+                raise SchemaError(f"unknown key {min(unknown)!r}{_within(path)}")
             if missing := required - value.keys():
-                raise SchemaError(f"missing field {min(missing)!r}")
-            kwargs = {}
-            for name, item in value.items():
-                at, read_field = fields[name]
-                kwargs[name] = read_field(item, at)
-            return tp(**kwargs)
+                raise SchemaError(f"missing field {min(missing)!r}{_within(path)}")
+            prefix = f"{path}." if path else ""
+            return tp(**{name: fields[name](item, prefix + name) for name, item in value.items()})
 
     elif tp in _SCALARS:
         accepted, expected = _SCALARS[tp]
 
-        def read(value, label):
+        def read(value, path):
             if type(value) not in accepted:
-                raise _mistyped(label, value, expected)
+                raise _mistyped(path, value, expected)
             return value
 
     elif origin in (typing.Union, types.UnionType):
         alternatives = [_reader(a) for a in args]
 
-        def read(value, label):
+        def read(value, path):
             for read_alternative in alternatives:
                 try:
-                    return read_alternative(value, label)
+                    return read_alternative(value, path)
                 except SchemaError:
                     pass
-            raise _mistyped(label, value, str(tp))
+            raise _mistyped(path, value, str(tp))
 
     elif origin is dict and args[0] is str:
         read_value = _reader(args[1])
 
-        def read(value, label):
+        def read(value, path):
             if not isinstance(value, dict):
-                raise _mistyped(label, value, "an object")
-            return {key: read_value(item, label) for key, item in value.items()}
+                raise _mistyped(path, value, "an object")
+            return {key: read_value(item, path) for key, item in value.items()}
 
     elif isinstance(tp, type) and issubclass(tp, Enum):
 
-        def read(value, label):
+        def read(value, path):
             try:
                 return tp(value)
             except ValueError:
-                raise UnsupportedKindError(f"{label} has the unsupported value {value!r}") from None
+                raise UnsupportedKindError(
+                    f"{_label(path)} has the unsupported value {value!r}"
+                ) from None
 
     elif args == (int, ...):  # the long index arrays: one type check per array
 
-        def read(value, label):
+        def read(value, path):
             if not isinstance(value, list) or not {*map(type, value)} <= {int}:
-                raise _mistyped(label, value, "an array of integers")
+                raise _mistyped(path, value, "an array of integers")
             return tuple(value)
 
     elif origin is frozenset or args[-1:] == (...,):
         read_item = _reader(args[0])
 
-        def read(value, label):
+        def read(value, path):
             if not isinstance(value, list):
-                raise _mistyped(label, value, "an array")
-            return origin(read_item(v, label) for v in value)
+                raise _mistyped(path, value, "an array")
+            return origin(read_item(v, path) for v in value)
 
     elif origin is tuple:
         read_items = [_reader(a) for a in args]
 
-        def read(value, label):
+        def read(value, path):
             if not isinstance(value, list) or len(value) != len(read_items):
-                raise _mistyped(label, value, f"an array of {len(read_items)} items")
-            return tuple(r(v, label) for r, v in zip(read_items, value))
+                raise _mistyped(path, value, f"an array of {len(read_items)} items")
+            return tuple(r(v, path) for r, v in zip(read_items, value))
 
     else:
         raise TypeError(f"no JSON reader for {tp!r}")
     return read
 
 
-def _mistyped(label: str, value: object, expected: str) -> SchemaError:
-    return SchemaError(f"{label} must be {expected}, got {type(value).__name__}")
+def _mistyped(path: str, value: object, expected: str) -> SchemaError:
+    return SchemaError(f"{_label(path)} must be {expected}, got {type(value).__name__}")
+
+
+def _label(path: str) -> str:
+    where, _, name = path.rpartition(".")
+    return f"field {name!r}{_within(where)}" if path else "the document"
+
+
+def _within(path: str) -> str:
+    return f" in {path!r}" if path else ""

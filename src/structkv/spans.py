@@ -1,6 +1,6 @@
 """Span-level protection: carve structural spans out of a chunk, rank them,
 hard-protect query-relevant ones, pack them under the span budget, and turn
-the survivors into a protected token set.
+the survivors into a protected token set that fills the chunk budget.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from .chunking import Chunk, chunk_slice
 from .cpg import Cpg, EdgeKind
 from .errors import ConfigError
 from .lexer import Token, TokenKind
+from .plan import SpanRecord
 
 INDICATOR_KINDS = ("call", "control", "return", "assign", "signature")
 
@@ -24,7 +25,6 @@ DEFAULT_SPAN_WEIGHTS = {
     "assign": 0.14,
     "signature": 0.0,
     "defuse": 0.10,
-    "attention": 0.06,
 }
 
 
@@ -49,7 +49,7 @@ class SpanConfig:
         for key in DEFAULT_SPAN_WEIGHTS:
             if key not in self.weights:
                 raise ConfigError(f"missing span weight {key!r}")
-            if self.weights[key] < 0:
+            if not self.weights[key] >= 0:
                 raise ConfigError(f"span weight {key!r} must be non-negative")
 
 
@@ -61,7 +61,6 @@ class StructuralSpan:
     symbols: frozenset[str]
     line_range: tuple[int, int]
     participates_defuse: bool = False
-    attention_feature: float = 0.0
 
     @property
     def width(self) -> int:
@@ -72,6 +71,35 @@ class StructuralSpan:
 class SpanSelection:
     index: int  # position in the candidate list
     stage: int  # 1 = hard-protected, 2 = score-ranked
+
+
+def protect_chunk(
+    chunk: Chunk,
+    cpg: Cpg,
+    budget: int,
+    cfg: SpanConfig,
+    file_tokens: list[Token],
+    query_syms: frozenset[str],
+) -> tuple[tuple[int, ...], tuple[SpanRecord, ...], int]:
+    """(protected tokens, chosen spans, span budget) of one chunk.
+
+    The protected set is empty when spans are off or none is chosen, and
+    otherwise exactly ``budget`` tokens: :func:`protect_tokens` pads the
+    span union out to the budget, so protection alone decides the chunk.
+    """
+    if not cfg.enabled:
+        return (), (), 0
+    candidates = build_spans(chunk, cpg, cfg, file_tokens)
+    hits = [query_protection(z, query_syms) for z in candidates]
+    scores = [score_span(z, cfg, hit) for z, hit in zip(candidates, hits)]
+    b_span = span_budget(budget, cfg)
+    selections = select_spans(candidates, scores, hits, b_span)
+    chosen = [candidates[s.index] for s in selections]
+    records = tuple(
+        SpanRecord(z.anchor_node, s.stage, scores[s.index], z.token_range)
+        for s, z in zip(selections, chosen)
+    )
+    return tuple(protect_tokens(chosen, budget, chunk)), records, b_span
 
 
 def build_spans(
@@ -144,20 +172,18 @@ def _merge_spans(spans: list[StructuralSpan], gap_lines: int) -> list[Structural
                         max(prev.line_range[1], span.line_range[1]),
                     ),
                     participates_defuse=prev.participates_defuse or span.participates_defuse,
-                    attention_feature=max(prev.attention_feature, span.attention_feature),
                 )
                 continue
         merged.append(span)
     return merged
 
 
-def score_span(z: StructuralSpan, cfg: SpanConfig) -> float:
+def score_span(z: StructuralSpan, cfg: SpanConfig, query_hit: int = 0) -> float:
     w = cfg.weights
     total = sum(w[kind] for kind in z.indicators)
     if z.participates_defuse:
         total += w["defuse"]
-    total += w["attention"] * z.attention_feature
-    return total
+    return total + w["query"] * query_hit
 
 
 def query_protection(z: StructuralSpan, query_syms: frozenset[str]) -> int:

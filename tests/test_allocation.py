@@ -32,6 +32,8 @@ class TestConfig:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ConfigError):
             cfg(epsilon=0.0)
+        with pytest.raises(ConfigError):
+            cfg(epsilon=float("nan"))
 
 
 class TestNormalizeScores:

@@ -5,7 +5,7 @@ import pytest
 
 from structkv.cli import main
 from structkv.config import PipelineConfig
-from structkv.errors import SchemaError
+from structkv.errors import ConfigError, SchemaError
 from structkv.plan import CompressionPlan, canonical_json
 
 ALPHA = (
@@ -340,24 +340,24 @@ class TestErrorObjects:
         assert "capacity" in err["error"]["message"]
 
     @pytest.mark.parametrize(
-        ("doc", "field"),
+        ("doc", "field", "section"),
         [
-            ({"seed": "0"}, "seed"),
-            ({"workers": "2"}, "workers"),
-            ({"prefix": 5}, "prefix"),
-            ({"attention": {"window": 2.5}}, "window"),
-            ({"include": "**/*.py"}, "include"),
-            ({"span": {"enabled": "no"}}, "enabled"),
-            ({"selection": {"k": "3"}}, "k"),
-            ({"allocation": {"capacity_ratio": True}}, "capacity_ratio"),
-            ({"scorer": {"retry": 3}}, "retry"),
+            ({"seed": "0"}, "seed", None),
+            ({"workers": "2"}, "workers", None),
+            ({"prefix": 5}, "prefix", None),
+            ({"attention": {"window": 2.5}}, "window", "attention"),
+            ({"include": "**/*.py"}, "include", None),
+            ({"span": {"enabled": "no"}}, "enabled", "span"),
+            ({"selection": {"k": "3"}}, "k", "selection"),
+            ({"allocation": {"capacity_ratio": True}}, "capacity_ratio", "allocation"),
+            ({"scorer": {"retry": 3}}, "retry", "scorer"),
         ],
         ids=[
             "seed-string", "workers-string", "prefix-number", "window-float", "include-string",
             "enabled-string", "k-string", "capacity-bool", "unknown-section-key",
         ],
     )
-    def test_mistyped_config(self, corpus_dir, tmp_path, capsys, doc, field):
+    def test_mistyped_config(self, corpus_dir, tmp_path, capsys, doc, field, section):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
         rc = main(
@@ -368,6 +368,45 @@ class TestErrorObjects:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ConfigError"
         assert f"'{field}'" in err["message"] and "bad.json" in err["message"]
+        if section is not None:
+            assert f" in '{section}'" in err["message"]
+        else:
+            assert " in '" not in err["message"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"allocation": {"epsilon": NaN}, "chunking": {"min_chunk_tokens": 4}}',
+            '{"span": {"weights": {"call": NaN, "control": 0.18, "query": 0.18, "return": 0.14,'
+            ' "assign": 0.14, "signature": 0.0, "defuse": 0.10}},'
+            ' "chunking": {"min_chunk_tokens": 4}}',
+            '{"scorer": {"timeout_s": Infinity}}',
+        ],
+        ids=["nan-epsilon", "nan-span-weight", "infinite-timeout"],
+    )
+    def test_non_finite_config_rejected(self, corpus_dir, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        rc = main(
+            ["compress", "--cap", "0.4", "--k", "2", "--dir", str(corpus_dir), "--query", "q",
+             "--config", str(cfg), "--out", str(out)]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError" and "bad.json" in err["message"]
+        assert not (out / "plan.json").exists()
+
+    @pytest.mark.parametrize("section", ["scorer", "attention"])
+    @pytest.mark.parametrize(
+        "limit", [{"timeout_s": 0}, {"timeout_s": -1.5}, {"retries": -1}],
+        ids=["zero-timeout", "negative-timeout", "negative-retries"],
+    )
+    def test_backend_limits_rejected_at_load(self, section, limit):
+        doc = {section: {"backend": "http", "url": "http://127.0.0.1:9", **limit}}
+        field = next(iter(limit))
+        with pytest.raises(ConfigError, match=f"^config: {section} {field} must be"):
+            PipelineConfig.from_dict(doc)
 
     def test_null_url_accepted(self, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

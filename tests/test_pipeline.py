@@ -261,6 +261,9 @@ def test_invariants_hold_on_stdlib_packages():
         assert {c.file for c in plan.chunks} == {f.path for f in corpus}
         assert check_plan_invariants(plan) == 2 * len(plan.chunks)
         for chunk in plan.chunks:
-            if len(chunk.protected) >= min(chunk.budget, chunk.length):
+            # protection fills the whole budget or is empty, and a protected
+            # chunk keeps exactly its protected set on every layer
+            assert len(chunk.protected) in (0, chunk.budget)
+            if chunk.protected:
                 assert all(layer.kept == chunk.protected for layer in chunk.layers)
         assert CompressionPlan.from_json(plan.to_json()) == plan

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from structkv.cli import GoldFile
-from structkv.config import AttentionConfig, SelectionConfig
+from structkv.config import AttentionConfig, PipelineConfig, SelectionConfig
 from structkv.errors import SchemaError
 from structkv.plan import CompressionPlan, read_record
 from structkv.spans import SpanConfig
@@ -31,6 +31,17 @@ def test_unknown_key_in_plan_rejected(where):
     target = {"plan": doc, "chunk": doc["chunks"][0], "layer": doc["chunks"][0]["layers"][0]}
     target[where]["extra"] = 1
     with pytest.raises(SchemaError, match="plan: unknown key 'extra'"):
+        CompressionPlan.from_dict(doc)
+
+
+def test_errors_name_the_record_they_are_in():
+    with pytest.raises(SchemaError, match="^config: unknown key 'retry' in 'scorer'$"):
+        read_record(PipelineConfig, {"scorer": {"retry": 3}}, "config")
+    with pytest.raises(SchemaError, match="field 'window' in 'attention' must be an integer"):
+        read_record(PipelineConfig, {"attention": {"window": 2.5}}, "config")
+    doc = json.loads(GOLDEN_PLAN.read_text())
+    del doc["chunks"][0]["layers"][0]["kept"]
+    with pytest.raises(SchemaError, match="^plan: missing field 'kept' in 'chunks.layers'$"):
         CompressionPlan.from_dict(doc)
 
 

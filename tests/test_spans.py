@@ -13,6 +13,7 @@ from structkv.spans import (
     SpanConfig,
     StructuralSpan,
     build_spans,
+    protect_chunk,
     protect_tokens,
     query_protection,
     score_span,
@@ -52,7 +53,9 @@ class TestConfig:
         assert cfg.weights["return"] == 0.14
         assert cfg.weights["assign"] == 0.14
         assert cfg.weights["defuse"] == 0.10
-        assert cfg.weights["attention"] == 0.06
+        assert cfg.weights.keys() == {
+            "call", "control", "query", "return", "assign", "signature", "defuse"
+        }
 
     def test_invalid_rejected(self):
         with pytest.raises(ConfigError):
@@ -66,6 +69,15 @@ class TestConfig:
         weights = {**DEFAULT_SPAN_WEIGHTS, "cal": 0.5}
         with pytest.raises(ConfigError, match="'cal'"):
             SpanConfig(weights=weights)
+
+    def test_attention_weight_rejected(self):
+        weights = {**DEFAULT_SPAN_WEIGHTS, "attention": 0.06}
+        with pytest.raises(ConfigError, match="'attention'"):
+            SpanConfig(weights=weights)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ConfigError, match="'call'"):
+            SpanConfig(weights={**DEFAULT_SPAN_WEIGHTS, "call": float("nan")})
 
 
 class TestBuildSpans:
@@ -130,9 +142,9 @@ class TestScoreSpan:
         z = mkspan(0, 4, kinds=("call", "return"), defuse=True)
         assert score_span(z, SpanConfig()) == pytest.approx(0.44)
 
-    def test_attention_feature_weighting(self):
-        z = StructuralSpan(0, (0, 4), frozenset(), frozenset(), (1, 1), attention_feature=0.5)
-        assert score_span(z, SpanConfig()) == pytest.approx(0.03)
+    def test_query_hit_adds_query_weight(self):
+        z = mkspan(0, 4, kinds=("call",))
+        assert score_span(z, SpanConfig(), 1) == pytest.approx(0.38)
 
 
 class TestQueryProtection:
@@ -282,3 +294,45 @@ class TestProtectTokens:
         z = mkspan(5, 8)
         out = protect_tokens([z], 25, self.CHUNK)
         assert len(out) == 25
+
+
+class TestProtectChunk:
+    CODE = (
+        "def read_config(path):\n    raw = load(path)\n    cfg = parse(raw)\n"
+        "    if cfg:\n        return cfg\n    return None\n"
+    )
+
+    def protect(self, budget, cfg=None):
+        chunk, toks = single_chunk(self.CODE)
+        cpg = build_cpg(parse_subset(chunk, toks), chunk, toks)
+        return protect_chunk(chunk, cpg, budget, cfg or SpanConfig(), toks, frozenset({"parse"}))
+
+    def test_disabled_protects_nothing(self):
+        assert self.protect(10, SpanConfig(enabled=False)) == ((), (), 0)
+
+    def test_protected_set_is_empty_or_the_budget(self):
+        for budget in range(0, 31):
+            protected, records, b_span = self.protect(budget)
+            assert b_span == span_budget(budget, SpanConfig())
+            assert len(protected) == (budget if records else 0)
+            for r in records:
+                assert set(range(*r.token_range)) & set(protected)
+
+    def test_query_hit_scored_and_protected(self):
+        _, records, _ = self.protect(20)
+        spans, _, _ = spans_for(self.CODE)
+        hit = next(r for r in records if r.stage == 1)
+        z = next(z for z in spans if z.anchor_node == hit.anchor_node)
+        assert "parse" in z.symbols
+        assert hit.score == score_span(z, SpanConfig()) + DEFAULT_SPAN_WEIGHTS["query"]
+
+    def test_query_hit_computed_once_per_span(self, monkeypatch):
+        import structkv.spans as spans_mod
+
+        calls = []
+        real = spans_mod.query_protection
+        monkeypatch.setattr(
+            spans_mod, "query_protection", lambda z, syms: calls.append(z) or real(z, syms)
+        )
+        self.protect(20)
+        assert calls == spans_for(self.CODE)[0]
