@@ -10,7 +10,7 @@ from .attention import (
     pool,
     select_tokens,
 )
-from .chunking import Chunk, ChunkConfig, chunk_slice, partition_chunks
+from .chunking import Chunk, ChunkConfig, partition_chunks
 from .config import (
     AttentionConfig,
     PipelineConfig,
@@ -31,13 +31,12 @@ from .lexer import SourceFile, Token, TokenKind, load_source, tokenize
 from .metrics import (
     RetentionReport,
     SetMetrics,
-    category_retention,
     normalized_edit_distance,
     set_metrics,
     structure_score,
     topk_overlap_jaccard,
 )
-from .parsing import Ast, parse_subset, parse_tokens
+from .parsing import Ast, parse_subset
 from .pipeline import (
     assign_scoring_positions,
     load_corpus,

@@ -41,11 +41,6 @@ class Chunk:
     length: int
 
 
-def chunk_slice(tokens: list[Token], chunk: Chunk) -> list[Token]:
-    start, end = chunk.token_range
-    return tokens[start:end]
-
-
 def partition_chunks(
     file: SourceFile,
     tokens: list[Token],

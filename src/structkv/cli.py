@@ -16,7 +16,7 @@ from pathlib import Path
 from .chunking import Chunk
 from .config import PipelineConfig
 from .cpg import Cpg
-from .errors import ConfigError, ParameterError, SchemaError, StructKVError
+from .errors import ConfigError, ParameterError, StructKVError
 from .lexer import load_source, tokenize
 from .metrics import (
     normalized_edit_distance,
@@ -33,7 +33,7 @@ from .pipeline import (
     run_pipeline,
     score_chunks,
 )
-from .plan import CompressionPlan, canonical_json, read_record
+from .plan import CompressionPlan, canonical_json, decode_json, read_record
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,7 +152,7 @@ def _cmd_cpg(args: argparse.Namespace) -> None:
         wanted = {corpus[0].path}
     index = index_corpus(corpus, cfg.chunking)
     graphs = [
-        chunk_graph(chunk, index.tokens[chunk.file]) for chunk in index.chunks if chunk.file in wanted
+        chunk_graph(chunk, index.tokens[chunk.id]) for chunk in index.chunks if chunk.file in wanted
     ]
     if not graphs:
         raise ParameterError(f"{args.file}: no chunks produced (is it under --dir?)")
@@ -200,12 +200,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     # plan paths are relative to the corpus root; absolute ones stay as they are
     root = Path(args.dir or cfg.corpus_dir or ".")
     names = sorted({c.file for c in plan.chunks})
-    file_tokens = {name: tokenize(load_source(root / name)) for name in names}
+    tokens_by_file = {name: tokenize(load_source(root / name)) for name in names}
     sidecar = args.external_cpgs or cfg.external_cpg_file
     external = load_external_cpgs(sidecar) if sidecar else {}
     cpgs: dict[int, Cpg] = {}
     for chunk_plan in plan.chunks:
-        toks = file_tokens[chunk_plan.file]
+        toks = tokens_by_file[chunk_plan.file]
         start, end = chunk_plan.token_range
         if end > len(toks):
             raise ParameterError(
@@ -219,7 +219,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
             line_range=(toks[start].line, toks[end - 1].line),
             length=end - start,
         )
-        cpgs[chunk.id] = chunk_graph(chunk, toks, external.get(chunk.id))
+        cpgs[chunk.id] = chunk_graph(chunk, toks[start:end], external.get(chunk.id))
     report = structure_score(plan, cpgs)
     doc = report.to_dict()
     doc["config_fingerprint"] = plan.config_fingerprint
@@ -246,11 +246,7 @@ class GoldFile:
 
 
 def _gold_metrics(path: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    gold = read_record(GoldFile, doc, path)
+    gold = read_record(GoldFile, decode_json(Path(path).read_bytes(), path), path)
     out = {"set_metrics": set_metrics(set(gold.predicted), set(gold.gold))}
     if gold.predicted_text is not None and gold.gold_text is not None:
         out["edit_distance"] = normalized_edit_distance(gold.predicted_text, gold.gold_text)

@@ -5,14 +5,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar
-
-import orjson
 
 from .allocation import AllocationConfig
 from .chunking import ChunkConfig
 from .errors import ConfigError, SchemaError
-from .plan import fingerprint, read_record
+from .plan import decode_json, fingerprint, read_record
 from .spans import SpanConfig
 
 
@@ -20,7 +17,6 @@ from .spans import SpanConfig
 class BackendConfig:
     """The fields the scorer and attention sections share."""
 
-    section: ClassVar[str]
     backend: str = "mock"  # "mock" | "http"
     url: str | None = None
     timeout_s: float = 30.0
@@ -28,23 +24,22 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if self.backend not in ("mock", "http"):
-            raise ConfigError(f"unknown {self.section} backend {self.backend!r}")
+            raise ConfigError(f"unknown backend {self.backend!r}")
         if self.backend == "http" and not self.url:
-            raise ConfigError(f"http {self.section} backend requires a url")
+            raise ConfigError("http backend requires a url")
         if not self.timeout_s > 0:
-            raise ConfigError(f"{self.section} timeout_s must be positive, got {self.timeout_s}")
+            raise ConfigError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.retries < 0:
-            raise ConfigError(f"{self.section} retries must be non-negative, got {self.retries}")
+            raise ConfigError(f"retries must be non-negative, got {self.retries}")
 
 
 @dataclass(frozen=True)
 class ScorerConfig(BackendConfig):
-    section = "scorer"
+    pass
 
 
 @dataclass(frozen=True)
 class AttentionConfig(BackendConfig):
-    section = "attention"
     window: int = 128
     pool_window: int = 5
     dim: int = 32
@@ -113,9 +108,8 @@ class PipelineConfig:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineConfig":
         try:
-            doc = orjson.loads(Path(path).read_bytes())
-        except orjson.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+            return cls.from_dict(decode_json(Path(path).read_bytes(), str(path)), str(path))
+        except SchemaError as exc:  # from decoding; from_dict raises ConfigError
+            raise ConfigError(str(exc)) from None
         except OSError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        return cls.from_dict(doc, str(path))

@@ -12,12 +12,11 @@ can stand in for the built-in analysis on files outside the subset.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
-from .chunking import Chunk, chunk_slice
+from .chunking import Chunk
 from .errors import SchemaError, TokenRangeError
 from .lexer import Token, TokenKind
 from .parsing import (
@@ -31,7 +30,7 @@ from .parsing import (
     Stmt,
     While,
 )
-from .plan import canonical_json, read_record
+from .plan import canonical_json, decode_json, read_record
 
 
 class NodeKind(str, Enum):
@@ -74,9 +73,8 @@ def _edge_order(e: CpgEdge) -> tuple[int, int, str]:
     return (e.src, e.dst, e.kind.value)
 
 
-def build_cpg(ast: Ast, chunk: Chunk, file_tokens: list[Token]) -> Cpg:
+def build_cpg(ast: Ast, chunk: Chunk, tokens: list[Token]) -> Cpg:
     """Build the chunk's property graph from its parsed statement AST."""
-    tokens = chunk_slice(file_tokens, chunk)
     builder = _Builder(tokens)
     module = builder.new_scope(entry_defs={})
     builder.walk_block(ast.body, [_ENTRY], module)
@@ -378,16 +376,7 @@ def export_cpg_json(cpg: Cpg) -> str:
 
 def import_cpg_json(document: bytes | str, chunk: Chunk) -> Cpg:
     """Parse and validate an interchange document against its chunk."""
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"document is not UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    cpg = _sorted(read_record(Cpg, doc, "graph"))
+    cpg = _sorted(read_record(Cpg, decode_json(document, "graph"), "graph"))
     if cpg.chunk_id != chunk.id:
         raise SchemaError(f"chunk_id {cpg.chunk_id} does not match target chunk {chunk.id}")
     if [n.id for n in cpg.nodes] != list(range(len(cpg.nodes))):

@@ -47,17 +47,13 @@ class SetMetrics:
     gold_empty: bool = False
 
 
-def _retentions(
-    plan: CompressionPlan, cpgs: dict[int, Cpg]
-) -> tuple[list[tuple[int, float]], dict[str, list[float]]]:
-    """Retentions of every (layer, chunk) pair with critical tokens, in one walk.
-
-    Returns (layer, retention) over all critical tokens, and per node kind
-    the retentions of the pairs whose chunk has tokens of that kind; both
-    lists follow plan order, so their sums do not depend on how they were
-    collected.
-    """
-    overall: list[tuple[int, float]] = []
+def structure_score(plan: CompressionPlan, cpgs: dict[int, Cpg]) -> RetentionReport:
+    """Retention of the critical tokens over every (layer, chunk) pair that
+    has any, in one walk: overall, per layer, and per node kind over the
+    pairs whose chunk has tokens of that kind. Every list follows plan
+    order, so the sums do not depend on how they were collected."""
+    overall: list[float] = []
+    by_layer: dict[int, list[float]] = {}
     by_category: dict[str, list[float]] = {c: [] for c in CATEGORIES}
     for chunk in plan.chunks:
         cpg = cpgs.get(chunk.chunk_id)
@@ -83,34 +79,16 @@ def _retentions(
                     for category, tokens in by_kind.items()
                     if tokens
                 ]
-            overall.append((layer_plan.layer, retention))
+            overall.append(retention)
+            by_layer.setdefault(layer_plan.layer, []).append(retention)
             for category, value in kind_retentions:
                 by_category[category].append(value)
-    return overall, by_category
-
-
-def structure_score(plan: CompressionPlan, cpgs: dict[int, Cpg]) -> RetentionReport:
-    pairs, by_category = _retentions(plan, cpgs)
-    overall = sum(r for _, r in pairs) / len(pairs) if pairs else 0.0
-    by_layer: dict[int, list[float]] = {}
-    for layer, r in pairs:
-        by_layer.setdefault(layer, []).append(r)
     return RetentionReport(
-        structure_score=overall,
+        structure_score=sum(overall) / len(overall) if overall else 0.0,
         per_category_retention={c: sum(v) / len(v) for c, v in by_category.items() if v},
         per_layer={layer: sum(v) / len(v) for layer, v in sorted(by_layer.items())},
-        pairs_counted=len(pairs),
+        pairs_counted=len(overall),
     )
-
-
-def category_retention(
-    plan: CompressionPlan, cpgs: dict[int, Cpg], category: str
-) -> float | None:
-    """Retention restricted to one node kind; None when the kind is absent."""
-    if category not in CATEGORIES:
-        raise ParameterError(f"unknown category {category!r}")
-    values = _retentions(plan, cpgs)[1][category]
-    return sum(values) / len(values) if values else None
 
 
 def topk_overlap_jaccard(

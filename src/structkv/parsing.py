@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chunking import Chunk, chunk_slice
 from .lexer import LogicalLine, Token, TokenKind, logical_lines
 
 AUG_OPS = frozenset(
@@ -95,13 +94,8 @@ class Ast:
     diagnostics: list[Diagnostic]
 
 
-def parse_subset(chunk: Chunk, file_tokens: list[Token]) -> Ast:
-    """Parse a chunk's token slice into a statement-level AST."""
-    tokens = chunk_slice(file_tokens, chunk)
-    return parse_tokens(tokens)
-
-
-def parse_tokens(tokens: list[Token]) -> Ast:
+def parse_subset(tokens: list[Token]) -> Ast:
+    """Parse a chunk's tokens into a statement-level AST."""
     parser = _Parser(tokens)
     body = parser.parse_module()
     return Ast(body=body, diagnostics=parser.diagnostics)

@@ -27,7 +27,7 @@ from .errors import ConfigError, ParameterError, SchemaError
 from .lexer import SourceFile, Token, load_source, tokenize
 from .metrics import RetentionReport
 from .parsing import parse_subset
-from .plan import ChunkPlan, CompressionPlan, LayerPlan
+from .plan import ChunkPlan, CompressionPlan, LayerPlan, decode_json
 
 
 def assign_scoring_positions(prefix_len: int, chunk: Chunk) -> range:
@@ -61,33 +61,37 @@ def load_corpus(directory: str | Path, include: Sequence[str] = ("**/*.py",)) ->
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    """The query-independent view of a corpus: every file's tokens, and
-    chunks numbered from 0 in the order of the files' path strings."""
+    """The query-independent view of a corpus: chunks numbered from 0 in the
+    order of the files' path strings, and each chunk's own tokens."""
 
-    tokens: dict[str, list[Token]]  # by file path
     chunks: tuple[Chunk, ...]  # chunks[i].id == i
+    tokens: tuple[list[Token], ...]  # tokens[i]: the tokens of chunks[i]
 
 
 def index_corpus(files: Sequence[SourceFile], chunking: ChunkConfig) -> CorpusIndex:
-    """Lex and chunk every file; the one place chunk ids are assigned."""
-    ordered = sorted(files, key=lambda f: f.path)
-    tokens: dict[str, list[Token]] = {}
+    """Lex and chunk every file; the one place chunk ids are assigned and
+    chunk tokens cut."""
     chunks: list[Chunk] = []
-    for f in ordered:
-        if f.path in tokens:
+    tokens: list[list[Token]] = []
+    paths: set[str] = set()
+    for f in sorted(files, key=lambda f: f.path):
+        if f.path in paths:
             raise ParameterError(f"duplicate path in corpus: {f.path}")
-        toks = tokens[f.path] = tokenize(f)
-        chunks.extend(partition_chunks(f, toks, chunking, start_id=len(chunks)))
-    return CorpusIndex(tokens, tuple(chunks))
+        paths.add(f.path)
+        toks = tokenize(f)
+        for chunk in partition_chunks(f, toks, chunking, start_id=len(chunks)):
+            chunks.append(chunk)
+            tokens.append(toks[slice(*chunk.token_range)])
+    return CorpusIndex(tuple(chunks), tuple(tokens))
 
 
-def chunk_graph(chunk: Chunk, file_tokens: list[Token], document: str | bytes | None = None) -> Cpg:
+def chunk_graph(chunk: Chunk, tokens: list[Token], document: str | bytes | None = None) -> Cpg:
     """A chunk's property graph: the external document when there is one,
-    else the built-in analyzer's. A document with no nodes asks for
-    attention-only treatment."""
+    else the built-in analyzer's over the chunk's tokens. A document with no
+    nodes asks for attention-only treatment."""
     if document is not None:
         return import_cpg_json(document, chunk)
-    return build_cpg(parse_subset(chunk, file_tokens), chunk, file_tokens)
+    return build_cpg(parse_subset(tokens), chunk, tokens)
 
 
 def context_tokens(
@@ -114,7 +118,7 @@ def score_chunks(
 
     def score_one(chunk: Chunk) -> tuple[int, float]:
         value = scoring.score_chunk(
-            scorer, prefix_tokens, chunk, query_tokens, index.tokens[chunk.file]
+            scorer, prefix_tokens, chunk, query_tokens, index.tokens[chunk.id]
         )
         return (chunk.id, value)
 
@@ -143,12 +147,12 @@ def run_pipeline(
     docs = external_cpgs or {}
 
     def analyze_one(chunk: Chunk) -> tuple[int, Cpg]:
-        return chunk.id, chunk_graph(chunk, index.tokens[chunk.file], docs.get(chunk.id))
+        return chunk.id, chunk_graph(chunk, index.tokens[chunk.id], docs.get(chunk.id))
 
     cpgs = dict(_map(analyze_one, selected, cfg.workers))
 
     sigmas = [
-        scoring.structural_score(scoring.extract_features(c, cpgs[c.id]))
+        scoring.structural_score(scoring.extract_features(cpgs[c.id]))
         for c in selected
     ]
     normalized = alloc.normalize_scores(sigmas, cfg.allocation) if sigmas else []
@@ -161,7 +165,7 @@ def run_pipeline(
     def compress_one(args: tuple[Chunk, float, float, float, int]) -> ChunkPlan:
         chunk, sigma, norm, mult, chunk_budget = args
         protected, span_records, b_span = spans_mod.protect_chunk(
-            chunk, cpgs[chunk.id], chunk_budget, cfg.span, index.tokens[chunk.file], query_syms
+            cpgs[chunk.id], chunk_budget, cfg.span, index.tokens[chunk.id], query_syms
         )
         position_base = assign_scoring_positions(prefix_len, chunk).start
         layer_plans = []
@@ -241,9 +245,7 @@ def load_external_cpgs(path: str | Path) -> dict[int, str]:
     produced by the `chunk` stage under the same chunking config.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+        doc = decode_json(Path(path).read_bytes(), str(path))
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, list):

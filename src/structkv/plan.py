@@ -18,6 +18,8 @@ import typing
 from dataclasses import dataclass
 from enum import Enum
 
+import orjson
+
 from .errors import ConfigError, SchemaError, UnsupportedKindError
 
 
@@ -35,6 +37,16 @@ def _encode(obj: object) -> object:
     if isinstance(obj, frozenset):
         return sorted(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def decode_json(data: str | bytes, what: str) -> object:
+    """The JSON value ``data`` holds, read strictly: UTF-8 only, and no
+    ``NaN`` or ``Infinity``. Anything else raises :class:`SchemaError`
+    ``"<what>: invalid JSON: ..."``."""
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        raise SchemaError(f"{what}: invalid JSON: {exc}") from None
 
 
 def fingerprint(obj: object) -> str:
@@ -106,11 +118,7 @@ class CompressionPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "CompressionPlan":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"plan: invalid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(decode_json(text, "plan"))
 
 
 R = typing.TypeVar("R")
@@ -121,10 +129,11 @@ def read_record(cls: type[R], doc: object, what: str) -> R:
     :func:`canonical_json` writes, holds. A field with a default may be
     omitted. A key that names no field, a missing field without a default
     or a mistyped value raises :class:`SchemaError` naming it and the record
-    it is in (``'scorer'``, ``'chunks.layers'``), prefixed by ``what``, as is
-    a record's own :class:`ConfigError`; a value outside its enum raises
-    :class:`UnsupportedKindError`. Values are not coerced: a JSON ``1`` read
-    into a ``float`` field stays the ``int`` 1."""
+    it is in (``'scorer'``, ``'chunks.layers'``), prefixed by ``what``; a
+    record's own :class:`ConfigError` names the record and ``what`` the same
+    way. A value outside its enum raises :class:`UnsupportedKindError`.
+    Values are not coerced: a JSON ``1`` read into a ``float`` field stays
+    the ``int`` 1."""
     try:
         return _reader(cls)(doc, "")
     except (SchemaError, ConfigError) as exc:
@@ -164,7 +173,11 @@ def _reader(tp: object) -> typing.Callable[[object, str], object]:
             if missing := required - value.keys():
                 raise SchemaError(f"missing field {min(missing)!r}{_within(path)}")
             prefix = f"{path}." if path else ""
-            return tp(**{name: fields[name](item, prefix + name) for name, item in value.items()})
+            values = {name: fields[name](item, prefix + name) for name, item in value.items()}
+            try:
+                return tp(**values)
+            except ConfigError as exc:
+                raise ConfigError(f"{exc}{_within(path)}") from None
 
     elif tp in _SCALARS:
         accepted, expected = _SCALARS[tp]

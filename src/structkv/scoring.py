@@ -47,7 +47,7 @@ class StructuralFeatures:
         return {k: getattr(self, k) for k in FEATURE_KEYS}
 
 
-def extract_features(chunk: Chunk, cpg: Cpg) -> StructuralFeatures:
+def extract_features(cpg: Cpg) -> StructuralFeatures:
     kinds = [n.kind for n in cpg.nodes]
     edges = [e.kind for e in cpg.edges]
     return StructuralFeatures(
@@ -144,14 +144,13 @@ def score_chunk(
     prefix: Sequence[Token],
     chunk: Chunk,
     query: Sequence[Token],
-    file_tokens: list[Token],
+    tokens: Sequence[Token],
 ) -> float:
-    """Score one chunk, surfacing backend failures with the chunk id."""
+    """Score one chunk's tokens, surfacing backend failures with the chunk id."""
     if not query:
         raise ParameterError("query must be non-empty")
-    start, end = chunk.token_range
     try:
-        value = scorer.score(prefix, file_tokens[start:end], query)
+        value = scorer.score(prefix, tokens, query)
     except Exception as exc:
         raise ScoringError(chunk.id, str(exc)) from exc
     if not math.isfinite(value):

@@ -9,13 +9,10 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-from .chunking import Chunk, chunk_slice
 from .cpg import Cpg, EdgeKind
 from .errors import ConfigError
 from .lexer import Token, TokenKind
 from .plan import SpanRecord
-
-INDICATOR_KINDS = ("call", "control", "return", "assign", "signature")
 
 DEFAULT_SPAN_WEIGHTS = {
     "call": 0.20,
@@ -57,7 +54,7 @@ class SpanConfig:
 class StructuralSpan:
     anchor_node: int
     token_range: tuple[int, int]  # chunk-local, half-open
-    indicators: frozenset[str]  # subset of INDICATOR_KINDS
+    indicators: frozenset[str]  # node kinds
     symbols: frozenset[str]
     line_range: tuple[int, int]
     participates_defuse: bool = False
@@ -74,11 +71,10 @@ class SpanSelection:
 
 
 def protect_chunk(
-    chunk: Chunk,
     cpg: Cpg,
     budget: int,
     cfg: SpanConfig,
-    file_tokens: list[Token],
+    tokens: list[Token],
     query_syms: frozenset[str],
 ) -> tuple[tuple[int, ...], tuple[SpanRecord, ...], int]:
     """(protected tokens, chosen spans, span budget) of one chunk.
@@ -89,7 +85,7 @@ def protect_chunk(
     """
     if not cfg.enabled:
         return (), (), 0
-    candidates = build_spans(chunk, cpg, cfg, file_tokens)
+    candidates = build_spans(cpg, cfg, tokens)
     hits = [query_protection(z, query_syms) for z in candidates]
     scores = [score_span(z, cfg, hit) for z, hit in zip(candidates, hits)]
     b_span = span_budget(budget, cfg)
@@ -99,15 +95,12 @@ def protect_chunk(
         SpanRecord(z.anchor_node, s.stage, scores[s.index], z.token_range)
         for s, z in zip(selections, chosen)
     )
-    return tuple(protect_tokens(chosen, budget, chunk)), records, b_span
+    return tuple(protect_tokens(chosen, budget, len(tokens))), records, b_span
 
 
-def build_spans(
-    chunk: Chunk, cpg: Cpg, cfg: SpanConfig, file_tokens: list[Token]
-) -> list[StructuralSpan]:
+def build_spans(cpg: Cpg, cfg: SpanConfig, tokens: list[Token]) -> list[StructuralSpan]:
     """One candidate per graph node, widened to the minimum span size and
     merged with near neighbors that share a structural indicator."""
-    tokens = chunk_slice(file_tokens, chunk)
     length = len(tokens)
     if length == 0:
         return []
@@ -238,10 +231,9 @@ def select_spans(
     return out
 
 
-def protect_tokens(
-    selected: list[StructuralSpan], b: int, chunk: Chunk
-) -> list[int]:
-    """Token indices guaranteed to survive compression, at most ``b`` of them.
+def protect_tokens(selected: list[StructuralSpan], b: int, length: int) -> list[int]:
+    """Indices into a chunk of ``length`` tokens guaranteed to survive
+    compression, at most ``b`` of them.
 
     The span union is kept whole when it fits; the rest of the budget is
     filled with the tokens nearest the protected region. When the union
@@ -256,7 +248,7 @@ def protect_tokens(
     if not ordered:
         return []
     result = set(ordered)
-    outside = [i for i in range(chunk.length) if i not in result]
+    outside = [i for i in range(length) if i not in result]
     outside.sort(key=lambda i: (_nearest_distance(ordered, i), i))
     for i in outside:
         if len(result) >= b:

@@ -265,7 +265,7 @@ def test_criterion_6_cfg_defuse_oracle():
         assert len(CASES) == 25
         for case in CASES:
             chunk, toks = single_chunk(case["code"])
-            cpg = build_cpg(parse_subset(chunk, toks), chunk, toks)
+            cpg = build_cpg(parse_subset(toks), chunk, toks)
             counts = {k.value: 0 for k in NodeKind}
             for n in cpg.nodes:
                 counts[n.kind.value] += 1

@@ -405,8 +405,28 @@ class TestErrorObjects:
     def test_backend_limits_rejected_at_load(self, section, limit):
         doc = {section: {"backend": "http", "url": "http://127.0.0.1:9", **limit}}
         field = next(iter(limit))
-        with pytest.raises(ConfigError, match=f"^config: {section} {field} must be"):
+        with pytest.raises(ConfigError, match=f"^config: {field} must be .* in '{section}'$"):
             PipelineConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        ("doc", "message"),
+        [
+            ({"allocation": {"epsilon": -1}}, "epsilon must be positive, got -1 in 'allocation'"),
+            ({"span": {"b_min": 0}}, "b_min and min_span_tokens must be positive in 'span'"),
+            ({"scorer": {"backend": "http"}}, "http backend requires a url in 'scorer'"),
+        ],
+        ids=["epsilon", "b-min", "scorer-url"],
+    )
+    def test_record_checks_name_their_section(self, corpus_dir, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(
+            ["compress", "--cap", "0.4", "--k", "1", "--dir", str(corpus_dir), "--query", "q",
+             "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ConfigError", "message": f"{cfg}: {message}"}
 
     def test_null_url_accepted(self, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -473,6 +493,23 @@ class TestErrorObjects:
         plan = tmp_path / "plan.json"
         plan.write_bytes(b"\xff\xfe{")
         assert self.evaluate_error(capsys, plan)["type"] == "UnicodeDecodeError"
+
+    def test_evaluate_plan_non_finite(self, plan_file, corpus_dir, capsys):
+        doc = read_json(plan_file)
+        doc["chunks"][0].update(ppl=float("nan"), sigma=float("inf"))
+        plan_file.write_text(json.dumps(doc))  # writes NaN and Infinity
+        assert "NaN" in plan_file.read_text() and "Infinity" in plan_file.read_text()
+        err = self.evaluate_error(capsys, plan_file, "--dir", str(corpus_dir))
+        assert err["type"] == "SchemaError" and "invalid JSON" in err["message"]
+        assert not (plan_file.parent / "ev" / "report.json").exists()
+
+    def test_evaluate_gold_non_finite(self, plan_file, corpus_dir, tmp_path, capsys):
+        gold = tmp_path / "gold.json"
+        gold.write_text('{"predicted": [NaN, 1], "gold": [NaN, 1]}')
+        err = self.evaluate_error(capsys, plan_file, "--dir", str(corpus_dir), "--gold", str(gold))
+        assert err["type"] == "SchemaError" and "invalid JSON" in err["message"]
+        assert str(gold) in err["message"]
+        assert not (plan_file.parent / "ev" / "report.json").exists()
 
     def test_evaluate_plan_missing_field(self, plan_file, corpus_dir, capsys):
         doc = read_json(plan_file)

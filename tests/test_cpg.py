@@ -18,8 +18,7 @@ from structkv.parsing import parse_subset
 
 def graph(code):
     chunk, toks = single_chunk(code)
-    ast = parse_subset(chunk, toks)
-    return build_cpg(ast, chunk, toks), chunk, toks
+    return build_cpg(parse_subset(toks), chunk, toks), chunk, toks
 
 
 def kind_counts(cpg):

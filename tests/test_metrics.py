@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from structkv.cpg import Cpg, CpgNode, NodeKind
 from structkv.errors import ParameterError
 from structkv.metrics import (
-    category_retention,
     normalized_edit_distance,
     set_metrics,
     structure_score,
@@ -108,22 +107,18 @@ class TestCategoryRetention:
     def test_saturated_category(self):
         cpg = Cpg((node(0, "call", 0, 4), node(1, "assign", 6, 8)), (), 0)
         plan = fake_plan([(0, 10, {0: [0, 1, 2, 3]})])
-        assert category_retention(plan, {0: cpg}, "call") == 1.0
+        assert structure_score(plan, {0: cpg}).per_category_retention["call"] == 1.0
 
     def test_absent_category_reports_none(self):
         cpg = Cpg((node(0, "call", 0, 4),), (), 0)
         plan = fake_plan([(0, 10, {0: [0]})])
-        assert category_retention(plan, {0: cpg}, "signature") is None
+        assert "signature" not in structure_score(plan, {0: cpg}).per_category_retention
 
     def test_half_kept(self):
         cpg = Cpg((node(0, "return", 0, 4),), (), 0)
         plan = fake_plan([(0, 10, {0: [0, 1]})])
-        assert category_retention(plan, {0: cpg}, "return") == pytest.approx(0.5)
-
-    def test_unknown_category_rejected(self):
-        plan = fake_plan([(0, 4, {0: [0]})])
-        with pytest.raises(ParameterError):
-            category_retention(plan, {}, "lambda")
+        retention = structure_score(plan, {0: cpg}).per_category_retention["return"]
+        assert retention == pytest.approx(0.5)
 
     def test_report_includes_present_categories(self):
         cpg = Cpg((node(0, "call", 0, 2), node(1, "return", 4, 6)), (), 0)

@@ -67,3 +67,18 @@ def test_benchmark_imports_resolve():
                     importlib.import_module(f"{module}.{name}")  # a submodule, or an error
                 imported += 1
     assert imported  # the walk found the benchmark's imports
+
+
+def test_trace_targets_resolve(monkeypatch):
+    """Every function the benchmark's tracer wraps exists and is callable, so
+    a rename in the package fails here instead of turning a trace layer into
+    null."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracing import TARGETS
+
+    for target in TARGETS:
+        obj = importlib.import_module(target.module)
+        for part in target.attr.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), f"{target.span}: {target.module}:{target.attr} is gone"
+    assert len(TARGETS) > 20  # the tracer's table was read

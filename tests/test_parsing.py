@@ -9,17 +9,16 @@ from structkv.parsing import (
     Return,
     While,
     parse_subset,
-    parse_tokens,
 )
 
 
 def parse(code):
-    chunk, toks = single_chunk(code)
-    return parse_subset(chunk, toks)
+    _, toks = single_chunk(code)
+    return parse_subset(toks)
 
 
 def test_empty_input():
-    ast = parse_tokens([])
+    ast = parse_subset([])
     assert ast.body == [] and ast.diagnostics == []
 
 
@@ -169,7 +168,7 @@ def test_never_raises_on_garbage():
 
 def test_backslash_continuation_stays_in_the_statement():
     _, toks = single_chunk("def f(a):\n    x = a + \\\n        1\n    return x\n")
-    ast = parse_tokens(toks)
+    ast = parse_subset(toks)
     assert ast.diagnostics == []
     assign = ast.body[0].body[0]
     assert isinstance(assign, Assign) and assign.targets == ("x",)

@@ -17,6 +17,7 @@ from structkv.plan import CompressionPlan, canonical_json, read_record
 from structkv.chunking import partition_chunks
 from structkv.pipeline import (
     assign_scoring_positions,
+    index_corpus,
     load_corpus,
     load_external_cpgs,
     query_position,
@@ -53,6 +54,19 @@ def golden_config(**overrides):
         seed=7,
     )
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
+
+
+def test_index_cuts_each_chunks_own_tokens():
+    files = synth_corpus(3, n_files=4)
+    index = index_corpus(files, ChunkConfig(min_chunk_tokens=8, target_chunk_tokens=40))
+    assert len(index.tokens) == len(index.chunks) > len(files)
+    by_file = {f.path: tokenize(f) for f in files}
+    for chunk, tokens in zip(index.chunks, index.tokens):
+        start, end = chunk.token_range
+        assert tokens == by_file[chunk.file][start:end]
+    for path, file_tokens in by_file.items():
+        own = [t for c, toks in zip(index.chunks, index.tokens) if c.file == path for t in toks]
+        assert own == file_tokens
 
 
 def test_golden_config_round_trips_through_json():
@@ -116,9 +130,10 @@ class TestRunPipeline:
             run_pipeline([], "q", golden_config())
 
     def test_duplicate_paths_rejected(self):
-        files = [GOLDEN_FILES[0], GOLDEN_FILES[0]]
-        with pytest.raises(ParameterError):
-            run_pipeline(files, GOLDEN_QUERY, golden_config())
+        for second in (GOLDEN_FILES[0].content, "y = 2\n"):  # same file, other contents
+            files = [GOLDEN_FILES[0], SourceFile(GOLDEN_FILES[0].path, second)]
+            with pytest.raises(ParameterError, match="duplicate path in corpus: alpha.py"):
+                run_pipeline(files, GOLDEN_QUERY, golden_config())
 
     def test_golden_fixture(self):
         plan, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
@@ -215,8 +230,8 @@ class TestRunPipeline:
             toks = tokenize(f)
             for chunk in partition_chunks(f, toks, cfg.chunking, start_id=next_id):
                 next_id = chunk.id + 1
-                ast = parse_subset(chunk, toks)
-                docs[chunk.id] = export_cpg_json(build_cpg(ast, chunk, toks))
+                own = toks[chunk.token_range[0] : chunk.token_range[1]]
+                docs[chunk.id] = export_cpg_json(build_cpg(parse_subset(own), chunk, own))
 
         plan, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
         assert plan.to_json() == baseline.to_json()

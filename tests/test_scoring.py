@@ -30,13 +30,13 @@ class TestExtractFeatures:
     def test_empty_graph(self):
         chunk, _ = single_chunk("x = 1\n")
         cpg = Cpg(nodes=(), edges=(), chunk_id=chunk.id)
-        f = extract_features(chunk, cpg)
+        f = extract_features(cpg)
         assert f.as_dict() == dict.fromkeys(f.as_dict(), 0)
 
     def test_reference_function(self):
         chunk, tokens = single_chunk("def f():\n    x = 1\n    y = x\n    return y\n")
-        cpg = build_cpg(parse_subset(chunk, tokens), chunk, tokens)
-        f = extract_features(chunk, cpg)
+        cpg = build_cpg(parse_subset(tokens), chunk, tokens)
+        f = extract_features(cpg)
         assert (f.n_assign, f.n_return, f.e_cfg, f.e_pdg) == (2, 1, 2, 2)
         assert (f.n_call, f.n_control) == (0, 0)
 
@@ -45,7 +45,7 @@ class TestExtractFeatures:
         nodes = tuple(
             CpgNode(i, NodeKind.CALL, (i, i + 1), 1, frozenset()) for i in range(3)
         )
-        f = extract_features(chunk, Cpg(nodes=nodes, edges=(), chunk_id=chunk.id))
+        f = extract_features(Cpg(nodes=nodes, edges=(), chunk_id=chunk.id))
         assert f.as_dict() == {
             "n_call": 3, "n_control": 0, "n_return": 0,
             "n_assign": 0, "e_cfg": 0, "e_pdg": 0,

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from conftest import single_chunk
-from structkv.chunking import Chunk
 from structkv.cpg import build_cpg
 from structkv.errors import ConfigError
 from structkv.parsing import parse_subset
@@ -36,8 +35,8 @@ def mkspan(start, end, kinds=("call",), symbols=(), line=None, defuse=False):
 
 def spans_for(code, cfg=None):
     chunk, toks = single_chunk(code)
-    cpg = build_cpg(parse_subset(chunk, toks), chunk, toks)
-    return build_spans(chunk, cpg, cfg or SpanConfig(), toks), chunk, cpg
+    cpg = build_cpg(parse_subset(toks), chunk, toks)
+    return build_spans(cpg, cfg or SpanConfig(), toks), chunk, cpg
 
 
 class TestConfig:
@@ -85,7 +84,7 @@ class TestBuildSpans:
         chunk, toks = single_chunk("import os\n")
         from structkv.cpg import Cpg
 
-        assert build_spans(chunk, Cpg((), (), chunk.id), SpanConfig(), toks) == []
+        assert build_spans(Cpg((), (), chunk.id), SpanConfig(), toks) == []
 
     def test_widening_to_minimum(self):
         # a call anchor on a long line widens symmetrically to 16 tokens
@@ -256,23 +255,22 @@ class TestSelectSpans:
 
 
 class TestProtectTokens:
-    CHUNK = Chunk(id=0, file="f", token_range=(0, 40), line_range=(1, 1), length=40)
+    LENGTH = 40
 
     def test_prefix_rule_on_overflow(self):
         z = mkspan(4, 20)
-        assert protect_tokens([z], 10, self.CHUNK) == list(range(4, 14))
+        assert protect_tokens([z], 10, self.LENGTH) == list(range(4, 14))
 
     def test_distance_fill(self):
-        small = Chunk(id=0, file="f", token_range=(0, 20), line_range=(1, 1), length=20)
         z = mkspan(10, 12)
-        assert protect_tokens([z], 5, small) == [8, 9, 10, 11, 12]
+        assert protect_tokens([z], 5, 20) == [8, 9, 10, 11, 12]
 
     def test_no_spans_no_tokens(self):
-        assert protect_tokens([], 10, self.CHUNK) == []
+        assert protect_tokens([], 10, self.LENGTH) == []
 
     def test_exact_budget_kept_whole(self):
         z = mkspan(0, 10)
-        assert protect_tokens([z], 10, self.CHUNK) == list(range(10))
+        assert protect_tokens([z], 10, self.LENGTH) == list(range(10))
 
     def test_size_never_exceeds_budget(self):
         rng = random.Random(3)
@@ -282,17 +280,17 @@ class TestProtectTokens:
                 for s in rng.sample(range(35), k=rng.randint(0, 5))
             ]
             b = rng.randrange(0, 41)
-            out = protect_tokens(spans, b, self.CHUNK)
+            out = protect_tokens(spans, b, self.LENGTH)
             assert out == sorted(set(out))
             if spans:
                 # equality with the budget whenever candidates suffice
-                assert len(out) == min(b, self.CHUNK.length)
+                assert len(out) == min(b, self.LENGTH)
             else:
                 assert out == []
 
     def test_budget_reached_when_possible(self):
         z = mkspan(5, 8)
-        out = protect_tokens([z], 25, self.CHUNK)
+        out = protect_tokens([z], 25, self.LENGTH)
         assert len(out) == 25
 
 
@@ -304,8 +302,8 @@ class TestProtectChunk:
 
     def protect(self, budget, cfg=None):
         chunk, toks = single_chunk(self.CODE)
-        cpg = build_cpg(parse_subset(chunk, toks), chunk, toks)
-        return protect_chunk(chunk, cpg, budget, cfg or SpanConfig(), toks, frozenset({"parse"}))
+        cpg = build_cpg(parse_subset(toks), chunk, toks)
+        return protect_chunk(cpg, budget, cfg or SpanConfig(), toks, frozenset({"parse"}))
 
     def test_disabled_protects_nothing(self):
         assert self.protect(10, SpanConfig(enabled=False)) == ((), (), 0)
