@@ -37,12 +37,7 @@ from .metrics import (
     topk_overlap_jaccard,
 )
 from .parsing import Ast, parse_subset
-from .pipeline import (
-    assign_scoring_positions,
-    load_corpus,
-    query_position,
-    run_pipeline,
-)
+from .pipeline import load_corpus, query_position, run_pipeline
 from .plan import ChunkPlan, CompressionPlan, LayerPlan, SpanRecord
 from .scoring import (
     ChunkScorer,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -42,14 +41,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.handler(args)
         return 0
-    except (StructKVError, OSError, UnicodeDecodeError) as exc:
+    except (StructKVError, OSError) as exc:
         _emit_error(exc)
         return 1
 
 
 def _emit_error(exc: Exception) -> None:
     doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+    print(canonical_json(doc), file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,10 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_score.set_defaults(handler=_cmd_score)
 
     p_comp = sub.add_parser("compress", help="plan compression for a corpus")
-    p_comp.add_argument("--cap", type=float, required=True, help="base retention ratio")
-    p_comp.add_argument("--k", type=int, required=True, help="chunks to select")
-    p_comp.add_argument("--query")
-    p_comp.add_argument("--dir")
+    p_comp.add_argument(
+        "--cap", type=float, help="base retention ratio (default: config allocation.capacity_ratio)"
+    )
+    p_comp.add_argument("--k", type=int, help="chunks to select (default: config selection.k)")
+    p_comp.add_argument("--query", help="falls back to config query")
+    p_comp.add_argument("--dir", help="corpus root (falls back to config corpus_dir)")
     _common(p_comp)
     p_comp.set_defaults(handler=_cmd_compress)
 
@@ -90,21 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--plan", required=True)
     p_eval.add_argument("--dir")
     p_eval.add_argument(
-        "--external-cpgs",
-        help="sidecar graph documents (JSON array; falls back to config external_cpg_file)",
-    )
-    p_eval.add_argument(
         "--gold",
         help="JSON file with 'predicted'/'gold' sets (and optionally "
         "'predicted_text'/'gold_text') for overlap and edit-distance metrics",
     )
     _common(p_eval)
     p_eval.set_defaults(handler=_cmd_evaluate)
-
-    p_pipe = sub.add_parser("pipeline", help="run the full pipeline from a config")
-    p_pipe.add_argument("--config", required=True)
-    p_pipe.add_argument("--out", default="out")
-    p_pipe.set_defaults(handler=_cmd_pipeline)
 
     return parser
 
@@ -172,37 +164,35 @@ def _cmd_score(args: argparse.Namespace) -> None:
     print(_write(args.out, "scores.json", doc))
 
 
-def _plan_and_write(cfg: PipelineConfig, query: str, directory: str, outdir: str) -> None:
-    corpus = load_corpus(directory, cfg.include)
-    external = load_external_cpgs(cfg.external_cpg_file) if cfg.external_cpg_file else None
-    plan, report = run_pipeline(corpus, query, cfg, external_cpgs=external)
-    plan_path = _write(outdir, "plan.json", plan)
-    _write(outdir, "report.json", report.to_dict())
-    print(plan_path)
-
-
 def _cmd_compress(args: argparse.Namespace) -> None:
+    # every flag lands in the config, so config_fingerprint hashes what was planned
     cfg = _load_config(args)
+    cap = cfg.allocation.capacity_ratio if args.cap is None else args.cap
+    k = cfg.selection.k if args.k is None else args.k
     cfg = dataclasses.replace(
         cfg,
-        allocation=dataclasses.replace(cfg.allocation, capacity_ratio=args.cap),
-        selection=dataclasses.replace(cfg.selection, k=args.k),
+        allocation=dataclasses.replace(cfg.allocation, capacity_ratio=cap),
+        selection=dataclasses.replace(cfg.selection, k=k),
+        query=args.query or cfg.query,
     )
-    query = args.query or cfg.query
-    if not query:
+    if not cfg.query:
         raise ConfigError("no query: pass --query or set query in the config")
-    _plan_and_write(cfg, query, _corpus_dir(args, cfg), args.out)
+    corpus = load_corpus(_corpus_dir(args, cfg), cfg.include)
+    external = load_external_cpgs(cfg.external_cpg_file) if cfg.external_cpg_file else None
+    plan, report = run_pipeline(corpus, cfg.query, cfg, external_cpgs=external)
+    plan_path = _write(args.out, "plan.json", plan)
+    _write(args.out, "report.json", report.to_dict())
+    print(plan_path)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
-    plan = CompressionPlan.from_json(Path(args.plan).read_text(encoding="utf-8"))
+    plan = CompressionPlan.from_dict(decode_json(Path(args.plan).read_bytes(), args.plan))
     # plan paths are relative to the corpus root; absolute ones stay as they are
     root = Path(args.dir or cfg.corpus_dir or ".")
     names = sorted({c.file for c in plan.chunks})
     tokens_by_file = {name: tokenize(load_source(root / name)) for name in names}
-    sidecar = args.external_cpgs or cfg.external_cpg_file
-    external = load_external_cpgs(sidecar) if sidecar else {}
+    external = load_external_cpgs(cfg.external_cpg_file) if cfg.external_cpg_file else {}
     cpgs: dict[int, Cpg] = {}
     for chunk_plan in plan.chunks:
         toks = tokens_by_file[chunk_plan.file]
@@ -251,15 +241,6 @@ def _gold_metrics(path: str) -> dict:
     if gold.predicted_text is not None and gold.gold_text is not None:
         out["edit_distance"] = normalized_edit_distance(gold.predicted_text, gold.gold_text)
     return out
-
-
-def _cmd_pipeline(args: argparse.Namespace) -> None:
-    cfg = PipelineConfig.from_json_file(args.config)
-    if not cfg.corpus_dir:
-        raise ConfigError("config must set corpus_dir")
-    if not cfg.query:
-        raise ConfigError("config must set query")
-    _plan_and_write(cfg, cfg.query, cfg.corpus_dir, args.out)
 
 
 if __name__ == "__main__":

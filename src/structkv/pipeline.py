@@ -30,17 +30,6 @@ from .parsing import parse_subset
 from .plan import ChunkPlan, CompressionPlan, LayerPlan, decode_json
 
 
-def assign_scoring_positions(prefix_len: int, chunk: Chunk) -> range:
-    """Positions of the chunk inside its [prefix; chunk; query] scoring input.
-
-    Chunks are scored independently, so ranges from different chunks may
-    overlap; that is intentional.
-    """
-    if prefix_len < 0:
-        raise ParameterError(f"prefix length must be non-negative, got {prefix_len}")
-    return range(prefix_len, prefix_len + chunk.length)
-
-
 def query_position(prefix_len: int, chunk_lengths: Sequence[int]) -> int:
     """First query position: past the longest pre-compression chunk."""
     if prefix_len < 0:
@@ -167,12 +156,13 @@ def run_pipeline(
         protected, span_records, b_span = spans_mod.protect_chunk(
             cpgs[chunk.id], chunk_budget, cfg.span, index.tokens[chunk.id], query_syms
         )
-        position_base = assign_scoring_positions(prefix_len, chunk).start
+        # each chunk sits alone after the prefix, so a kept token's position
+        # is prefix_len plus its chunk-local index (chunks' ranges overlap)
         layer_plans = []
         if protected or chunk_budget == 0:
             # Protection decides the chunk: every layer keeps the protected
             # set, fetches no Q/K and shares one pair of tuples.
-            positions = tuple(position_base + i for i in protected)
+            positions = tuple(prefix_len + i for i in protected)
             for layer in range(cfg.selection.layers):
                 layer_plans.append(LayerPlan(layer, protected, positions))
         else:
@@ -180,7 +170,7 @@ def run_pipeline(
                 window = backend.attention_window(chunk.id, layer, chunk.length)
                 u_pooled = attn.pool(attn.importance(window), cfg.attention.pool_window)
                 kept = attn.select_tokens(u_pooled, chunk_budget, layer).kept
-                layer_plans.append(LayerPlan(layer, kept, tuple(position_base + i for i in kept)))
+                layer_plans.append(LayerPlan(layer, kept, tuple(prefix_len + i for i in kept)))
         return ChunkPlan(
             chunk_id=chunk.id,
             file=chunk.file,

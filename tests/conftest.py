@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parents[1]))  # the benchmark's plan checks
 
+from perfbench.checks import plan_violations
 from structkv.chunking import ChunkConfig, partition_chunks
 from structkv.lexer import SourceFile, tokenize
 
@@ -30,13 +32,9 @@ def single_chunk(code: str, path: str = "t.py"):
 
 
 def check_plan_invariants(plan) -> int:
-    """Assert protection dominance, budget exactness and query position on
-    every layer of every chunk; return the number of layers checked."""
-    checked = 0
-    for chunk in plan.chunks:
-        for layer in chunk.layers:
-            assert set(chunk.protected) <= set(layer.kept)
-            assert len(layer.kept) == min(chunk.budget, chunk.length)
-            assert all(pos < plan.query_start_position for pos in layer.positions)
-            checked += 1
-    return checked
+    """Assert the invariants the benchmark checks on every plan it makes
+    (``perfbench.checks.plan_violations``): protection dominance, budget
+    exactness, ascending unique kept indices, exact positions below the
+    query and the layer count. Return the number of layers checked."""
+    assert plan_violations(plan.to_dict()) == []
+    return sum(len(chunk.layers) for chunk in plan.chunks)

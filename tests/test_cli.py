@@ -1,9 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from structkv.cli import main
+from structkv.cli import _build_parser, main
 from structkv.config import PipelineConfig
 from structkv.errors import ConfigError, SchemaError
 from structkv.plan import CompressionPlan, canonical_json
@@ -195,6 +196,33 @@ class TestCompressCommand:
         assert plans[0] == plans[1]
         assert b'"file":"alpha.py"' in plans[0]
 
+    def test_flags_and_config_write_the_same_plan(self, corpus_dir, config_file, tmp_path):
+        # the flags are copied into the config, so both spellings plan alike
+        doc = read_json(config_file)
+        del doc["allocation"], doc["corpus_dir"], doc["query"]
+        doc["selection"] = {"layers": 2}
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(doc))
+        flags = tmp_path / "flags"
+        assert main(
+            ["compress", "--config", str(bare), "--cap", "0.4", "--k", "2",
+             "--dir", str(corpus_dir), "--query", "parse raw config", "--out", str(flags)]
+        ) == 0
+        alone = tmp_path / "alone"
+        assert main(["compress", "--config", str(config_file), "--out", str(alone)]) == 0
+        for name in ("plan.json", "report.json"):
+            assert (flags / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_fingerprint_hashes_the_query(self, corpus_dir, config_file, tmp_path):
+        prints = set()
+        for query in ("parse raw config", "transform the data"):
+            out = tmp_path / query.replace(" ", "_")
+            assert main(
+                ["compress", "--config", str(config_file), "--query", query, "--out", str(out)]
+            ) == 0
+            prints.add(read_json(out / "plan.json")["config_fingerprint"])
+        assert len(prints) == 2
+
 
 class TestEvaluateCommand:
     def test_report_matches_pipeline_report(self, corpus_dir, config_file, tmp_path):
@@ -285,7 +313,7 @@ class TestEvaluateCommand:
 
     def test_config_sidecar_used_without_external_cpgs_flag(self, tmp_path):
         # the sidecar gives alpha's only chunk the empty graph (attention-only);
-        # evaluate must read it from the config as pipeline did, not rebuild it
+        # evaluate must read it from the config as compress did, not rebuild it
         root = tmp_path / "golden"
         root.mkdir()
         (root / "alpha.py").write_text(ALPHA)
@@ -304,7 +332,7 @@ class TestEvaluateCommand:
             )
         )
         out = tmp_path / "out"
-        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["compress", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(
             ["evaluate", "--plan", str(out / "plan.json"), "--config", str(cfg),
              "--out", str(tmp_path / "out2")]
@@ -314,16 +342,18 @@ class TestEvaluateCommand:
 
 
 class TestPipelineCommand:
+    """The whole pipeline from one config: ``compress --config`` alone."""
+
     def test_runs_from_config_alone(self, config_file, tmp_path):
         out = tmp_path / "out"
-        rc = main(["pipeline", "--config", str(config_file), "--out", str(out)])
+        rc = main(["compress", "--config", str(config_file), "--out", str(out)])
         assert rc == 0
         assert (out / "plan.json").exists() and (out / "report.json").exists()
 
     def test_missing_query_is_config_error(self, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"corpus_dir": str(corpus_dir)}))
-        rc = main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        rc = main(["compress", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
@@ -475,7 +505,7 @@ class TestErrorObjects:
     @pytest.fixture
     def plan_file(self, corpus_dir, config_file, tmp_path):
         out = tmp_path / "planned"
-        main(["pipeline", "--config", str(config_file), "--out", str(out)])
+        main(["compress", "--config", str(config_file), "--out", str(out)])
         return out / "plan.json"
 
     def evaluate_error(self, capsys, plan, *extra):
@@ -492,7 +522,9 @@ class TestErrorObjects:
     def test_evaluate_plan_not_utf8(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_bytes(b"\xff\xfe{")
-        assert self.evaluate_error(capsys, plan)["type"] == "UnicodeDecodeError"
+        err = self.evaluate_error(capsys, plan)
+        assert err["type"] == "SchemaError"
+        assert err["message"].startswith(f"{plan}: invalid JSON")
 
     def test_evaluate_plan_non_finite(self, plan_file, corpus_dir, capsys):
         doc = read_json(plan_file)
@@ -578,6 +610,15 @@ class TestErrorObjects:
     def test_canonical_json_rejects_other_types(self, value):
         with pytest.raises(TypeError):
             canonical_json(value)
+
+
+def test_readme_cli_block_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    listed = {line.split()[1] for line in block.splitlines() if line.startswith("structkv ")}
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert listed == set(sub.choices)
 
 
 def test_readme_config_block_is_the_default_config():

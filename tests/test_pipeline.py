@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from structkv.allocation import AllocationConfig
-from structkv.chunking import Chunk, ChunkConfig
+from structkv.chunking import ChunkConfig
 from structkv.config import PipelineConfig, SelectionConfig
 from structkv.cpg import build_cpg, export_cpg_json
 from structkv.attention import MockAttentionBackend
@@ -16,7 +16,6 @@ from structkv.parsing import parse_subset
 from structkv.plan import CompressionPlan, canonical_json, read_record
 from structkv.chunking import partition_chunks
 from structkv.pipeline import (
-    assign_scoring_positions,
     index_corpus,
     load_corpus,
     load_external_cpgs,
@@ -72,28 +71,6 @@ def test_index_cuts_each_chunks_own_tokens():
 def test_golden_config_round_trips_through_json():
     cfg = golden_config()
     assert read_record(PipelineConfig, json.loads(canonical_json(cfg)), "config") == cfg
-
-
-class TestPositions:
-    def test_contiguous_from_zero(self):
-        c = Chunk(0, "f", (0, 5), (1, 1), 5)
-        assert list(assign_scoring_positions(0, c)) == [0, 1, 2, 3, 4]
-
-    def test_offset_by_prefix(self):
-        c = Chunk(0, "f", (0, 5), (1, 1), 5)
-        assert list(assign_scoring_positions(3, c)) == [3, 4, 5, 6, 7]
-
-    def test_independent_chunks_overlap(self):
-        a = Chunk(0, "f", (0, 5), (1, 1), 5)
-        b = Chunk(1, "f", (5, 12), (1, 1), 7)
-        ra = assign_scoring_positions(3, a)
-        rb = assign_scoring_positions(3, b)
-        assert (ra.start, ra.stop - 1) == (3, 7)
-        assert (rb.start, rb.stop - 1) == (3, 9)
-
-    def test_negative_prefix_rejected(self):
-        with pytest.raises(ParameterError):
-            assign_scoring_positions(-1, Chunk(0, "f", (0, 5), (1, 1), 5))
 
 
 class TestQueryPosition:
