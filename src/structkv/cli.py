@@ -66,7 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cpg = sub.add_parser("cpg", help="build property graphs for one file")
     p_cpg.add_argument("file")
     p_cpg.add_argument(
-        "--dir", help="corpus root; chunk ids then match corpus-wide numbering"
+        "--dir",
+        help="corpus root (falls back to config corpus_dir); chunk ids then match "
+        "corpus-wide numbering",
     )
     _common(p_cpg)
     p_cpg.set_defaults(handler=_cmd_cpg)
@@ -134,8 +136,8 @@ def _cmd_chunk(args: argparse.Namespace) -> None:
 
 def _cmd_cpg(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
-    if args.dir:
-        root = Path(args.dir)
+    if directory := args.dir or cfg.corpus_dir:
+        root = Path(directory)
         corpus = load_corpus(root, cfg.include)
         target = Path(args.file).resolve()
         wanted = {f.path for f in corpus if (root / f.path).resolve() == target}
@@ -147,7 +149,7 @@ def _cmd_cpg(args: argparse.Namespace) -> None:
         chunk_graph(chunk, index.tokens[chunk.id]) for chunk in index.chunks if chunk.file in wanted
     ]
     if not graphs:
-        raise ParameterError(f"{args.file}: no chunks produced (is it under --dir?)")
+        raise ParameterError(f"{args.file}: no chunks produced (is it under the corpus root?)")
     print(_write(args.out, "cpg.json", graphs))
 
 

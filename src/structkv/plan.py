@@ -24,11 +24,16 @@ from .errors import ConfigError, SchemaError, UnsupportedKindError
 
 
 def canonical_json(obj: object) -> str:
-    """Sorted keys and minimal separators. A record (dataclass instance) is
-    written as the object of its fields and a frozenset as a sorted array;
-    any other type JSON lacks raises :class:`TypeError`, and a NaN or
-    infinite float :class:`ValueError`."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode)
+    """Exactly the text of ``json.dumps(obj, sort_keys=True, separators=(",",
+    ":"), allow_nan=False)``, ASCII-escaped, where a record (dataclass
+    instance) is written as the object of its fields and a frozenset as a
+    sorted array; any other type JSON lacks raises :class:`TypeError`, and a
+    NaN or infinite float :class:`ValueError`. A tuple object that appears
+    more than once (the kept indices every layer of a chunk shares) is
+    encoded once per call."""
+    out: list[str] = []
+    _write(obj, out, {})
+    return "".join(out)
 
 
 def _encode(obj: object) -> object:
@@ -37,6 +42,54 @@ def _encode(obj: object) -> object:
     if isinstance(obj, frozenset):
         return sorted(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+_ENCODE = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode
+).encode
+
+
+def _write(obj: object, out: list[str], memo: dict[int, str]) -> None:
+    """Append the canonical text of ``obj`` to ``out``. Records and tuples of
+    records are written here; every other value goes to the stdlib encoder,
+    and a flat tuple's text is kept in ``memo`` by ``id``: each tuple is
+    reachable from the value being written, so no id is reused in one call."""
+    cls = type(obj)
+    if cls is int:
+        out.append(int.__repr__(obj))
+    elif cls is tuple:
+        if obj and _record_keys(type(obj[0])) is not None:
+            out.append("[")
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(",")
+                _write(item, out, memo)
+            out.append("]")
+        else:
+            text = memo.get(id(obj))
+            if text is None:
+                text = memo[id(obj)] = _ENCODE(obj)
+            out.append(text)
+    elif (keys := _record_keys(cls)) is not None:
+        for name, key in keys:
+            out.append(key)
+            _write(getattr(obj, name), out, memo)
+        out.append("}" if keys else "{}")
+    else:
+        out.append(_ENCODE(obj))
+
+
+@functools.cache
+def _record_keys(cls: type) -> tuple[tuple[str, str], ...] | None:
+    """For a record class, its field names in sorted order, each with the
+    text written before its value (``{"name":`` for the first, ``,"name":``
+    after); None for any other class."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    return tuple(
+        (name, ("," if i else "{") + json.dumps(name) + ":") for i, name in enumerate(names)
+    )
 
 
 def decode_json(data: str | bytes, what: str) -> object:

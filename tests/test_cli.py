@@ -118,6 +118,21 @@ class TestCpgCommand:
         docs = read_json(out / "cpg.json")
         assert docs[0]["chunk_id"] == 1  # beta sorts after alpha
 
+    def test_corpus_wide_ids_from_config_corpus_dir(self, corpus_dir, config_file, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["cpg", str(corpus_dir / "beta.py"), "--config", str(config_file),
+                   "--out", str(out)])
+        assert rc == 0
+        assert read_json(out / "cpg.json")[0]["chunk_id"] == 1  # as the plan numbers it
+
+    def test_single_file_without_corpus_root(self, corpus_dir, tmp_path):
+        cfg = tmp_path / "bare.json"
+        cfg.write_text(json.dumps({"chunking": {"min_chunk_tokens": 4}}))
+        out = tmp_path / "out"
+        rc = main(["cpg", str(corpus_dir / "beta.py"), "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert read_json(out / "cpg.json")[0]["chunk_id"] == 0
+
     def test_file_matched_after_resolving(self, corpus_dir, config_file, tmp_path, monkeypatch):
         monkeypatch.chdir(corpus_dir)
         out = tmp_path / "out"

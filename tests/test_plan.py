@@ -1,15 +1,28 @@
-"""The record reader: JSON documents typed by the fields of their records."""
+"""The record writer and reader: canonical JSON of records, and JSON
+documents typed by the fields of their records."""
 
+import dataclasses
+import enum
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structkv.cli import GoldFile
 from structkv.config import AttentionConfig, PipelineConfig, SelectionConfig
 from structkv.errors import SchemaError
-from structkv.plan import CompressionPlan, read_record
+from structkv.plan import (
+    ChunkPlan,
+    CompressionPlan,
+    LayerPlan,
+    _encode,
+    canonical_json,
+    read_record,
+)
 from structkv.spans import SpanConfig
 
 GOLDEN_PLAN = Path(__file__).parent / "data" / "golden_plan.json"
@@ -78,3 +91,154 @@ def test_numbers_are_not_coerced():
     assert type(cfg.timeout_s) is int
     with pytest.raises(SchemaError, match="'window' must be an integer, got float"):
         read_record(AttentionConfig, {"window": 2.0}, "config")
+
+
+def reference_json(obj):
+    """The stdlib encoder with the options canonical_json promises."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode)
+
+
+class Kind(str, enum.Enum):
+    CALL = "call"
+    BRANCH = "br\u00e9"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+@dataclasses.dataclass(frozen=True)
+class Empty:
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class Pair:  # fields declared out of name order
+    zeta: object
+    alpha: object
+
+
+@dataclasses.dataclass(frozen=True)
+class Layer:
+    layer: int
+    kept: tuple
+    positions: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class Doc:
+    layers: tuple
+    protected: tuple
+    kept: tuple
+    label: object
+
+
+EDGE_FLOATS = [1e-05, 1e16, -0.0, 5e-324, 0.1, 1.7976931348623157e308, -1.5e-7, 123456789.0]
+EDGE_STRINGS = [
+    "", "caf\u00e9", "\u65e5\u672c", "\U0001f600", "\x7f", "\x00\x1f\t\n", '"\\/', "\ud800"
+]
+EDGE_INTS = [0, -1, 2**63, -(2**64) - 1, 10**30]
+
+scalars = st.one_of(
+    st.integers(),
+    st.sampled_from(EDGE_INTS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_FLOATS),
+    st.text(),
+    st.sampled_from(EDGE_STRINGS),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([*Kind, *Level]),
+    st.just(Empty()),
+    st.frozensets(st.integers()),
+    st.frozensets(st.text(max_size=3)),
+)
+flat_tuples = st.lists(st.integers() | st.sampled_from(EDGE_FLOATS), max_size=8).map(tuple)
+
+
+@st.composite
+def shared_docs(draw, values):
+    """A record whose layers and fields all hold one tuple object."""
+    shared = draw(flat_tuples)
+    layers = tuple(Layer(i, shared, shared) for i in range(draw(st.integers(0, 4))))
+    return Doc(layers=layers, protected=shared, kept=draw(flat_tuples), label=draw(values))
+
+
+json_values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.builds(Pair, children, children),
+        st.lists(st.builds(Pair, children, children), max_size=3).map(tuple),
+        shared_docs(children),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_canonical_json_is_the_stdlib_encoders_text(value):
+    assert canonical_json(value) == reference_json(value)
+
+
+@pytest.mark.parametrize("value", [*EDGE_FLOATS, *EDGE_STRINGS, *EDGE_INTS, *Kind, *Level])
+def test_edge_scalars_match_stdlib(value):
+    for wrapped in (value, (value,), Pair(value, (value, value)), {"k": value}):
+        assert canonical_json(wrapped) == reference_json(wrapped)
+
+
+def test_shared_tuple_written_at_every_use():
+    shared = (3, 1, 2)
+    doc = Doc(layers=(Layer(0, shared, shared), Layer(1, shared, ())), protected=shared, kept=(),
+              label=None)
+    text = canonical_json(doc)
+    assert text == reference_json(doc)
+    assert text.count("[3,1,2]") == 4
+
+
+def test_record_without_fields_writes_empty_object():
+    assert canonical_json(Empty()) == "{}"
+    assert canonical_json((Empty(), Empty())) == "[{},{}]"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_float_raises_value_error(bad):
+    for value in (bad, (1, bad), Pair(bad, 0), Layer(0, (bad,), ()), {"x": [bad]}):
+        with pytest.raises(ValueError, match="Out of range float values"):
+            canonical_json(value)
+
+
+def test_unknown_type_raises_type_error():
+    for value in (object(), (object(),), Pair(0, object()), Layer(0, (), (Empty(), object()))):
+        with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+            canonical_json(value)
+
+
+def test_shared_index_tuples_encoded_without_copying_the_plan():
+    # 150 chunks x 32 layers, each chunk's layers sharing one 300-index kept
+    # tuple, as the layers of a protected chunk do in a real plan
+    chunks = []
+    for c in range(150):
+        kept = tuple(range(c, c + 600, 2))
+        positions = tuple(100 + k for k in kept)
+        chunks.append(
+            ChunkPlan(chunk_id=c, file=f"f{c}.py", token_range=(c * 700, c * 700 + 700),
+                      length=700, ppl=1.5 + c, sigma=0.25, normalized_score=c / 150,
+                      multiplier=1.0, budget=300, span_budget=150, spans=(), protected=kept,
+                      layers=tuple(LayerPlan(layer, kept, positions) for layer in range(32)))
+        )
+    plan = CompressionPlan(chunks=tuple(chunks), prefix_len=100, query_len=8,
+                           query_start_position=150 * 700 + 100, layer_count=32, seed=0,
+                           config_fingerprint="0123456789abcdef")
+    tracemalloc.start()
+    try:
+        text = plan.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == reference_json(plan)
+    assert peak < 1.5 * len(text)
