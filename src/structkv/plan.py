@@ -9,10 +9,12 @@ runs and worker counts.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import hashlib
 import json
+import os
 import types
 import typing
 from dataclasses import dataclass
@@ -47,6 +49,35 @@ def _encode(obj: object) -> object:
 _ENCODE = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode
 ).encode
+
+# glibc's mallopt parameters (<malloc.h>), and the size from which blocks
+# are mapped and unmapped one by one.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MAPPED_BYTES = 4 << 20
+
+
+def _map_large_blocks() -> None:
+    """Keep plan-sized strings out of the C heap. A deep plan's text is one
+    ~10 MB string, and whoever writes or hashes it makes more of that size.
+    glibc maps such a block at first, but each time one is freed it raises
+    its mmap threshold past the block's size; later ones are then carved
+    from the heap, where the strings still alive split the holes the freed
+    ones leave, so the process's peak RSS lands one plan-size higher or not
+    at random. A fixed threshold (which also stops those raises) maps every
+    block of ``_MAPPED_BYTES`` or more and returns it to the system when it
+    is freed; the trim threshold is set to twice it, as glibc's own rule
+    would. Other C libraries are left alone."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (ValueError, OSError):
+        return
+    if libc.startswith("glibc"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MAPPED_BYTES)
+        mallopt(_M_MMAP_THRESHOLD, _MAPPED_BYTES)
+
+
+_map_large_blocks()
 
 
 def _write(obj: object, out: list[str], memo: dict[int, str]) -> None:

@@ -1,8 +1,10 @@
 """The record writer and reader: canonical JSON of records, and JSON
 documents typed by the fields of their records."""
 
+import ctypes
 import dataclasses
 import enum
+import os
 import json
 import re
 import tracemalloc
@@ -242,3 +244,35 @@ def test_shared_index_tuples_encoded_without_copying_the_plan():
         tracemalloc.stop()
     assert text == reference_json(plan)
     assert peak < 1.5 * len(text)
+
+
+def mapped_blocks() -> int | None:
+    """How many blocks glibc's malloc has mapped on their own, or None where
+    that cannot be read (another C library, or glibc before mallinfo2)."""
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return None
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (ValueError, OSError, AttributeError):
+        return None
+    mallinfo2.restype = MallInfo2
+    return mallinfo2().hblks
+
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+@pytest.mark.skipif(mapped_blocks() is None, reason="needs glibc's mallinfo2")
+def test_plan_sized_strings_stay_mapped_after_one_is_freed():
+    # glibc's own rule raises its mmap threshold to the size of a freed
+    # mapped block, so the slightly smaller second string would come from
+    # the heap; importing structkv.plan fixes the threshold instead
+    first = "x" * (9 << 20)
+    del first
+    before = mapped_blocks()
+    second = "y" * ((9 << 20) - (256 << 10))
+    assert mapped_blocks() == before + 1
+    del second
