@@ -33,6 +33,7 @@ from .pipeline import (
     score_chunks,
 )
 from .plan import CompressionPlan, canonical_json, decode_json, read_record
+from .scoring import extract_features, structural_score
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -212,6 +213,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
             length=end - start,
         )
         cpgs[chunk.id] = chunk_graph(chunk, toks[start:end], external.get(chunk.id))
+        sigma = structural_score(extract_features(cpgs[chunk.id]))
+        if sigma != chunk_plan.sigma:
+            raise ParameterError(
+                f"chunk {chunk.id} ({chunk.file}): its graph gives sigma {sigma!r}, the plan "
+                f"{chunk_plan.sigma!r}; the graph source (external_cpg_file) or the file "
+                "differs from planning"
+            )
     report = structure_score(plan, cpgs)
     doc = report.to_dict()
     doc["config_fingerprint"] = plan.config_fingerprint

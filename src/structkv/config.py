@@ -85,6 +85,9 @@ class PipelineConfig:
             raise ConfigError(f"workers must be positive, got {self.workers}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for pattern in self.include:
+            if not pattern or Path(pattern).is_absolute() or ".." in Path(pattern).parts:
+                raise ConfigError(f"include pattern {pattern!r} must stay under the corpus root")
 
     def fingerprint(self) -> str:
         """Hash of every knob that shapes the plan (paths and workers excluded)."""

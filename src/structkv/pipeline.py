@@ -1,10 +1,11 @@
 """End-to-end planning: selection, graph analysis, allocation, protection,
 per-layer attention selection, and position assembly.
 
-The pipeline is deterministic for a fixed (corpus, query, config, seed):
-per-chunk work fans out to a thread pool, results are assembled in chunk-id
-order, and the emitted plan is canonical JSON, so worker count never
-changes a byte of output.
+The pipeline is deterministic for a fixed (corpus, query, config, seed).
+Only scoring, one request per corpus chunk, fans out: ``workers`` score
+requests are in flight at once. Everything after chunk selection runs on
+the calling thread in chunk-id order, and the plan is canonical JSON, so
+the worker count never changes a byte of output.
 """
 
 from __future__ import annotations
@@ -129,30 +130,26 @@ def run_pipeline(
     query_tokens, prefix_tokens = context_tokens(query, cfg)
     prefix_len = len(prefix_tokens)
     index = index_corpus(corpus, cfg.chunking)
+    docs = external_cpgs or {}
+    if unknown := sorted(set(docs) - set(range(len(index.chunks)))):
+        raise SchemaError(f"graph documents for chunk ids the corpus lacks: {unknown}")
     scores, selected_ids = score_chunks(index, query_tokens, prefix_tokens, cfg)
     ppl_by_id = dict(scores)
     selected = [index.chunks[cid] for cid in selected_ids]
 
-    docs = external_cpgs or {}
+    cpgs = {c.id: chunk_graph(c, index.tokens[c.id], docs.get(c.id)) for c in selected}
 
-    def analyze_one(chunk: Chunk) -> tuple[int, Cpg]:
-        return chunk.id, chunk_graph(chunk, index.tokens[chunk.id], docs.get(chunk.id))
-
-    cpgs = dict(_map(analyze_one, selected, cfg.workers))
-
-    sigmas = [
-        scoring.structural_score(scoring.extract_features(cpgs[c.id]))
-        for c in selected
-    ]
+    sigmas = [scoring.structural_score(scoring.extract_features(cpgs[c.id])) for c in selected]
     normalized = alloc.normalize_scores(sigmas, cfg.allocation) if sigmas else []
     multipliers = [alloc.multiplier(s, cfg.allocation) for s in normalized]
     budgets = [alloc.budget(c.length, m, cfg.allocation) for c, m in zip(selected, multipliers)]
 
     backend = _make_attention_backend(cfg)
     query_syms = scoring.query_symbols(query_tokens)
-
-    def compress_one(args: tuple[Chunk, float, float, float, int]) -> ChunkPlan:
-        chunk, sigma, norm, mult, chunk_budget = args
+    chunk_plans = []
+    for chunk, sigma, norm, mult, chunk_budget in zip(
+        selected, sigmas, normalized, multipliers, budgets
+    ):
         protected, span_records, b_span = spans_mod.protect_chunk(
             cpgs[chunk.id], chunk_budget, cfg.span, index.tokens[chunk.id], query_syms
         )
@@ -171,25 +168,23 @@ def run_pipeline(
                 u_pooled = attn.pool(attn.importance(window), cfg.attention.pool_window)
                 kept = attn.select_tokens(u_pooled, chunk_budget, layer).kept
                 layer_plans.append(LayerPlan(layer, kept, tuple(prefix_len + i for i in kept)))
-        return ChunkPlan(
-            chunk_id=chunk.id,
-            file=chunk.file,
-            token_range=chunk.token_range,
-            length=chunk.length,
-            ppl=ppl_by_id[chunk.id],
-            sigma=sigma,
-            normalized_score=norm,
-            multiplier=mult,
-            budget=chunk_budget,
-            span_budget=b_span,
-            spans=span_records,
-            protected=protected,
-            layers=tuple(layer_plans),
+        chunk_plans.append(
+            ChunkPlan(
+                chunk_id=chunk.id,
+                file=chunk.file,
+                token_range=chunk.token_range,
+                length=chunk.length,
+                ppl=ppl_by_id[chunk.id],
+                sigma=sigma,
+                normalized_score=norm,
+                multiplier=mult,
+                budget=chunk_budget,
+                span_budget=b_span,
+                spans=span_records,
+                protected=protected,
+                layers=tuple(layer_plans),
+            )
         )
-
-    work = list(zip(selected, sigmas, normalized, multipliers, budgets))
-    chunk_plans = _map(compress_one, work, cfg.workers)
-    chunk_plans.sort(key=lambda cp: cp.chunk_id)
 
     plan = CompressionPlan(
         chunks=tuple(chunk_plans),

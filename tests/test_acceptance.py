@@ -19,7 +19,7 @@ import pytest
 from cpg_cases import CASES
 from synth import synth_corpus, synth_query
 
-from conftest import check_plan_invariants, single_chunk
+from plan_helpers import check_plan_invariants, single_chunk
 from structkv.allocation import AllocationConfig, budget, multiplier, normalize_scores
 from structkv.attention import AttentionWindow, importance
 from structkv.chunking import Chunk, ChunkConfig

@@ -43,6 +43,9 @@ def config_file(tmp_path, corpus_dir):
     return path
 
 
+UNDER_ROOT = "must stay under the corpus root"
+
+
 def read_json(path):
     return json.loads(Path(path).read_text())
 
@@ -355,6 +358,37 @@ class TestEvaluateCommand:
         planned = read_json(out / "report.json")["structure_score"]
         assert read_json(tmp_path / "out2" / "report.json")["structure_score"] == planned == 0.0
 
+    def test_graph_source_changed_since_planning_rejected(self, corpus_dir, tmp_path, capsys):
+        # alpha's chunk planned with an empty sidecar graph; evaluated without
+        # the sidecar, its built-in graph gives another sigma
+        sidecar = tmp_path / "cpgs.json"
+        sidecar.write_text(json.dumps([{"chunk_id": 0, "nodes": [], "edges": []}]))
+        doc = {
+            "chunking": {"min_chunk_tokens": 4},
+            "selection": {"k": 2, "layers": 2},
+            "corpus_dir": str(corpus_dir),
+            "query": "parse raw config",
+        }
+        planning, plain = tmp_path / "planning.json", tmp_path / "plain.json"
+        planning.write_text(json.dumps({**doc, "external_cpg_file": str(sidecar)}))
+        plain.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["compress", "--config", str(planning), "--out", str(out)]) == 0
+        plan, same = str(out / "plan.json"), tmp_path / "same"
+        rc = main(["evaluate", "--plan", plan, "--config", str(planning), "--out", str(same)])
+        assert rc == 0
+        planned = read_json(out / "report.json")["structure_score"]
+        assert read_json(same / "report.json")["structure_score"] == planned
+        capsys.readouterr()
+
+        other = tmp_path / "other"
+        assert main(["evaluate", "--plan", plan, "--config", str(plain), "--out", str(other)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ParameterError"
+        assert err["message"].startswith("chunk 0 (alpha.py): its graph gives sigma ")
+        assert "the plan 0.0;" in err["message"] and "external_cpg_file" in err["message"]
+        assert not (other / "report.json").exists()
+
 
 class TestPipelineCommand:
     """The whole pipeline from one config: ``compress --config`` alone."""
@@ -459,19 +493,24 @@ class TestErrorObjects:
             ({"allocation": {"epsilon": -1}}, "epsilon must be positive, got -1 in 'allocation'"),
             ({"span": {"b_min": 0}}, "b_min and min_span_tokens must be positive in 'span'"),
             ({"scorer": {"backend": "http"}}, "http backend requires a url in 'scorer'"),
+            ({"include": ["/etc/*.conf"]}, "include pattern '/etc/*.conf' " + UNDER_ROOT),
+            ({"include": ["**/*.py", ""]}, "include pattern '' " + UNDER_ROOT),
+            ({"include": ["../*.py"]}, "include pattern '../*.py' " + UNDER_ROOT),
         ],
-        ids=["epsilon", "b-min", "scorer-url"],
+        ids=["epsilon", "b-min", "scorer-url", "include-absolute", "include-empty", "include-up"],
     )
     def test_record_checks_name_their_section(self, corpus_dir, tmp_path, capsys, doc, message):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
         rc = main(
             ["compress", "--cap", "0.4", "--k", "1", "--dir", str(corpus_dir), "--query", "q",
-             "--config", str(cfg), "--out", str(tmp_path / "o")]
+             "--config", str(cfg), "--out", str(out)]
         )
         assert rc == 1
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"type": "ConfigError", "message": f"{cfg}: {message}"}
+        assert not (out / "plan.json").exists()
 
     def test_null_url_accepted(self, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import single_chunk
+from plan_helpers import single_chunk
 from cpg_cases import CASES
 from structkv.cpg import (
     Cpg,

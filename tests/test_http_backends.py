@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from conftest import single_chunk
+from plan_helpers import single_chunk
 from structkv import _http
 from structkv.attention import HttpAttentionBackend
 from structkv.errors import BackendError, ScoringError

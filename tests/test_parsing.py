@@ -1,4 +1,4 @@
-from conftest import single_chunk
+from plan_helpers import single_chunk
 from structkv.parsing import (
     Assign,
     ExprStmt,

@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import sysconfig
+import threading
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+from structkv import pipeline, spans
 from structkv.allocation import AllocationConfig
 from structkv.chunking import ChunkConfig
 from structkv.config import PipelineConfig, SelectionConfig
@@ -14,6 +17,7 @@ from structkv.errors import BackendError, ConfigError, ParameterError, SchemaErr
 from structkv.lexer import SourceFile, tokenize
 from structkv.parsing import parse_subset
 from structkv.plan import CompressionPlan, canonical_json, read_record
+from structkv.scoring import MockScorer
 from structkv.chunking import partition_chunks
 from structkv.pipeline import (
     index_corpus,
@@ -22,7 +26,7 @@ from structkv.pipeline import (
     query_position,
     run_pipeline,
 )
-from conftest import check_plan_invariants
+from plan_helpers import check_plan_invariants
 from synth import synth_corpus, synth_query
 
 GOLDEN_FILES = [
@@ -127,6 +131,35 @@ class TestRunPipeline:
                 texts.add(plan.to_json())
         assert len(texts) == 1
 
+    def test_only_scoring_leaves_the_calling_thread(self, monkeypatch):
+        # workers is the number of score requests in flight; graphs, spans and
+        # attention run on the caller's thread in chunk-id order
+        threads = defaultdict(set)
+
+        def record(name, fn):
+            def wrapped(*args, **kwargs):
+                threads[name].add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for owner, attr in [
+            (pipeline, "chunk_graph"),
+            (spans, "protect_chunk"),
+            (MockAttentionBackend, "attention_window"),
+            (MockScorer, "score"),
+        ]:
+            monkeypatch.setattr(owner, attr, record(attr, getattr(owner, attr)))
+        cfg = golden_config()
+        cfg = dataclasses.replace(cfg, span=dataclasses.replace(cfg.span, enabled=False))
+        pooled, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, dataclasses.replace(cfg, workers=4))
+        me = threading.get_ident()
+        assert threads["chunk_graph"] == threads["protect_chunk"] == {me}
+        assert threads["attention_window"] == {me}  # spans off, so attention ran
+        assert threads["score"] - {me}
+        alone, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        assert pooled.to_json() == alone.to_json()
+
     def test_kept_indices_map_to_valid_positions(self):
         corpus = synth_corpus(seed=3, n_files=6)
         cfg = golden_config(
@@ -228,6 +261,12 @@ class TestRunPipeline:
         sidecar.write_text(json.dumps([doc, {"chunk_id": 0, "nodes": [], "edges": []}, doc]))
         with pytest.raises(SchemaError, match=r"cpgs\.json.*chunk_id 1"):
             load_external_cpgs(sidecar)
+
+    def test_documents_for_chunks_the_corpus_lacks_rejected(self):
+        # the golden corpus has chunks 0-2; a renumbered sidecar must not be ignored
+        docs = {i: json.dumps({"chunk_id": i, "nodes": [], "edges": []}) for i in (1, 99, -1)}
+        with pytest.raises(SchemaError, match=r"chunk ids the corpus lacks: \[-1, 99\]$"):
+            run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, golden_config(), external_cpgs=docs)
 
     def test_mock_seed_changes_plan(self):
         a, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, golden_config(seed=7))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import single_chunk
+from plan_helpers import single_chunk
 from structkv.cpg import Cpg, CpgNode, NodeKind, build_cpg
 from structkv.errors import ConfigError, ParameterError, ScoringError
 from structkv.lexer import SourceFile, tokenize

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import single_chunk
+from plan_helpers import single_chunk
 from structkv.cpg import build_cpg
 from structkv.errors import ConfigError
 from structkv.parsing import parse_subset
