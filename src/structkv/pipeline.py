@@ -6,11 +6,21 @@ Only scoring, one request per corpus chunk, fans out: ``workers`` score
 requests are in flight at once. Everything after chunk selection runs on
 the calling thread in chunk-id order, and the plan is canonical JSON, so
 the worker count never changes a byte of output.
+
+Built-in graphs are reused across plans in one process. A chunk's graph
+depends only on its file's text and its token range, so a module-level memo
+maps (sha256 of the file's UTF-8 text, token range) to the pickled graph; a
+hit is unpickled and relabelled with the chunk's current id. Each plan
+replaces the memo with its own selected chunks' entries, so it never holds
+more than one plan's graphs, and nothing is written to disk. Chunks with an
+external graph document neither read nor fill it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -84,6 +94,50 @@ def chunk_graph(chunk: Chunk, tokens: list[Token], document: str | bytes | None 
     return build_cpg(parse_subset(tokens), chunk, tokens)
 
 
+# (sha256 of a file's UTF-8 text, chunk token range) -> pickled built-in
+# graph of one of the last plan's selected chunks.  Bytes, not live graphs:
+# live graphs kept between plans pin heap arenas and raise peak RSS.  A plan
+# publishes a new dict and never mutates a published one, so concurrent
+# plans share it safely.
+_GRAPHS: dict[tuple[bytes, tuple[int, int]], bytes] = {}
+
+
+def _selected_graphs(
+    selected: Sequence[Chunk],
+    index: CorpusIndex,
+    corpus: Sequence[SourceFile],
+    docs: dict[int, str | bytes],
+) -> dict[int, Cpg]:
+    """Each selected chunk's graph by id. A built-in graph comes from the
+    last plan's memo when its key is there and is built otherwise; the memo
+    then holds this plan's built-in graphs only."""
+    global _GRAPHS
+    previous, current = _GRAPHS, {}
+    texts = {f.path: f.content for f in corpus}
+    digests: dict[str, bytes] = {}
+    cpgs: dict[int, Cpg] = {}
+    for c in selected:
+        if c.id in docs:
+            cpgs[c.id] = chunk_graph(c, index.tokens[c.id], docs[c.id])
+            continue
+        if c.file not in digests:
+            text = texts[c.file].encode("utf-8", "surrogatepass")
+            digests[c.file] = hashlib.sha256(text).digest()
+        key = (digests[c.file], c.token_range)
+        blob = previous.get(key)
+        if blob is None:
+            cpg = chunk_graph(c, index.tokens[c.id])
+            blob = pickle.dumps(cpg, pickle.HIGHEST_PROTOCOL)
+        else:
+            cpg = pickle.loads(blob)
+            if cpg.chunk_id != c.id:
+                cpg = replace(cpg, chunk_id=c.id)
+        current[key] = blob
+        cpgs[c.id] = cpg
+    _GRAPHS = current
+    return cpgs
+
+
 def context_tokens(
     query: str | Sequence[Token], cfg: PipelineConfig
 ) -> tuple[list[Token], list[Token]]:
@@ -137,7 +191,7 @@ def run_pipeline(
     ppl_by_id = dict(scores)
     selected = [index.chunks[cid] for cid in selected_ids]
 
-    cpgs = {c.id: chunk_graph(c, index.tokens[c.id], docs.get(c.id)) for c in selected}
+    cpgs = _selected_graphs(selected, index, corpus, docs)
 
     sigmas = [scoring.structural_score(scoring.extract_features(cpgs[c.id])) for c in selected]
     normalized = alloc.normalize_scores(sigmas, cfg.allocation) if sigmas else []

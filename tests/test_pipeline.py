@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import sys
 import sysconfig
 import threading
 from collections import defaultdict
@@ -47,6 +49,8 @@ GOLDEN_FILES = [
     ),
 ]
 GOLDEN_QUERY = "why does parse of raw config fail"
+# sorts before every golden file, so it shifts their chunk ids by one
+FIRST_FILE = SourceFile("aaa.py", "def first(x):\n    y = x + 1\n    return y\n")
 
 
 def golden_config(**overrides):
@@ -133,7 +137,9 @@ class TestRunPipeline:
 
     def test_only_scoring_leaves_the_calling_thread(self, monkeypatch):
         # workers is the number of score requests in flight; graphs, spans and
-        # attention run on the caller's thread in chunk-id order
+        # attention run on the caller's thread in chunk-id order; an empty
+        # graph memo makes the pooled run build every graph
+        monkeypatch.setattr(pipeline, "_GRAPHS", {})
         threads = defaultdict(set)
 
         def record(name, fn):
@@ -279,6 +285,164 @@ class TestRunPipeline:
         plan, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         for chunk in plan.chunks:
             assert chunk.spans == () and chunk.protected == ()
+
+
+def cold_plan(*args, **kwargs):
+    """The plan and report of a process that has planned nothing yet; the
+    graph memo is left as it was."""
+    saved, pipeline._GRAPHS = pipeline._GRAPHS, {}
+    try:
+        plan, report = run_pipeline(*args, **kwargs)
+    finally:
+        pipeline._GRAPHS = saved
+    return plan.to_json(), report
+
+
+def planned(*args, **kwargs):
+    plan, report = run_pipeline(*args, **kwargs)
+    return plan.to_json(), report
+
+
+class TestGraphMemo:
+    """Built-in graphs are reused across plans in one process, keyed by the
+    file's text and the chunk's token range; a warm plan equals a cold one."""
+
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch):
+        """An empty memo, and the chunks whose graphs get built (parse_subset
+        calls are counted as ``None``)."""
+        monkeypatch.setattr(pipeline, "_GRAPHS", {})
+        calls = []
+        parse, build = pipeline.parse_subset, pipeline.build_cpg
+
+        def parse_counted(tokens):
+            calls.append(None)
+            return parse(tokens)
+
+        def build_counted(ast, chunk, tokens):
+            calls.append(chunk)
+            return build(ast, chunk, tokens)
+
+        monkeypatch.setattr(pipeline, "parse_subset", parse_counted)
+        monkeypatch.setattr(pipeline, "build_cpg", build_counted)
+        return calls
+
+    @staticmethod
+    def built(calls) -> list[tuple[int, str]]:
+        chunks = [c for c in calls if c is not None]
+        assert len(calls) == 2 * len(chunks)  # one parse per build
+        return [(c.id, c.file) for c in chunks]
+
+    def test_warm_memo_plans_the_golden_fixture(self, builds):
+        expected = (Path(__file__).parent / "data" / "golden_plan.json").read_text(encoding="utf-8")
+        first, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
+        assert builds
+        builds.clear()
+        second, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
+        assert first + "\n" == expected and second == first
+        assert builds == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_memo_on_a_synth_corpus(self, builds, workers):
+        # every chunk is selected, so another question warms the memo for all
+        corpus = synth_corpus(seed=11, n_files=6)
+        query = synth_query(11, corpus)
+        cfg = golden_config(selection=SelectionConfig(k=1000, layers=2), workers=workers)
+        chunks = len(index_corpus(corpus, cfg.chunking).chunks)
+        cold = cold_plan(corpus, query, cfg)
+        builds.clear()
+        planned(corpus, "where is the first helper defined", cfg)
+        assert len(self.built(builds)) == chunks > 6
+        builds.clear()
+        assert planned(corpus, query, cfg) == cold
+        assert builds == []
+
+    def test_edited_file_is_rebuilt(self, builds):
+        cfg = golden_config(selection=SelectionConfig(k=3, layers=2))
+        edited = [
+            GOLDEN_FILES[0],
+            SourceFile("beta.py", GOLDEN_FILES[1].content.replace("push(", "pull(")),
+            GOLDEN_FILES[2],
+        ]
+        ranges = [(c.file, c.token_range) for c in index_corpus(GOLDEN_FILES, cfg.chunking).chunks]
+        assert [(c.file, c.token_range) for c in index_corpus(edited, cfg.chunking).chunks] == ranges
+        cold = cold_plan(edited, GOLDEN_QUERY, cfg)
+        planned(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        builds.clear()
+        assert planned(edited, GOLDEN_QUERY, cfg) == cold
+        assert self.built(builds) == [(1, "beta.py")]
+
+    def test_shifted_chunk_ids_relabel_reused_graphs(self, builds, monkeypatch):
+        cfg = golden_config(selection=SelectionConfig(k=4, layers=2))
+        shifted = [FIRST_FILE, *GOLDEN_FILES]
+        cold = cold_plan(shifted, GOLDEN_QUERY, cfg)
+        planned(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        graphs = {}
+        select = pipeline._selected_graphs
+
+        def recording(*args):
+            result = select(*args)
+            graphs.update(result)
+            return result
+
+        monkeypatch.setattr(pipeline, "_selected_graphs", recording)
+        builds.clear()
+        assert planned(shifted, GOLDEN_QUERY, cfg) == cold
+        assert self.built(builds) == [(0, "aaa.py")]
+        assert sorted(graphs) == [0, 1, 2, 3]
+        assert all(g.chunk_id == cid for cid, g in graphs.items())
+
+    def test_sidecar_chunks_neither_read_nor_fill_the_memo(self, builds):
+        cfg = golden_config(selection=SelectionConfig(k=3, layers=2))
+        docs = {1: json.dumps({"chunk_id": 1, "nodes": [], "edges": []})}
+        builtin = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        sidecar = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
+        assert sidecar != builtin
+        planned(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        assert len(pipeline._GRAPHS) == 3
+        builds.clear()
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs) == sidecar
+        assert builds == [] and len(pipeline._GRAPHS) == 2
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
+        assert self.built(builds) == [(1, "beta.py")]
+
+    def test_concurrent_plans_each_equal_their_cold_plan(self):
+        cfg = golden_config(selection=SelectionConfig(k=4, layers=2))
+        corpora = [GOLDEN_FILES, [FIRST_FILE, *GOLDEN_FILES], GOLDEN_FILES[1:]]
+        cold = [cold_plan(corpus, GOLDEN_QUERY, cfg) for corpus in corpora]
+        matched = []
+
+        def plan_in_turn(offset):
+            for i in range(12):
+                j = (i + offset) % len(corpora)
+                matched.append(planned(corpora[j], GOLDEN_QUERY, cfg) == cold[j])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=plan_in_turn, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert matched == [True] * 48
+
+    def test_memo_holds_only_the_last_plans_graphs_as_bytes(self):
+        cfg = golden_config(selection=SelectionConfig(k=3, layers=2))
+        planned(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        corpus = synth_corpus(seed=4, n_files=5)
+        plan, _ = run_pipeline(corpus, synth_query(4, corpus), cfg)
+        texts = {f.path: f.content for f in corpus}
+        expected = {
+            (hashlib.sha256(texts[c.file].encode("utf-8")).digest(), c.token_range)
+            for c in plan.chunks
+        }
+        assert len(plan.chunks) == 3
+        assert set(pipeline._GRAPHS) == expected
+        assert all(type(blob) is bytes for blob in pipeline._GRAPHS.values())
 
 
 def test_invariants_hold_on_stdlib_packages():
