@@ -5,8 +5,9 @@ span widths and retention counts are all raw counts over these tokens.
 Physical tokens carry their exact source text, so interleaving token texts
 with the source gaps between them reconstructs the file byte for byte.
 
-The grammar is the one regex ``_TOKEN``: at each position its alternatives
-are tried in order and the first that matches is the token.  Newline
+The grammar is the one regex ``_TOKEN``: at each position it skips a run
+of gap characters, then its alternatives are tried in order and the first
+that matches is the token, so one match makes one token.  Newline
 tokens are emitted only at bracket depth zero and never for a newline
 escaped by a backslash, which makes a "logical line" exactly the token run
 between two newline tokens.
@@ -60,13 +61,18 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# String bodies are written as runs, not one character per step, so the
-# backtracking stack stays small on long literals.  An unterminated string
-# ends at the end of its line (single quotes) or of the input (triple).
+# The leading run is the gap before a token: blanks, a lone CR, and a
+# backslash before a lone CR.  A backslash before CRLF is left to the
+# newline alternative, which makes it an escaped newline; the final \Z
+# matches a gap at the end of the input.  String bodies are written as
+# runs, not one character per step, so the backtracking stack stays small
+# on long literals.  An unterminated string ends at the end of its line
+# (single quotes) or of the input (triple).
 _TOKEN = re.compile(
     r"""
+    (?:[ \t\f\v]+|\r(?!\n)|\\(?=\r(?!\n)))*
+    (?:
       (?P<newline>\\?\r?\n)
-    | (?P<gap>(?:[ \t\f\v]+|\r(?!\n)|\\(?=\r))+)
     | (?P<comment>\#[^\r\n]*(?:\r(?=[^\n])[^\r\n]*)*)
     | (?P<string>(?:[rR][bBfF]?|[bBfF][rR]?|[uU])?
         (?: '{3}(?:[^'\\]+|\\[\s\S]?|'(?!''))*(?:'{3})?
@@ -78,6 +84,8 @@ _TOKEN = re.compile(
         | (?:\d[\d_]*(?:\.(?!\.)[\d_]*)?|\.\d[\d_]*)(?:[eE][+-]?\d[\d_]*)?[jJ]?)
     | (?P<punctuation>[()\[\]{},:.;])
     | (?P<operator>\*\*=?|//=?|>>=?|<<=?|->|[=!<>+\-*/%&|^]=|[\s\S])
+    | \Z
+    )
     """,
     re.VERBOSE,
 )
@@ -125,19 +133,18 @@ def tokenize(source: SourceFile) -> list[Token]:
     while pos < n:
         m = match(text, pos)
         group = m.lastgroup
-        end = m.end()
-        if group == "gap":
-            pos = end
-            continue
+        if group is None:  # only a gap was left before the end of the input
+            break
+        pos, end = m.span(group)
+        tok = m.group(group)
         if group == "newline":
             # inside brackets, or escaped by a backslash, it only ends a line
             if depth == 0 and text[pos] != "\\":
                 col = pos - line_start + 1
-                tokens.append(new(Token, (m.group(), pos + extra, line, col, TokenKind.NEWLINE)))
+                tokens.append(new(Token, (tok, pos + extra, line, col, TokenKind.NEWLINE)))
             line += 1
             line_start = pos = end
             continue
-        tok = m.group()
         if group == "word":
             if tok in KEYWORDS:
                 kind = TokenKind.KEYWORD

@@ -14,10 +14,18 @@ hit is unpickled and relabelled with the chunk's current id. Each plan
 replaces the memo with its own selected chunks' entries, so it never holds
 more than one plan's graphs, and nothing is written to disk. Chunks with an
 external graph document neither read nor fill it.
+
+Planning runs with the cyclic garbage collector paused. A plan makes no
+reference cycles (a test holds this), so reference counting frees all of
+it, and the collections its many tracked objects would set off find
+nothing. Other threads of the host get no automatic cyclic collection
+while a plan runs. The caller's collector state is restored when the plan
+returns or raises.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import pickle
@@ -179,8 +187,24 @@ def run_pipeline(
     """Produce a compression plan and its retention report.
 
     ``external_cpgs`` maps chunk ids to interchange documents; chunks with
-    a document use it instead of the built-in analyzer.
+    a document use it instead of the built-in analyzer. Runs with the cyclic
+    garbage collector paused, and leaves it on or off as it found it.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _plan(corpus, query, cfg, external_cpgs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _plan(
+    corpus: Sequence[SourceFile],
+    query: str | Sequence[Token],
+    cfg: PipelineConfig,
+    external_cpgs: dict[int, str | bytes] | None,
+) -> tuple[CompressionPlan, RetentionReport]:
     query_tokens, prefix_tokens = context_tokens(query, cfg)
     prefix_len = len(prefix_tokens)
     index = index_corpus(corpus, cfg.chunking)

@@ -5,9 +5,10 @@ the survivors into a protected token set that fills the chunk budget.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .cpg import Cpg, EdgeKind
 from .errors import ConfigError
@@ -110,6 +111,7 @@ def build_spans(cpg: Cpg, cfg: SpanConfig, tokens: list[Token]) -> list[Structur
         if e.kind is EdgeKind.PDG
         for nid in (e.src, e.dst)
     }
+    names = [t.text if t.kind is TokenKind.IDENTIFIER else None for t in tokens]
     candidates = []
     for node in cpg.nodes:
         start, end = _widen(node.token_range, cfg.min_span_tokens, length)
@@ -118,9 +120,7 @@ def build_spans(cpg: Cpg, cfg: SpanConfig, tokens: list[Token]) -> list[Structur
                 anchor_node=node.id,
                 token_range=(start, end),
                 indicators=frozenset({node.kind.value}),
-                symbols=frozenset(
-                    t.text for t in tokens[start:end] if t.kind is TokenKind.IDENTIFIER
-                ),
+                symbols=frozenset(filter(None, names[start:end])),
                 line_range=(tokens[start].line, tokens[end - 1].line),
                 participates_defuse=node.id in defuse_nodes,
             )
@@ -247,22 +247,12 @@ def protect_tokens(selected: list[StructuralSpan], b: int, length: int) -> list[
         return ordered[:b]
     if not ordered:
         return []
-    result = set(ordered)
-    outside = [i for i in range(length) if i not in result]
-    outside.sort(key=lambda i: (_nearest_distance(ordered, i), i))
-    for i in outside:
-        if len(result) >= b:
-            break
-        result.add(i)
-    return sorted(result)
-
-
-def _nearest_distance(sorted_pts: list[int], i: int) -> int:
-    pos = bisect.bisect_left(sorted_pts, i)
-    best = None
-    if pos < len(sorted_pts):
-        best = sorted_pts[pos] - i
-    if pos > 0:
-        d = i - sorted_pts[pos - 1]
-        best = d if best is None or d < best else best
-    return best if best is not None else 0
+    pts = np.array(ordered)
+    at = np.arange(length)
+    pos = np.searchsorted(pts, at)  # how many protected indices lie below each token
+    far = 2 * length  # a sentinel farther from every token than any index
+    dist = np.minimum(np.append(pts, far)[pos] - at, at - np.insert(pts, 0, -far)[pos])
+    # The union sits at distance 0 and every outside token at 1 or more, so
+    # the first b of a stable sort are the union plus the outside tokens
+    # first in (distance, index) order.
+    return np.sort(np.argsort(dist, kind="stable")[:b]).tolist()

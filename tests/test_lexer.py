@@ -54,6 +54,15 @@ EDGE_WALKS = [
     ),
     ("x\\\r\n y", [(K.IDENTIFIER, "x"), (K.IDENTIFIER, "y")]),  # a continuation is no newline
     ("a @= b", [(K.IDENTIFIER, "a"), (K.OPERATOR, "@"), (K.OPERATOR, "="), (K.IDENTIFIER, "b")]),
+    ("x \t ", [(K.IDENTIFIER, "x")]),  # a gap at the end of the input
+    (" \t\f\v ", []),  # only a gap
+    ("a\\\rb", [(K.IDENTIFIER, "a"), (K.IDENTIFIER, "b")]),  # backslash, lone CR: a gap
+    ("a\\\r\r\nb", [(K.IDENTIFIER, "a"), (K.NEWLINE, "\r\n"), (K.IDENTIFIER, "b")]),
+    ("a\fb\vc", [(K.IDENTIFIER, "a"), (K.IDENTIFIER, "b"), (K.IDENTIFIER, "c")]),
+    ("a ²", [(K.IDENTIFIER, "a"), (K.NUMBER, "²")]),  # a gap, then a non-letter head
+    # a gap before a continuation leaves it one, with CRLF as with LF
+    ("x \\\r\n y", [(K.IDENTIFIER, "x"), (K.IDENTIFIER, "y")]),
+    ("x \\\n y", [(K.IDENTIFIER, "x"), (K.IDENTIFIER, "y")]),
 ]
 
 
@@ -147,6 +156,12 @@ class TestTokenRecord:
             ("1", 5, 1, 5, K.NUMBER),
             ("\n", 6, 1, 6, K.NEWLINE),
         ]
+        # offsets and columns are the token's own, not its leading gap's
+        assert lex("\f\va ²\n") == [
+            ("a", 2, 1, 3, K.IDENTIFIER),
+            ("²", 4, 1, 5, K.NUMBER),
+            ("\n", 6, 1, 6, K.NEWLINE),
+        ]
 
     def test_immutable_and_without_instance_dict(self):
         tok = lex("x")[0]
@@ -171,6 +186,7 @@ class TestStreamInvariants:
         't = """triple\nwith \'quotes\'\n"""\n',
         "x\\\n  = 1\n",
         "x² = ½ + ①\n",
+        "\f\va ² \\\r\n b\\\r\r\n \t",
     ]
 
     @pytest.mark.parametrize("text", CASES)

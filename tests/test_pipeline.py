@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import sys
@@ -462,3 +463,71 @@ def test_invariants_hold_on_stdlib_packages():
             if chunk.protected:
                 assert all(layer.kept == chunk.protected for layer in chunk.layers)
         assert CompressionPlan.from_json(plan.to_json()) == plan
+
+
+class TestCollectorPause:
+    """Planning runs with the cyclic garbage collector paused and leaves it
+    as the caller had it, also when planning raises."""
+
+    @pytest.fixture(autouse=True)
+    def restore(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_after_a_plan(self, enabled, monkeypatch):
+        during = []
+        index = pipeline.index_corpus
+
+        def spy(*args):
+            during.append(gc.isenabled())
+            return index(*args)
+
+        monkeypatch.setattr(pipeline, "index_corpus", spy)
+        (gc.enable if enabled else gc.disable)()
+        run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
+        assert during == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "query, docs, error",
+        [
+            ("", None, ParameterError),  # no query token
+            (GOLDEN_QUERY, {99: json.dumps({"chunk_id": 99, "nodes": [], "edges": []})}, SchemaError),
+        ],
+        ids=["empty-query", "unknown-sidecar-id"],
+    )
+    def test_state_is_restored_when_planning_raises(self, enabled, query, docs, error):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(error):
+            run_pipeline(GOLDEN_FILES, query, golden_config(), external_cpgs=docs)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("span_on", [True, False], ids=["spans", "no-spans"])
+def test_a_plan_makes_no_reference_cycles(workers, span_on):
+    """The premise of pausing the collector: reference counting frees all
+    of a plan, so a collection after it finds nothing."""
+    stdlib = Path(sysconfig.get_paths()["stdlib"])
+    synth = synth_corpus(seed=6, n_files=6)
+    corpora = [(synth, synth_query(6, synth)), (load_corpus(stdlib / "json"), "decode a json document")]
+    cfg = golden_config(selection=SelectionConfig(k=1000, layers=2), workers=workers)
+    cfg = dataclasses.replace(cfg, span=dataclasses.replace(cfg.span, enabled=span_on))
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for corpus, query in corpora:
+            for _ in range(2):  # the second plan reuses the first one's graphs
+                plan, report = run_pipeline(corpus, query, cfg)
+                assert plan.chunks
+                del plan, report
+                gc.collect()
+                # DEBUG_SAVEALL keeps what any collection found, automatic ones too
+                assert not gc.garbage, sorted({type(o).__name__ for o in gc.garbage})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()

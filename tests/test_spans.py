@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plan_helpers import single_chunk
 from structkv.cpg import build_cpg
@@ -254,8 +256,51 @@ class TestSelectSpans:
             assert small_protected <= large_protected
 
 
+def padded_by_rule(selected, b, length):
+    """The padding rule, stated directly: the span union whole when it fits
+    (its first b indices when it does not), then outside tokens by
+    (distance to the nearest protected token, index) until b are kept."""
+    union = sorted({i for z in selected for i in range(*z.token_range)})
+    if len(union) >= b or not union:
+        return union[:b]
+    outside = [i for i in range(length) if i not in union]
+    outside.sort(key=lambda i: (min(abs(i - p) for p in union), i))
+    return sorted(union + outside[: b - len(union)])
+
+
+@st.composite
+def padding_cases(draw):
+    length = draw(st.integers(1, 60))
+    starts = draw(st.lists(st.integers(0, length - 1), max_size=5))
+    spans = [mkspan(s, min(length, s + draw(st.integers(1, 12)))) for s in starts]
+    return spans, draw(st.integers(0, length)), length
+
+
 class TestProtectTokens:
     LENGTH = 40
+
+    @given(padding_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_padding_rule(self, case):
+        spans, b, length = case
+        assert protect_tokens(spans, b, length) == padded_by_rule(spans, b, length)
+
+    @pytest.mark.parametrize(
+        "ranges, b, length, expected",
+        [
+            # 3 is 2 from both runs: it waits for the two tokens at distance 1
+            ([(0, 2), (5, 7)], 6, 7, [0, 1, 2, 4, 5, 6]),
+            ([(0, 2), (5, 7)], 7, 7, [0, 1, 2, 3, 4, 5, 6]),
+            ([(0, 2), (8, 10)], 5, 10, [0, 1, 2, 8, 9]),  # runs at both ends
+            ([(0, 2), (8, 10)], 6, 10, [0, 1, 2, 7, 8, 9]),
+            ([(3, 5)], 9, 9, list(range(9))),  # b == length
+            ([(2, 6), (7, 12)], 6, 15, [2, 3, 4, 5, 7, 8]),  # union larger than b
+        ],
+    )
+    def test_padding_corners(self, ranges, b, length, expected):
+        spans = [mkspan(*r) for r in ranges]
+        assert padded_by_rule(spans, b, length) == expected
+        assert protect_tokens(spans, b, length) == expected
 
     def test_prefix_rule_on_overflow(self):
         z = mkspan(4, 20)
