@@ -1,4 +1,7 @@
+import pytest
+
 from plan_helpers import single_chunk
+from structkv.lexer import SourceFile, tokenize
 from structkv.parsing import (
     Assign,
     ExprStmt,
@@ -174,3 +177,110 @@ def test_backslash_continuation_stays_in_the_statement():
     assert isinstance(assign, Assign) and assign.targets == ("x",)
     lo, hi = assign.value_span
     assert [t.text for t in toks[lo:hi]] == ["a", "+", "1", "\n"]
+
+
+# Exact ASTs of the grammar's corner cases: (name, code, tokens cut from the
+# front, repr of the parsed Ast).  A cut starts the chunk inside a bracket,
+# the way a hard cut through a long bracketed run does.
+EDGE_ASTS = [
+    (
+        "comment-first-hard-cut",
+        "f(\n    # note\n    return x)\n",
+        2,
+        "Ast(body=[Return(span=(0, 5), line=3, value_span=(2, 5))], diagnostics=[])",
+    ),
+    (
+        "stray-closer-before-colon",
+        "if x):\n    y = 1\n",
+        0,
+        "Ast(body=[Opaque(span=(0, 5), line=1), Assign(span=(5, 9), line=2, targets=('y',), "
+        "target_span=(5, 6), value_span=(7, 9), augmented=False)], "
+        "diagnostics=[Diagnostic(line=1, message=\"malformed 'if' statement\"), "
+        "Diagnostic(line=2, message='unexpected indent')])",
+    ),
+    (
+        "for-without-in",
+        "for a, b:\n    pass\n",
+        0,
+        "Ast(body=[Opaque(span=(0, 6), line=1), Opaque(span=(6, 8), line=2)], "
+        "diagnostics=[Diagnostic(line=1, message=\"malformed 'for' statement\"), "
+        "Diagnostic(line=2, message='unexpected indent')])",
+    ),
+    (
+        "for-in-only-inside-brackets",
+        "for (a in b):\n    pass\n",
+        0,
+        "Ast(body=[Opaque(span=(0, 8), line=1), Opaque(span=(8, 10), line=2)], "
+        "diagnostics=[Diagnostic(line=1, message=\"malformed 'for' statement\"), "
+        "Diagnostic(line=2, message='unexpected indent')])",
+    ),
+    (
+        "malformed-elif-in-chain",
+        "if a:\n    x = 1\nelif:\n    x = 2\nelse:\n    x = 3\n",
+        0,
+        "Ast(body=[If(span=(0, 11), line=1, test_span=(1, 2), header_span=(0, 3), "
+        "body=[Assign(span=(4, 8), line=2, targets=('x',), target_span=(4, 5), "
+        "value_span=(6, 8), augmented=False)], orelse=[Opaque(span=(8, 11), line=3)]), "
+        "Assign(span=(11, 15), line=4, targets=('x',), target_span=(11, 12), "
+        "value_span=(13, 15), augmented=False), Opaque(span=(15, 18), line=5), "
+        "Assign(span=(18, 22), line=6, targets=('x',), target_span=(18, 19), "
+        "value_span=(20, 22), augmented=False)], "
+        "diagnostics=[Diagnostic(line=3, message=\"malformed 'elif' statement\"), "
+        "Diagnostic(line=4, message='unexpected indent'), "
+        "Diagnostic(line=5, message=\"'else' without matching 'if'\"), "
+        "Diagnostic(line=6, message='unexpected indent')])",
+    ),
+    (
+        "else-without-colon",
+        "if a:\n    x = 1\nelse\n    x = 2\n",
+        0,
+        "Ast(body=[If(span=(0, 10), line=1, test_span=(1, 2), header_span=(0, 3), "
+        "body=[Assign(span=(4, 8), line=2, targets=('x',), target_span=(4, 5), "
+        "value_span=(6, 8), augmented=False)], orelse=[Opaque(span=(8, 10), line=3)]), "
+        "Assign(span=(10, 14), line=4, targets=('x',), target_span=(10, 11), "
+        "value_span=(12, 14), augmented=False)], "
+        "diagnostics=[Diagnostic(line=3, message=\"malformed 'else' clause\"), "
+        "Diagnostic(line=4, message='unexpected indent')])",
+    ),
+    (
+        "colons-inside-brackets",
+        "if f(lambda v: v): y = {1: 2}\n",
+        0,
+        "Ast(body=[If(span=(0, 17), line=1, test_span=(1, 8), header_span=(0, 9), "
+        "body=[Assign(span=(9, 17), line=1, targets=('y',), target_span=(9, 10), "
+        "value_span=(11, 17), augmented=False)], orelse=[])], diagnostics=[])",
+    ),
+    (
+        "return-then-comment",
+        "return  # done\n",
+        0,
+        "Ast(body=[Return(span=(0, 3), line=1, value_span=(1, 1))], diagnostics=[])",
+    ),
+    (
+        "subscript-and-keyword-targets",
+        "x[i], y = g(k=1) == h\n",
+        0,
+        "Ast(body=[Assign(span=(0, 16), line=1, targets=('y',), target_span=(0, 6), "
+        "value_span=(7, 16), augmented=False)], diagnostics=[])",
+    ),
+    (
+        "for-else",
+        "for a in b:\n    c = a\nelse:\n    d = 1\n",
+        0,
+        "Ast(body=[For(span=(0, 10), line=1, targets=('a',), iter_span=(3, 4), "
+        "header_span=(0, 5), body=[Assign(span=(6, 10), line=2, targets=('c',), "
+        "target_span=(6, 7), value_span=(8, 10), augmented=False)]), "
+        "Opaque(span=(10, 13), line=3), Assign(span=(13, 17), line=4, targets=('d',), "
+        "target_span=(13, 14), value_span=(15, 17), augmented=False)], "
+        "diagnostics=[Diagnostic(line=3, message=\"'else' without matching 'if'\"), "
+        "Diagnostic(line=4, message='unexpected indent')])",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("code", "cut", "expected"), [r[1:] for r in EDGE_ASTS], ids=[r[0] for r in EDGE_ASTS]
+)
+def test_edge_case_ast(code, cut, expected):
+    toks = tokenize(SourceFile("t.py", code))[cut:]
+    assert repr(parse_subset(toks)) == expected
