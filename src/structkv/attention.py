@@ -63,9 +63,9 @@ def pool(u: np.ndarray, window: int) -> np.ndarray:
 def select_tokens(u_pooled: np.ndarray, b: int, layer: int) -> LayerKeepSet:
     """The ``b`` highest-importance tokens (all of them when ``b`` exceeds
     the chunk), in ascending index order; ties go to the smaller index."""
-    length = int(u_pooled.shape[0])
-    ranked = sorted(range(length), key=lambda i: (-u_pooled[i], i))
-    return LayerKeepSet(layer=layer, kept=tuple(sorted(ranked[:b])))
+    # the rule of spans.protect_tokens: a stable sort ranks ties by index
+    kept = np.sort(np.argsort(-u_pooled, kind="stable")[:b]).tolist()
+    return LayerKeepSet(layer=layer, kept=tuple(kept))
 
 
 class MockAttentionBackend:

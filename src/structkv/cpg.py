@@ -29,6 +29,7 @@ from .parsing import (
     Return,
     Stmt,
     While,
+    significant,
 )
 from .plan import canonical_json, decode_json, read_record
 
@@ -91,21 +92,14 @@ def build_cpg(ast: Ast, chunk: Chunk, tokens: list[Token]) -> Cpg:
 
 
 def identifiers_in(tokens: list[Token], span: tuple[int, int]) -> frozenset[str]:
-    return frozenset(
-        tokens[i].text
-        for i in range(span[0], min(span[1], len(tokens)))
-        if tokens[i].kind is TokenKind.IDENTIFIER
-    )
+    sig = significant(tokens, span)
+    return frozenset(tokens[i].text for i in sig if tokens[i].kind is TokenKind.IDENTIFIER)
 
 
 def scan_uses(tokens: list[Token], span: tuple[int, int]) -> set[str]:
     """Identifier uses in a span: skips attribute names and keyword-argument
     names, which do not reference local definitions."""
-    sig = [
-        i
-        for i in range(span[0], min(span[1], len(tokens)))
-        if tokens[i].kind not in (TokenKind.COMMENT, TokenKind.NEWLINE)
-    ]
+    sig = significant(tokens, span)
     uses: set[str] = set()
     depth = 0
     for pos, i in enumerate(sig):
@@ -136,12 +130,8 @@ def scan_uses(tokens: list[Token], span: tuple[int, int]) -> set[str]:
 def scan_calls(tokens: list[Token], span: tuple[int, int]) -> list[tuple[int, int]]:
     """Call-expression ranges in a span: dotted-name head through the
     matching close paren, in source order."""
-    lo, hi = span[0], min(span[1], len(tokens))
-    sig = [
-        i
-        for i in range(lo, hi)
-        if tokens[i].kind not in (TokenKind.COMMENT, TokenKind.NEWLINE)
-    ]
+    hi = min(span[1], len(tokens))
+    sig = significant(tokens, span)
     calls: list[tuple[int, int]] = []
     for pos, i in enumerate(sig):
         if tokens[i].kind is not TokenKind.IDENTIFIER:
@@ -218,14 +208,11 @@ class _Builder:
         return node_id
 
     def _trim(self, span: tuple[int, int]) -> tuple[int, int]:
+        """The span without its trailing comments and newlines, keeping at
+        least its first token."""
         start, end = span
-        end = min(end, len(self.tokens))
-        while end - 1 > start and self.tokens[end - 1].kind in (
-            TokenKind.NEWLINE,
-            TokenKind.COMMENT,
-        ):
-            end -= 1
-        return (start, end)
+        sig = significant(self.tokens, span)
+        return (start, sig[-1] + 1 if sig else min(end, len(self.tokens), start + 1))
 
     def register(self, scope: _Scope, node_id: int, defs: set[str], uses: set[str]) -> None:
         scope.order.append(node_id)
@@ -255,76 +242,49 @@ class _Builder:
         return pending
 
     def walk_stmt(self, stmt: Stmt, pending: list[int], scope: _Scope) -> list[int]:
-        if isinstance(stmt, FunctionDef):
-            sig_id = self.new_node(NodeKind.SIGNATURE, stmt.header_span)
-            name_idx = stmt.header_span[0] + 1
-            self.emit_calls(stmt.header_span, skip_head=name_idx)
-            header_uses = (
-                scan_uses(self.tokens, stmt.header_span) - set(stmt.params) - {stmt.name}
-            )
-            self.register(scope, sig_id, defs={stmt.name}, uses=header_uses)
-            pending = self.connect(pending, sig_id, scope)
-            inner = self.new_scope({p: sig_id for p in stmt.params})
-            self.walk_block(stmt.body, [_ENTRY], inner)
-            return pending
-
-        if isinstance(stmt, If):
-            ctrl = self.new_node(NodeKind.CONTROL, stmt.header_span)
-            self.emit_calls(stmt.header_span)
-            self.register(scope, ctrl, defs=set(), uses=scan_uses(self.tokens, stmt.test_span))
-            self.connect(pending, ctrl, scope)
-            body_exits = self.walk_block(stmt.body, [ctrl], scope)
-            if stmt.orelse:
-                else_exits = self.walk_block(stmt.orelse, [ctrl], scope)
-            else:
-                else_exits = [ctrl]
-            merged = list(dict.fromkeys(body_exits + else_exits))
-            return merged
-
-        if isinstance(stmt, (While, For)):
-            ctrl = self.new_node(NodeKind.CONTROL, stmt.header_span)
-            self.emit_calls(stmt.header_span)
-            if isinstance(stmt, For):
-                defs = set(stmt.targets)
-                uses = scan_uses(self.tokens, stmt.iter_span)
-            else:
-                defs = set()
-                uses = scan_uses(self.tokens, stmt.test_span)
-            self.register(scope, ctrl, defs=defs, uses=uses)
-            self.connect(pending, ctrl, scope)
-            body_exits = self.walk_block(stmt.body, [ctrl], scope)
-            for e in body_exits:
-                if e not in (_ENTRY, ctrl):
-                    self.cfg_edges.add((e, ctrl))
-                    scope.edges.append((e, ctrl))
-            return [ctrl]
-
-        if isinstance(stmt, Return):
-            ret = self.new_node(NodeKind.RETURN, stmt.span)
-            self.emit_calls(stmt.span)
-            self.register(scope, ret, defs=set(), uses=scan_uses(self.tokens, stmt.value_span))
-            self.connect(pending, ret, scope)
-            return []  # no fallthrough
-
-        if isinstance(stmt, Assign):
-            node = self.new_node(NodeKind.ASSIGN, stmt.span)
-            self.emit_calls(stmt.span)
-            target_uses = scan_uses(self.tokens, stmt.target_span)
-            if not stmt.augmented:
-                target_uses -= set(stmt.targets)
-            uses = scan_uses(self.tokens, stmt.value_span) | target_uses
-            self.register(scope, node, defs=set(stmt.targets), uses=uses)
-            return self.connect(pending, node, scope)
-
+        """Add a statement's nodes and edges; return the nodes control leaves it from."""
         if isinstance(stmt, ExprStmt):
             calls = self.emit_calls(stmt.span)
             if not calls:
                 return pending  # transparent: flow passes through
-            primary = calls[0]
-            self.register(scope, primary, defs=set(), uses=scan_uses(self.tokens, stmt.span))
-            return self.connect(pending, primary, scope)
-
-        return pending  # opaque statements are transparent
+            self.register(scope, calls[0], defs=set(), uses=scan_uses(self.tokens, stmt.span))
+            return self.connect(pending, calls[0], scope)
+        if isinstance(stmt, FunctionDef):
+            kind, span, defs = NodeKind.SIGNATURE, stmt.header_span, {stmt.name}
+            uses = scan_uses(self.tokens, span) - set(stmt.params) - defs
+        elif isinstance(stmt, (If, While)):
+            kind, span, defs = NodeKind.CONTROL, stmt.header_span, set()
+            uses = scan_uses(self.tokens, stmt.test_span)
+        elif isinstance(stmt, For):
+            kind, span, defs = NodeKind.CONTROL, stmt.header_span, set(stmt.targets)
+            uses = scan_uses(self.tokens, stmt.iter_span)
+        elif isinstance(stmt, Return):
+            kind, span, defs = NodeKind.RETURN, stmt.span, set()
+            uses = scan_uses(self.tokens, stmt.value_span)
+        elif isinstance(stmt, Assign):
+            kind, span, defs = NodeKind.ASSIGN, stmt.span, set(stmt.targets)
+            target_uses = scan_uses(self.tokens, stmt.target_span)
+            if not stmt.augmented:
+                target_uses -= defs
+            uses = scan_uses(self.tokens, stmt.value_span) | target_uses
+        else:
+            return pending  # opaque statements are transparent
+        node = self.new_node(kind, span)
+        # the name after "def" is not a call
+        self.emit_calls(span, skip_head=span[0] + 1 if kind is NodeKind.SIGNATURE else None)
+        self.register(scope, node, defs=defs, uses=uses)
+        self.connect(pending, node, scope)
+        if isinstance(stmt, FunctionDef):
+            self.walk_block(stmt.body, [_ENTRY], self.new_scope({p: node for p in stmt.params}))
+        elif isinstance(stmt, If):
+            exits = self.walk_block(stmt.body, [node], scope)
+            # an empty orelse leaves [node]: the test can fall through
+            return list(dict.fromkeys(exits + self.walk_block(stmt.orelse, [node], scope)))
+        elif isinstance(stmt, (While, For)):
+            self.connect(self.walk_block(stmt.body, [node], scope), node, scope)  # loop back
+        elif isinstance(stmt, Return):
+            return []  # no fallthrough
+        return [node]
 
     def solve_dataflow(self) -> None:
         for scope in self.scopes:

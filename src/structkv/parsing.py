@@ -2,8 +2,9 @@
 
 Recognized statements: function definitions, if/elif/else, while, for,
 return, plain and augmented assignments, and expression statements.
-Anything else degrades to an opaque statement and is reported in the
-diagnostics list; the parser never fails hard.
+Anything else is an opaque statement; a malformed header, a stray clause
+or an unexpected indent is also reported in the diagnostics list.  The
+parser never fails hard.
 
 All token spans are half-open intervals over the *chunk-local* token list
 handed to :func:`parse_subset`.
@@ -11,6 +12,7 @@ handed to :func:`parse_subset`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .lexer import LogicalLine, Token, TokenKind, logical_lines
@@ -20,6 +22,9 @@ AUG_OPS = frozenset(
 )
 _OPEN = {"(", "[", "{"}
 _CLOSE = {")", "]", "}"}
+_TRIVIA = (TokenKind.COMMENT, TokenKind.NEWLINE)
+_COMPOUND = ("def", "if", "while", "for")
+_MALFORMED = {"def": "malformed function definition", "else": "malformed 'else' clause"}
 
 
 @dataclass
@@ -101,6 +106,11 @@ def parse_subset(tokens: list[Token]) -> Ast:
     return Ast(body=body, diagnostics=parser.diagnostics)
 
 
+def significant(tokens: list[Token], span: tuple[int, int]) -> list[int]:
+    """Indices of the span's syntax-bearing tokens (no comments or newlines)."""
+    return [i for i in range(span[0], min(span[1], len(tokens))) if tokens[i].kind not in _TRIVIA]
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -141,85 +151,100 @@ class _Parser:
         ln = self.lines[i]
         first = self.tokens[ln.sig_start]
         if first.kind is TokenKind.KEYWORD:
-            if first.text == "def":
-                return self._parse_def(i)
-            if first.text == "if":
-                return self._parse_if(i)
-            if first.text == "while":
-                return self._parse_while(i)
-            if first.text == "for":
-                return self._parse_for(i)
-            if first.text == "return":
-                return self._parse_return(i)
+            if first.text in _COMPOUND:
+                return self._compound(i, first.text)
             if first.text in ("elif", "else"):
                 self._diag(first.line, f"'{first.text}' without matching 'if'")
-                return Opaque(self._line_span(ln), first.line), i + 1
-            return Opaque(self._line_span(ln), first.line), i + 1
-        return self._parse_simple(i)
+        return self._simple(ln.start, ln.end, significant(self.tokens, (ln.start, ln.end))), i + 1
 
-    def _line_span(self, ln: LogicalLine) -> tuple[int, int]:
-        return (ln.start, ln.end)
-
-    def _sig_tokens(self, ln: LogicalLine) -> list[int]:
-        """Indices of the line's syntax-bearing tokens (no comments/newline)."""
-        out = []
-        for idx in range(ln.start, ln.end):
-            if self.tokens[idx].kind not in (TokenKind.COMMENT, TokenKind.NEWLINE):
-                out.append(idx)
-        return out
-
-    def _find_colon(self, sig: list[int]) -> int | None:
-        """Position (list index into sig) of the first depth-0 colon."""
+    def _depth0(self, sig: list[int]) -> Iterator[int]:
+        """Positions in ``sig`` of the tokens outside the brackets the run
+        itself opens (the brackets are not yielded).  A stray closer counts
+        down, so the tokens after it are inside until an opener balances it."""
         depth = 0
         for pos, idx in enumerate(sig):
-            t = self.tokens[idx]
-            if t.kind is TokenKind.PUNCTUATION:
-                if t.text in _OPEN:
-                    depth += 1
-                elif t.text in _CLOSE:
-                    depth -= 1
-                elif t.text == ":" and depth == 0:
-                    return pos
-        return None
+            text = self.tokens[idx].text
+            if text in _OPEN:
+                depth += 1
+            elif text in _CLOSE:
+                depth -= 1
+            elif depth == 0:
+                yield pos
+
+    def _find(self, sig: list[int], text: str) -> int | None:
+        """Position in ``sig`` of the first depth-0 token with this text."""
+        return next((pos for pos in self._depth0(sig) if self.tokens[sig[pos]].text == text), None)
 
     # -- compound statements ------------------------------------------------
 
-    def _parse_body(
-        self, i: int, ln: LogicalLine, sig: list[int], colon_pos: int
-    ) -> tuple[list[Stmt], int]:
+    def _compound(self, i: int, kw: str) -> tuple[Stmt, int]:
+        """A ``def``, ``if``, ``elif``, ``while`` or ``for`` header and its body.
+
+        A header that does not fit its keyword is reported and degrades to
+        an opaque line; its indented body is then flattened by the caller.
+        """
+        ln = self.lines[i]
+        sig = significant(self.tokens, (ln.start, ln.end))
+        line = self.tokens[sig[0]].line
+        colon = self._find(sig, ":")
+        in_pos = self._find(sig, "in") if kw == "for" else None
+        if colon is None:
+            valid = False
+        elif kw == "def":
+            valid = len(sig) >= 2 and self.tokens[sig[1]].kind is TokenKind.IDENTIFIER
+        elif kw == "for":
+            valid = in_pos is not None and in_pos < colon
+        else:
+            valid = colon != 1
+        if not valid:
+            self._diag(line, _MALFORMED.get(kw, f"malformed '{kw}' statement"))
+            return Opaque((ln.start, ln.end), line), i + 1
+        body, nxt = self._parse_body(i, ln, sig[colon + 1 :])
+        orelse: list[Stmt] = []
+        clause = self.lines[nxt] if kw in ("if", "elif") and nxt < len(self.lines) else None
+        if clause is not None and clause.indent_col == ln.indent_col:
+            follow = self.tokens[clause.sig_start].text
+            if follow == "elif":
+                nested, nxt = self._compound(nxt, "elif")
+                orelse = [nested]
+            elif follow == "else":
+                orelse, nxt = self._parse_else(nxt)
+        span = (ln.start, max([ln.end] + [s.span[1] for s in body[-1:] + orelse[-1:]]))
+        header_span = (sig[0], sig[colon] + 1)
+        if kw == "def":
+            name, params = self.tokens[sig[1]].text, self._param_names(sig[2:colon])
+            return FunctionDef(span, line, name, params, header_span, body), nxt
+        if kw == "for":
+            targets = tuple(
+                self.tokens[idx].text
+                for idx in sig[1:in_pos]
+                if self.tokens[idx].kind is TokenKind.IDENTIFIER
+            )
+            iter_span = (sig[in_pos] + 1, sig[colon])
+            return For(span, line, targets, iter_span, header_span, body), nxt
+        test_span = (sig[1], sig[colon])
+        if kw == "while":
+            return While(span, line, test_span, header_span, body), nxt
+        return If(span, line, test_span, header_span, body, orelse), nxt
+
+    def _parse_else(self, i: int) -> tuple[list[Stmt], int]:
+        ln = self.lines[i]
+        sig = significant(self.tokens, (ln.start, ln.end))
+        colon = self._find(sig, ":")
+        if colon is None:
+            line = self.tokens[sig[0]].line
+            self._diag(line, _MALFORMED["else"])
+            return [Opaque((ln.start, ln.end), line)], i + 1
+        return self._parse_body(i, ln, sig[colon + 1 :])
+
+    def _parse_body(self, i: int, ln: LogicalLine, inline: list[int]) -> tuple[list[Stmt], int]:
         """Body after a header: inline remainder of the line, or nested block."""
-        inline = sig[colon_pos + 1 :]
         if inline:
-            stmt = self._simple_from_span(inline[0], ln.end, self.tokens[inline[0]].line)
-            return [stmt], i + 1
+            return [self._simple(inline[0], ln.end, inline)], i + 1
         i += 1
         if i < len(self.lines) and self.lines[i].indent_col > ln.indent_col:
             return self._parse_run(i, self.lines[i].indent_col)
         return [], i
-
-    def _parse_def(self, i: int) -> tuple[Stmt, int]:
-        ln = self.lines[i]
-        sig = self._sig_tokens(ln)
-        first_line = self.tokens[sig[0]].line
-        colon = self._find_colon(sig)
-        name_ok = len(sig) >= 2 and self.tokens[sig[1]].kind is TokenKind.IDENTIFIER
-        if colon is None or not name_ok:
-            self._diag(first_line, "malformed function definition")
-            return Opaque(self._line_span(ln), first_line), i + 1
-        name = self.tokens[sig[1]].text
-        params = self._param_names(sig[2:colon])
-        header_span = (sig[0], sig[colon] + 1)
-        body, nxt = self._parse_body(i, ln, sig, colon)
-        span_end = body[-1].span[1] if body else ln.end
-        node = FunctionDef(
-            span=(ln.start, max(span_end, ln.end)),
-            line=first_line,
-            name=name,
-            params=params,
-            header_span=header_span,
-            body=body,
-        )
-        return node, nxt
 
     def _param_names(self, sig: list[int]) -> tuple[str, ...]:
         """First identifier of each depth-1 comma segment inside the parens."""
@@ -241,205 +266,54 @@ class _Parser:
                 expect = False
         return tuple(names)
 
-    def _parse_if(self, i: int) -> tuple[Stmt, int]:
-        node, nxt = self._parse_conditional(i, "if")
-        return node, nxt
-
-    def _parse_conditional(self, i: int, kw: str) -> tuple[Stmt, int]:
-        ln = self.lines[i]
-        sig = self._sig_tokens(ln)
-        first_line = self.tokens[sig[0]].line
-        colon = self._find_colon(sig)
-        if colon is None or colon == 1:
-            self._diag(first_line, f"malformed '{kw}' statement")
-            return Opaque(self._line_span(ln), first_line), i + 1
-        test_span = (sig[1], sig[colon])
-        header_span = (sig[0], sig[colon] + 1)
-        body, nxt = self._parse_body(i, ln, sig, colon)
-        orelse: list[Stmt] = []
-        if nxt < len(self.lines) and self.lines[nxt].indent_col == ln.indent_col:
-            follow = self.tokens[self.lines[nxt].sig_start]
-            if follow.kind is TokenKind.KEYWORD and follow.text == "elif":
-                nested, nxt = self._parse_conditional(nxt, "elif")
-                orelse = [nested]
-            elif follow.kind is TokenKind.KEYWORD and follow.text == "else":
-                orelse, nxt = self._parse_else(nxt)
-        span_end = max(
-            ln.end,
-            body[-1].span[1] if body else ln.end,
-            orelse[-1].span[1] if orelse else ln.end,
-        )
-        node = If(
-            span=(ln.start, span_end),
-            line=first_line,
-            test_span=test_span,
-            header_span=header_span,
-            body=body,
-            orelse=orelse,
-        )
-        return node, nxt
-
-    def _parse_else(self, i: int) -> tuple[list[Stmt], int]:
-        ln = self.lines[i]
-        sig = self._sig_tokens(ln)
-        colon = self._find_colon(sig)
-        if colon is None:
-            self._diag(self.tokens[sig[0]].line, "malformed 'else' clause")
-            return [Opaque(self._line_span(ln), self.tokens[sig[0]].line)], i + 1
-        return self._parse_body(i, ln, sig, colon)
-
-    def _parse_while(self, i: int) -> tuple[Stmt, int]:
-        ln = self.lines[i]
-        sig = self._sig_tokens(ln)
-        first_line = self.tokens[sig[0]].line
-        colon = self._find_colon(sig)
-        if colon is None or colon == 1:
-            self._diag(first_line, "malformed 'while' statement")
-            return Opaque(self._line_span(ln), first_line), i + 1
-        body, nxt = self._parse_body(i, ln, sig, colon)
-        span_end = max(ln.end, body[-1].span[1] if body else ln.end)
-        node = While(
-            span=(ln.start, span_end),
-            line=first_line,
-            test_span=(sig[1], sig[colon]),
-            header_span=(sig[0], sig[colon] + 1),
-            body=body,
-        )
-        return node, nxt
-
-    def _parse_for(self, i: int) -> tuple[Stmt, int]:
-        ln = self.lines[i]
-        sig = self._sig_tokens(ln)
-        first_line = self.tokens[sig[0]].line
-        colon = self._find_colon(sig)
-        in_pos = None
-        depth = 0
-        for pos, idx in enumerate(sig):
-            t = self.tokens[idx]
-            if t.kind is TokenKind.PUNCTUATION and t.text in _OPEN:
-                depth += 1
-            elif t.kind is TokenKind.PUNCTUATION and t.text in _CLOSE:
-                depth -= 1
-            elif t.kind is TokenKind.KEYWORD and t.text == "in" and depth == 0:
-                in_pos = pos
-                break
-        if colon is None or in_pos is None or in_pos >= colon:
-            self._diag(first_line, "malformed 'for' statement")
-            return Opaque(self._line_span(ln), first_line), i + 1
-        targets = tuple(
-            self.tokens[idx].text
-            for idx in sig[1:in_pos]
-            if self.tokens[idx].kind is TokenKind.IDENTIFIER
-        )
-        body, nxt = self._parse_body(i, ln, sig, colon)
-        span_end = max(ln.end, body[-1].span[1] if body else ln.end)
-        node = For(
-            span=(ln.start, span_end),
-            line=first_line,
-            targets=targets,
-            iter_span=(sig[in_pos] + 1, sig[colon]),
-            header_span=(sig[0], sig[colon] + 1),
-            body=body,
-        )
-        return node, nxt
-
-    def _parse_return(self, i: int) -> tuple[Stmt, int]:
-        ln = self.lines[i]
-        sig = self._sig_tokens(ln)
-        first_line = self.tokens[sig[0]].line
-        value = (sig[1], ln.end) if len(sig) > 1 else (sig[0] + 1, sig[0] + 1)
-        return Return(self._line_span(ln), first_line, value_span=value), i + 1
-
     # -- simple statements --------------------------------------------------
 
-    def _parse_simple(self, i: int) -> tuple[Stmt, int]:
-        ln = self.lines[i]
-        stmt = self._simple_from_span(ln.start, ln.end, self.tokens[ln.sig_start].line)
-        return stmt, i + 1
-
-    def _simple_from_span(self, start: int, end: int, line: int) -> Stmt:
-        first = self.tokens[start]
+    def _simple(self, start: int, end: int, sig: list[int]) -> Stmt:
+        """The one-line statement over tokens [start, end), whose syntax-bearing
+        tokens are ``sig``: a return, an assignment or an expression, and
+        opaque when it starts with any other keyword."""
+        first = self.tokens[sig[0]]
         if first.kind is TokenKind.KEYWORD:
-            if first.text == "return":
-                has_value = any(
-                    self.tokens[i].kind not in (TokenKind.COMMENT, TokenKind.NEWLINE)
-                    for i in range(start + 1, end)
-                )
-                value = (start + 1, end) if has_value else (start + 1, start + 1)
-                return Return((start, end), line, value_span=value)
-            return Opaque((start, end), line)
-        eq_positions: list[int] = []
-        aug_pos = None
-        depth = 0
-        for idx in range(start, end):
-            t = self.tokens[idx]
-            if t.kind is TokenKind.PUNCTUATION:
-                if t.text in _OPEN:
-                    depth += 1
-                elif t.text in _CLOSE:
-                    depth -= 1
-            elif t.kind is TokenKind.OPERATOR and depth == 0:
-                if t.text == "=":
-                    eq_positions.append(idx)
-                elif t.text in AUG_OPS and aug_pos is None:
-                    aug_pos = idx
-        if aug_pos is not None and not eq_positions:
-            return Assign(
-                span=(start, end),
-                line=line,
-                targets=self._plain_targets(start, aug_pos),
-                target_span=(start, aug_pos),
-                value_span=(aug_pos + 1, end),
-                augmented=True,
-            )
-        if eq_positions:
-            last_eq = eq_positions[-1]
-            targets: list[str] = []
-            seg_start = start
-            for eq in eq_positions:
-                targets.extend(self._plain_targets(seg_start, eq))
-                seg_start = eq + 1
-            return Assign(
-                span=(start, end),
-                line=line,
-                targets=tuple(dict.fromkeys(targets)),
-                target_span=(start, last_eq),
-                value_span=(last_eq + 1, end),
-                augmented=False,
-            )
-        return ExprStmt((start, end), line)
+            if first.text != "return":
+                return Opaque((start, end), first.line)
+            value = (sig[1], end) if len(sig) > 1 else (sig[0] + 1, sig[0] + 1)
+            return Return((start, end), first.line, value_span=value)
+        eqs: list[int] = []
+        aug = None
+        for pos in self._depth0(sig):
+            text = self.tokens[sig[pos]].text
+            if text == "=":
+                eqs.append(pos)
+            elif text in AUG_OPS and aug is None:
+                aug = pos
+        if not eqs and aug is None:
+            return ExprStmt((start, end), first.line)
+        # chained targets sit between the "=" signs; an augmented one before its operator
+        cuts = eqs or [aug]
+        targets = [
+            name for a, b in zip([-1, *cuts], cuts) for name in self._plain_targets(sig[a + 1 : b])
+        ]
+        last = sig[cuts[-1]]
+        return Assign(
+            span=(start, end),
+            line=first.line,
+            targets=tuple(dict.fromkeys(targets) if eqs else targets),
+            target_span=(start, last),
+            value_span=(last + 1, end),
+            augmented=not eqs,
+        )
 
-    def _plain_targets(self, start: int, end: int) -> tuple[str, ...]:
+    def _plain_targets(self, sig: list[int]) -> tuple[str, ...]:
         """Bare-name targets of a depth-0 comma-separated target list.
 
         Attribute and subscript targets (``x.f = ...``, ``x[i] = ...``) bind
         nothing; their identifiers are ordinary uses and are picked up later
         by the use scan over the target span.
         """
-        plain: list[str] = []
-        depth = 0
-        seg: list[int] = []
-
-        def flush() -> None:
-            sig = [
-                j
-                for j in seg
-                if self.tokens[j].kind not in (TokenKind.COMMENT, TokenKind.NEWLINE)
-            ]
-            if len(sig) == 1 and self.tokens[sig[0]].kind is TokenKind.IDENTIFIER:
-                plain.append(self.tokens[sig[0]].text)
-
-        for idx in range(start, end):
-            t = self.tokens[idx]
-            if t.kind is TokenKind.PUNCTUATION:
-                if t.text in _OPEN:
-                    depth += 1
-                elif t.text in _CLOSE:
-                    depth -= 1
-                elif t.text == "," and depth == 0:
-                    flush()
-                    seg = []
-                    continue
-            seg.append(idx)
-        flush()
-        return tuple(plain)
+        commas = [pos for pos in self._depth0(sig) if self.tokens[sig[pos]].text == ","]
+        parts = [sig[a + 1 : b] for a, b in zip([-1, *commas], [*commas, len(sig)])]
+        return tuple(
+            self.tokens[part[0]].text
+            for part in parts
+            if len(part) == 1 and self.tokens[part[0]].kind is TokenKind.IDENTIFIER
+        )

@@ -60,6 +60,8 @@ def load_corpus(directory: str | Path, include: Sequence[str] = ("**/*.py",)) ->
     """Source files under a directory, keyed by corpus-relative POSIX path
     and sorted by that path string."""
     root = Path(directory)
+    if not root.is_dir():
+        raise ConfigError(f"corpus root {str(directory)!r} is not a directory")
     paths: set[Path] = set()
     for pattern in include:
         paths.update(p for p in root.glob(pattern) if p.is_file())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structkv.attention import (
     AttentionWindow,
@@ -150,6 +152,19 @@ class TestSelectTokens:
             # every kept token outranks every dropped one: higher mass, or
             # equal mass and a smaller index
             assert all((-u[i], i) < (-u[j], j) for i in keep.kept for j in dropped)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.125, 0.5, 0.5, 2.0]), min_size=1, max_size=40),
+        st.integers(0, 45),
+    )
+    def test_matches_sorted_key_brute_force(self, values, b):
+        # few distinct values, so most inputs tie across the budget's edge
+        u = np.array(values)
+        ranked = sorted(range(len(values)), key=lambda i: (-values[i], i))
+        keep = select_tokens(u, b, layer=2)
+        assert keep == LayerKeepSet(layer=2, kept=tuple(sorted(ranked[:b])))
+        assert all(type(i) is int for i in keep.kept)  # canonical_json rejects numpy ints
 
     def test_scale_argmax_invariance(self):
         rng = np.random.default_rng(4)

@@ -418,6 +418,22 @@ class TestErrorObjects:
         assert err["error"]["type"] == "ConfigError"
         assert "capacity" in err["error"]["message"]
 
+    @pytest.mark.parametrize("root", ["missing", "alpha.py"], ids=["missing-dir", "file"])
+    @pytest.mark.parametrize(
+        "command",
+        [["chunk", "{root}"], ["score", "--query", "q", "--dir", "{root}"],
+         ["compress", "--query", "q", "--dir", "{root}"]],
+        ids=["chunk", "score", "compress"],
+    )
+    def test_corpus_root_must_be_a_directory(self, corpus_dir, tmp_path, capsys, command, root):
+        path = str(corpus_dir / root)
+        out = tmp_path / "o"
+        rc = main([arg.format(root=path) for arg in command] + ["--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ConfigError", "message": f"corpus root {path!r} is not a directory"}
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         ("doc", "field", "section"),
         [

@@ -1,9 +1,12 @@
 import json
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from plan_helpers import single_chunk
 from cpg_cases import CASES
+from structkv.chunking import ChunkConfig
 from structkv.cpg import (
     Cpg,
     EdgeKind,
@@ -14,6 +17,7 @@ from structkv.cpg import (
 )
 from structkv.errors import SchemaError, TokenRangeError, UnsupportedKindError
 from structkv.parsing import parse_subset
+from structkv.pipeline import index_corpus, load_corpus
 
 
 def graph(code):
@@ -157,3 +161,15 @@ class TestInterchange:
         _, chunk, _ = graph(CASES[0]["code"])
         empty = Cpg(nodes=(), edges=(), chunk_id=chunk.id)
         assert import_cpg_json(export_cpg_json(empty), chunk) == empty
+
+
+@pytest.mark.parametrize("package", ["json", "asyncio"])
+def test_builtin_graphs_round_trip_on_stdlib(package):
+    """Every chunk of real code parses, and its graph passes the interchange
+    checks: dense node ids, ranges inside the chunk, no PDG self-loops."""
+    corpus = load_corpus(Path(sysconfig.get_paths()["stdlib"]) / package)
+    index = index_corpus(corpus, ChunkConfig())
+    assert len(index.chunks) > 10
+    for chunk, toks in zip(index.chunks, index.tokens):
+        cpg = build_cpg(parse_subset(toks), chunk, toks)
+        assert import_cpg_json(export_cpg_json(cpg), chunk) == cpg

@@ -284,3 +284,14 @@ EDGE_ASTS = [
 def test_edge_case_ast(code, cut, expected):
     toks = tokenize(SourceFile("t.py", code))[cut:]
     assert repr(parse_subset(toks)) == expected
+
+
+@pytest.mark.parametrize(
+    "code", ["f(\nreturn  # c\n  y)\n", "f(\nif x: return  # c\n  y)\n"], ids=["line", "inline"]
+)
+def test_return_value_starts_at_its_first_significant_token(code):
+    # inside an unclosed bracket a comment can sit between "return" and its value
+    toks = tokenize(SourceFile("t.py", code))[2:]
+    stmt = parse_subset(toks).body[0]
+    ret = stmt.body[0] if isinstance(stmt, If) else stmt
+    assert isinstance(ret, Return) and toks[ret.value_span[0]].text == "y"
