@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plan_helpers import single_chunk
-from structkv.cpg import build_cpg
+from structkv.cpg import Cpg, CpgEdge, CpgNode, EdgeKind, NodeKind, build_cpg
 from structkv.errors import ConfigError
 from structkv.parsing import parse_subset
 from structkv.spans import (
@@ -132,6 +132,88 @@ class TestBuildSpans:
         assert any("alpha" in z.symbols for z in spans)
 
 
+# Ten lines "a<k> = b<k>\n": token i is on line i // 4 + 1, and the
+# identifiers are a<k> at 4k and b<k> at 4k + 2. A merged span's symbols are
+# the union of its members' windows, not of the tokens its range covers.
+TEN_LINES = "".join(f"a{k} = b{k}\n" for k in range(10))
+
+# (nodes as (kind, token_range), def-use pairs, code, SpanConfig fields, expected
+# candidates as (anchor, token_range, kinds, line_range, defuse, symbols))
+BUILD_ROWS = {
+    "node-at-start": (
+        [("assign", (0, 2))], [], TEN_LINES, {"min_span_tokens": 6},
+        [(0, (0, 6), "assign", (1, 2), False, "a0 b0 a1")],
+    ),
+    "node-at-end": (
+        [("call", (38, 40))], [], TEN_LINES, {"min_span_tokens": 6},
+        [(0, (34, 40), "call", (9, 10), False, "b8 a9 b9")],
+    ),
+    "odd-shortfall-extra-token-before": (
+        [("return", (13, 16))], [], TEN_LINES, {"min_span_tokens": 6},
+        [(0, (11, 17), "return", (3, 5), False, "a3 b3 a4")],
+    ),
+    "node-wider-than-minimum": (
+        [("control", (9, 19))], [], TEN_LINES, {"min_span_tokens": 6},
+        [(0, (9, 19), "control", (3, 5), False, "b2 a3 b3 a4 b4")],
+    ),
+    "chunk-shorter-than-minimum": (
+        [("call", (0, 1)), ("assign", (2, 3))], [], "a = go(x)\n", {},
+        [(0, (0, 7), "call", (1, 1), False, "a go x"),
+         (1, (0, 7), "assign", (1, 1), False, "a go x")],
+    ),
+    "merge-keeps-the-longer-end": (
+        [("assign", (8, 20)), ("assign", (12, 14)), ("call", (21, 22))], [(1, 2)],
+        TEN_LINES, {"min_span_tokens": 6},
+        [(0, (8, 20), "assign", (3, 5), True, "a2 b2 a3 b3 a4 b4"),
+         (2, (18, 24), "call", (5, 6), True, "b4 a5 b5")],
+    ),
+    "merge-chain-later-member-ends-first": (
+        [("assign", (8, 20)), ("assign", (12, 14)), ("assign", (24, 26))], [],
+        TEN_LINES, {"min_span_tokens": 6},
+        [(0, (8, 28), "assign", (3, 7), False, "a2 b2 a3 b3 a4 b4 b5 a6 b6")],
+    ),
+    "merge-needs-a-shared-kind": (
+        [("assign", (0, 2)), ("call", (2, 3)), ("call", (4, 6))], [],
+        TEN_LINES, {"min_span_tokens": 1},
+        [(0, (0, 2), "assign", (1, 1), False, "a0"),
+         (1, (2, 6), "call", (1, 2), False, "b0 a1")],
+    ),
+    "merge-gap-lines-zero": (
+        [("assign", (0, 2)), ("assign", (4, 6)), ("assign", (8, 9)), ("assign", (10, 11))],
+        [], TEN_LINES, {"min_span_tokens": 1, "merge_gap_lines": 0},
+        [(0, (0, 2), "assign", (1, 1), False, "a0"),
+         (1, (4, 6), "assign", (2, 2), False, "a1"),
+         (2, (8, 11), "assign", (3, 3), False, "a2 b2")],
+    ),
+    "merge-gap-lines-one": (
+        [("assign", (0, 2)), ("assign", (4, 6)), ("assign", (12, 14))],
+        [], TEN_LINES, {"min_span_tokens": 1},
+        [(0, (0, 6), "assign", (1, 2), False, "a0 a1"),
+         (2, (12, 14), "assign", (4, 4), False, "a3")],
+    ),
+}
+
+
+@pytest.mark.parametrize("row", BUILD_ROWS.values(), ids=BUILD_ROWS.keys())
+def test_build_spans_exact(row):
+    nodes, defuse, code, fields, expected = row
+    chunk, toks = single_chunk(code)
+    cpg = Cpg(
+        tuple(
+            CpgNode(i, NodeKind(kind), span, toks[span[0]].line, frozenset())
+            for i, (kind, span) in enumerate(nodes)
+        ),
+        tuple(CpgEdge(a, b, EdgeKind.PDG) for a, b in defuse),
+        chunk.id,
+    )
+    assert build_spans(cpg, SpanConfig(**fields), toks) == [
+        StructuralSpan(
+            anchor, span, frozenset(kinds.split()), frozenset(symbols.split()), lines, du
+        )
+        for anchor, span, kinds, lines, du, symbols in expected
+    ]
+
+
 class TestScoreSpan:
     def test_bare_span_scores_zero(self):
         assert score_span(mkspan(0, 4, kinds=()), SpanConfig()) == 0.0
@@ -254,6 +336,58 @@ class TestSelectSpans:
             small_protected = {s.index for s in small if s.stage == 1}
             large_protected = {s.index for s in large if s.stage == 1}
             assert small_protected <= large_protected
+
+
+def three_pass_packing(spans, scores, protections, b_span):
+    """Span packing as first written: query hits, then signatures, each in
+    (token range, index) order, then the rest by (-score, token range,
+    index), retrying every span an earlier pass could not fit."""
+    covered, taken, out = set(), set(), []
+    remaining = b_span
+
+    def try_take(i, stage):
+        nonlocal remaining
+        fresh = set(range(*spans[i].token_range)) - covered
+        if len(fresh) <= remaining:
+            covered.update(fresh)
+            remaining -= len(fresh)
+            taken.add(i)
+            out.append((i, stage))
+
+    order = sorted(range(len(spans)), key=lambda i: (spans[i].token_range, i))
+    for i in order:
+        if protections[i]:
+            try_take(i, 1)
+    for i in order:
+        if i not in taken and "signature" in spans[i].indicators:
+            try_take(i, 1)
+    rest = [i for i in range(len(spans)) if i not in taken]
+    for i in sorted(rest, key=lambda i: (-scores[i], spans[i].token_range, i)):
+        try_take(i, 2)
+    return out
+
+
+@st.composite
+def packing_cases(draw):
+    # few starts, widths and scores, so equal ranges and score ties are common
+    n = draw(st.integers(0, 10))
+    spans = [
+        mkspan(
+            start, start + draw(st.sampled_from([1, 2, 5, 8, 16, 30])),
+            kinds=draw(st.sampled_from([("call",), ("signature",), ("signature", "call")])),
+        )
+        for start in draw(st.lists(st.sampled_from([0, 3, 8, 10, 20, 40]), min_size=n, max_size=n))
+    ]
+    scores = draw(st.lists(st.sampled_from([0.0, 0.2, 0.38]), min_size=n, max_size=n))
+    protections = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    return spans, scores, protections, draw(st.integers(0, 70))
+
+
+@given(packing_cases())
+@settings(max_examples=500, deadline=None)
+def test_select_spans_matches_the_three_pass_rule(case):
+    out = select_spans(*case)
+    assert [(s.index, s.stage) for s in out] == three_pass_packing(*case)
 
 
 def padded_by_rule(selected, b, length):
