@@ -87,6 +87,15 @@ class MockAttentionBackend:
         return AttentionWindow(q_block=q, k_block=k, layer=layer)
 
 
+def _number_matrix(rows: object) -> np.ndarray:
+    """Nested JSON arrays of numbers as float64; a string, a boolean or a
+    ragged row raises ValueError instead of being coerced."""
+    cells = np.asarray(rows, dtype=object)
+    if not all(type(v) in (int, float) for v in cells.flat):  # bool is an int subclass
+        raise ValueError("attention blocks must hold only JSON numbers")
+    return cells.astype(np.float64)
+
+
 class HttpAttentionBackend(HttpClient):
     """Fetches Q/K blocks through the POST /attention wire contract."""
 
@@ -94,8 +103,7 @@ class HttpAttentionBackend(HttpClient):
         payload = {"chunk_id": chunk_id, "layer": layer}
         try:
             doc = self._post("/attention", payload)
-            q = np.asarray(doc["q"], dtype=np.float64)
-            k = np.asarray(doc["k"], dtype=np.float64)
+            q, k = _number_matrix(doc["q"]), _number_matrix(doc["k"])
             if k.ndim != 2 or k.shape[0] != length:
                 raise ValueError(
                     f"backend returned {k.shape[0] if k.ndim == 2 else '?'} key rows "

@@ -3,8 +3,8 @@
 The graph has one node per structural event (function signature, call
 expression, branch predicate, return, assignment) and two edge families:
 control-flow edges chaining consecutive statements plus branch entries and
-exits, and def-use edges from an intra-procedural reaching-definitions
-fixpoint over that statement CFG.
+exits, and def-use edges from each use back along that statement CFG to
+the definitions that reach it, within one function or the module.
 
 A JSON interchange path mirrors the builder so externally produced graphs
 can stand in for the built-in analysis on files outside the subset.
@@ -291,33 +291,25 @@ class _Builder:
             self._solve_scope(scope)
 
     def _solve_scope(self, scope: _Scope) -> None:
-        preds: dict[int, list[int]] = defaultdict(list)
+        """Def-use edges: from each use of a symbol, walk back along CFG
+        predecessors to the nearest definitions of it on every path; a path
+        that reaches the scope's entry undefined links the entry definition."""
+        preds: dict[int, set[int]] = defaultdict(set)
         for a, b in scope.edges:
-            if a not in preds[b]:
-                preds[b].append(a)
-        entry_facts = {(nid, sym) for sym, nid in scope.entry_defs.items()}
-        gen = {n: {(n, s) for s in scope.defs[n]} for n in scope.order}
-        out: dict[int, set[tuple[int, str]]] = {n: set(gen[n]) for n in scope.order}
-        in_: dict[int, set[tuple[int, str]]] = {n: set() for n in scope.order}
-        changed = True
-        while changed:
-            changed = False
-            for n in scope.order:
-                new_in: set[tuple[int, str]] = set()
-                if n in scope.entry_nodes:
-                    new_in |= entry_facts
-                for p in preds[n]:
-                    new_in |= out[p]
-                killed = scope.defs[n]
-                new_out = gen[n] | {f for f in new_in if f[1] not in killed}
-                if new_in != in_[n] or new_out != out[n]:
-                    in_[n] = new_in
-                    out[n] = new_out
-                    changed = True
+            preds[b].add(a)
         for n in scope.order:
-            for src, sym in in_[n]:
-                if sym in scope.uses[n] and src != n:
-                    self.pdg_edges.add((src, n))
+            for sym in scope.uses[n]:
+                seen, stack = {n}, [n]  # n starts seen: a loop back to n adds no self-edge
+                while stack:
+                    m = stack.pop()
+                    if m in scope.entry_nodes and sym in scope.entry_defs:
+                        self.pdg_edges.add((scope.entry_defs[sym], n))
+                    for p in preds[m] - seen:
+                        seen.add(p)
+                        if sym in scope.defs[p]:
+                            self.pdg_edges.add((p, n))
+                        else:
+                            stack.append(p)
 
 
 # -- JSON interchange ---------------------------------------------------------

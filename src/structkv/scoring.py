@@ -135,8 +135,10 @@ class HttpScorer(HttpClient):
             "chunk": [t.text for t in chunk_tokens],
             "query": [t.text for t in query],
         }
-        doc = self._post("/score_ppl", payload)
-        return float(doc["nll_mean"])
+        value = self._post("/score_ppl", payload)["nll_mean"]
+        if type(value) not in (int, float):  # a JSON number; bool is an int subclass
+            raise ValueError(f"nll_mean must be a JSON number, got {value!r}")
+        return float(value)
 
 
 def score_chunk(

@@ -1,12 +1,13 @@
 """Span-level protection: carve structural spans out of a chunk, rank them,
-hard-protect query-relevant ones, pack them under the span budget, and turn
+pack them under the span budget (query hits and signatures first), and turn
 the survivors into a protected token set that fills the chunk budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,10 +66,9 @@ class StructuralSpan:
         return self.token_range[1] - self.token_range[0]
 
 
-@dataclass(frozen=True)
-class SpanSelection:
+class SpanSelection(NamedTuple):
     index: int  # position in the candidate list
-    stage: int  # 1 = hard-protected, 2 = score-ranked
+    stage: int  # 1 = query hit or signature, 2 = score-ranked
 
 
 def protect_chunk(
@@ -103,8 +103,6 @@ def build_spans(cpg: Cpg, cfg: SpanConfig, tokens: list[Token]) -> list[Structur
     """One candidate per graph node, widened to the minimum span size and
     merged with near neighbors that share a structural indicator."""
     length = len(tokens)
-    if length == 0:
-        return []
     defuse_nodes = {
         nid
         for e in cpg.edges
@@ -114,7 +112,12 @@ def build_spans(cpg: Cpg, cfg: SpanConfig, tokens: list[Token]) -> list[Structur
     names = [t.text if t.kind is TokenKind.IDENTIFIER else None for t in tokens]
     candidates = []
     for node in cpg.nodes:
-        start, end = _widen(node.token_range, cfg.min_span_tokens, length)
+        start, end = node.token_range
+        # Widen to the minimum (the preceding side gets the odd token), then
+        # shift the window back inside the chunk.
+        width = min(length, max(end - start, cfg.min_span_tokens))
+        start = min(max(start - (width - (end - start) + 1) // 2, 0), length - width)
+        end = start + width
         candidates.append(
             StructuralSpan(
                 anchor_node=node.id,
@@ -126,57 +129,28 @@ def build_spans(cpg: Cpg, cfg: SpanConfig, tokens: list[Token]) -> list[Structur
             )
         )
     candidates.sort(key=lambda z: (z.token_range, z.anchor_node))
-    return _merge_spans(candidates, cfg.merge_gap_lines)
-
-
-def _widen(span: tuple[int, int], min_tokens: int, length: int) -> tuple[int, int]:
-    start, end = span
-    need = min_tokens - (end - start)
-    if need > 0:
-        left = (need + 1) // 2  # preceding context gets the odd token
-        start -= left
-        end += need - left
-    if start < 0:
-        end -= start
-        start = 0
-    if end > length:
-        start -= end - length
-        end = length
-    return (max(0, start), end)
-
-
-def _merge_spans(spans: list[StructuralSpan], gap_lines: int) -> list[StructuralSpan]:
-    merged: list[StructuralSpan] = []
-    for span in spans:
-        if merged:
-            prev = merged[-1]
-            gap = span.line_range[0] - prev.line_range[1]
-            if gap <= gap_lines and (prev.indicators & span.indicators):
-                merged[-1] = StructuralSpan(
-                    anchor_node=prev.anchor_node,
-                    token_range=(
-                        prev.token_range[0],
-                        max(prev.token_range[1], span.token_range[1]),
-                    ),
-                    indicators=prev.indicators | span.indicators,
-                    symbols=prev.symbols | span.symbols,
-                    line_range=(
-                        prev.line_range[0],
-                        max(prev.line_range[1], span.line_range[1]),
-                    ),
-                    participates_defuse=prev.participates_defuse or span.participates_defuse,
-                )
-                continue
-        merged.append(span)
+    merged = candidates[:1]
+    for z in candidates[1:]:
+        prev = merged[-1]
+        gap = z.line_range[0] - prev.line_range[1]
+        if gap > cfg.merge_gap_lines or not prev.indicators & z.indicators:
+            merged.append(z)
+        else:
+            merged[-1] = replace(
+                prev,
+                token_range=(prev.token_range[0], max(prev.token_range[1], z.token_range[1])),
+                indicators=prev.indicators | z.indicators,
+                symbols=prev.symbols | z.symbols,
+                line_range=(prev.line_range[0], max(prev.line_range[1], z.line_range[1])),
+                participates_defuse=prev.participates_defuse or z.participates_defuse,
+            )
     return merged
 
 
 def score_span(z: StructuralSpan, cfg: SpanConfig, query_hit: int = 0) -> float:
     w = cfg.weights
-    total = sum(w[kind] for kind in z.indicators)
-    if z.participates_defuse:
-        total += w["defuse"]
-    return total + w["query"] * query_hit
+    defuse = ("defuse",) if z.participates_defuse else ()
+    return sum(w[kind] for kind in (*z.indicators, *defuse)) + w["query"] * query_hit
 
 
 def query_protection(z: StructuralSpan, query_syms: frozenset[str]) -> int:
@@ -195,39 +169,35 @@ def select_spans(
     protections: list[int],
     b_span: int,
 ) -> list[SpanSelection]:
-    """Two-stage greedy packing under the span budget.
+    """Greedy packing under the span budget, one attempt per span.
 
-    Stage 1 takes hard-protected spans: query-matched spans first, then
-    signatures, each in chunk order. Stage 2 ranks the rest by score.
-    A span is taken only when its not-yet-covered width still fits, so
-    overlapping tokens are charged once.
+    Stage 1 offers the query hits, then the signatures, each in chunk order
+    (token range, then index); stage 2 offers the rest by descending score.
+    A span is taken when its not-yet-covered width fits in what is left of
+    ``b_span``, so overlapping tokens are charged once.
     """
-    covered: set[int] = set()
-    remaining = b_span
-    taken: set[int] = set()
-    out: list[SpanSelection] = []
 
-    def try_take(i: int, stage: int) -> None:
-        nonlocal remaining
-        fresh = set(range(*spans[i].token_range)) - covered
-        if len(fresh) <= remaining:
-            covered.update(fresh)
-            remaining -= len(fresh)
-            taken.add(i)
-            out.append(SpanSelection(i, stage))
-
-    order = sorted(range(len(spans)), key=lambda i: (spans[i].token_range, i))
-    for i in order:
+    def priority(i: int) -> tuple:
+        z = spans[i]
         if protections[i]:
-            try_take(i, stage=1)
-    for i in order:
-        if i not in taken and "signature" in spans[i].indicators:
-            try_take(i, stage=1)
-    for i in sorted(
-        (i for i in range(len(spans)) if i not in taken),
-        key=lambda i: (-scores[i], spans[i].token_range, i),
-    ):
-        try_take(i, stage=2)
+            return (0, z.token_range, i)
+        if "signature" in z.indicators:
+            return (1, z.token_range, i)
+        return (2, -scores[i], z.token_range, i)
+
+    # A span that does not fit never fits later, so it is offered once:
+    # every later take lowers `remaining` by its whole uncovered width, which
+    # is at least what it covers of the span that did not fit.
+    covered = np.zeros(max((z.token_range[1] for z in spans), default=0), dtype=bool)
+    remaining = b_span
+    out: list[SpanSelection] = []
+    for key in sorted(map(priority, range(len(spans)))):
+        start, end = spans[key[-1]].token_range
+        fresh = end - start - np.count_nonzero(covered[start:end])
+        if fresh <= remaining:
+            covered[start:end] = True
+            remaining -= fresh
+            out.append(SpanSelection(key[-1], 2 if key[0] == 2 else 1))
     return out
 
 
@@ -239,15 +209,12 @@ def protect_tokens(selected: list[StructuralSpan], b: int, length: int) -> list[
     filled with the tokens nearest the protected region. When the union
     overflows, its first ``b`` indices in sequence order are kept.
     """
-    protected: set[int] = set()
+    mask = np.zeros(length, dtype=bool)
     for span in selected:
-        protected.update(range(*span.token_range))
-    ordered = sorted(protected)
-    if len(ordered) >= b:
-        return ordered[:b]
-    if not ordered:
-        return []
-    pts = np.array(ordered)
+        mask[slice(*span.token_range)] = True
+    pts = np.flatnonzero(mask)
+    if len(pts) >= b or not len(pts):
+        return pts[:b].tolist()
     at = np.arange(length)
     pos = np.searchsorted(pts, at)  # how many protected indices lie below each token
     far = 2 * length  # a sentinel farther from every token than any index

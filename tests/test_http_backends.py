@@ -193,6 +193,8 @@ class TestWireDecoding:
         "nan": b'{"q": [[NaN, 1.0, 2.0]], "k": [[1.0, 2.0, 3.0]], "nll_mean": NaN}',
         "infinity": b'{"q": [[Infinity, 1.0, 2.0]], "k": [[1.0, 2.0, 3.0]], "nll_mean": Infinity}',
         "not-utf8": b'{"q": [[1.0, 2.0, 3.0]], "k": [[1.0, 2.0, 3.0]], "nll_mean": "\xff"}',
+        "string-numbers": b'{"q": [["1.0", "2.0", "3.0"]], "k": [["1", "2", "3"]], "nll_mean": "0.5"}',
+        "booleans": b'{"q": [[1.0, true, 2.0]], "k": [[1.0, 2.0, 3.0]], "nll_mean": true}',
     }
 
     @pytest.mark.parametrize("body", BAD_BODIES.values(), ids=BAD_BODIES.keys())

@@ -82,3 +82,15 @@ def test_trace_targets_resolve(monkeypatch):
             obj = getattr(obj, part, None)
         assert callable(obj), f"{target.span}: {target.module}:{target.attr} is gone"
     assert len(TARGETS) > 20  # the tracer's table was read
+
+
+def test_source_lines_fit_in_100_columns():
+    """Net source lines measure simplicity, so no line is cut by cramming two
+    into one: every line of the package stays within 100 columns."""
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in sorted((ROOT / "src" / "structkv").glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert not long_lines, f"lines over 100 columns: {long_lines}"
