@@ -28,6 +28,9 @@ class AllocationConfig:
             )
         if self.capacity_ratio > self.capacity_ratio_max:
             raise ConfigError("capacity_ratio must not exceed capacity_ratio_max")
+        for name in ("multiplier_min", "multiplier_max", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.multiplier_min <= self.multiplier_max):
             raise ConfigError(
                 "multipliers must satisfy 0 < min <= max, got "

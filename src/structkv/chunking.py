@@ -1,11 +1,27 @@
 """Structure-aware partitioning of token streams into chunks.
 
-Chunks follow function boundaries where possible: each top-level function
-(with the blank and comment lines leading into it) becomes a unit, and the
-statements between functions form interstitial units.  Units longer than
-the target size are split greedily at the last statement start that still
-fits, and fragments shorter than the minimum are merged forward (backward
-at end of file).
+A file's chunks are the runs between consecutive entries of one ascending
+list of token cuts, built in three steps:
+
+1. Unit bounds. Each top-level ``def`` line (a ``def`` keyword at the file's
+   smallest indent) starts a unit at the end of the last statement line
+   before it, so the blank and comment lines leading into it belong to it.
+   The unit ends after the last deeper line of its body; blank and comment
+   lines after that lead into whatever follows. The statements between
+   functions form the units in between. A top-level decorator line is
+   such a statement, so it ends the unit before its ``def``, and
+   ``async def`` starts no unit; class and method bodies are cut by size
+   alone.
+2. Splits. While the rest of a unit is longer than ``target_chunk_tokens``,
+   a cut goes at the last statement start within the target. When there is
+   none, the next statement is taken whole, but a piece never grows past
+   ``max_chunk_tokens``: there it is cut mid-statement.
+3. Merges. From the first piece on, a piece shorter than
+   ``min_chunk_tokens`` loses the cut after it (merges forward) if the
+   result stays within ``max_chunk_tokens``, else the cut before it (merges
+   backward) on the same condition, and the merged piece is checked again.
+   A short piece boxed in by the maximum on both sides stays, as does a
+   file's only piece.
 """
 
 from __future__ import annotations
@@ -14,7 +30,7 @@ import bisect
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .lexer import LogicalLine, SourceFile, Token, TokenKind, logical_lines
+from .lexer import SourceFile, Token, TokenKind, logical_lines
 
 
 @dataclass(frozen=True)
@@ -50,124 +66,58 @@ def partition_chunks(
     """Partition a file's tokens into chunks; every token lands in exactly one."""
     if not tokens:
         return []
-    lines = logical_lines(tokens)
-    units = _function_units(tokens, lines)
+    statements = [ln for ln in logical_lines(tokens) if not ln.blank]
+    top = min((ln.indent_col for ln in statements), default=0)
+    bounds = []  # token positions where a top-level function's unit starts or ends
+    line_end = 0  # end of the last statement line so far
+    in_def = False
+    for ln in statements:
+        if ln.indent_col == top:
+            tok = tokens[ln.sig_start]
+            is_def = tok.kind is TokenKind.KEYWORD and tok.text == "def"
+            if in_def or is_def:
+                bounds.append(line_end)
+            in_def = is_def
+        line_end = ln.end
+    if in_def:
+        bounds.append(line_end)
+    bounds.append(len(tokens))
 
-    boundaries = [ln.start for ln in lines if not ln.blank]
-    fragments: list[tuple[int, int]] = []
-    for ustart, uend in units:
-        fragments.extend(_split_unit(ustart, uend, boundaries, cfg))
-    fragments = _merge_short(fragments, cfg)
+    starts = [ln.start for ln in statements]
+    cuts = [0]
+    for end in bounds:
+        pos = cuts[-1]
+        while end - pos > cfg.target_chunk_tokens:
+            i = bisect.bisect_right(starts, pos + cfg.target_chunk_tokens)
+            if i and starts[i - 1] > pos:
+                cut = starts[i - 1]  # last statement start within target
+            else:
+                cut = starts[i] if i < len(starts) else end  # oversized statement
+            pos = min(cut, end, pos + cfg.max_chunk_tokens)
+            cuts.append(pos)
+        if pos < end:
+            cuts.append(end)
 
-    chunks = []
-    for offset, (s, e) in enumerate(fragments):
-        chunks.append(
-            Chunk(
-                id=start_id + offset,
-                file=file.path,
-                token_range=(s, e),
-                line_range=(tokens[s].line, tokens[e - 1].line),
-                length=e - s,
-            )
-        )
-    return chunks
-
-
-def _function_units(tokens: list[Token], lines: list[LogicalLine]) -> list[tuple[int, int]]:
-    """Token ranges of top-level functions and the statement runs between them."""
-    sig_lines = [ln for ln in lines if not ln.blank]
-    if not sig_lines:
-        return [(lines[0].start, lines[-1].end)]
-    top_col = min(ln.indent_col for ln in sig_lines)
-
-    def is_def(ln: LogicalLine) -> bool:
-        tok = tokens[ln.sig_start]
-        return (
-            ln.indent_col == top_col
-            and tok.kind is TokenKind.KEYWORD
-            and tok.text == "def"
-        )
-
-    regions: list[tuple[int, int]] = []  # inclusive line-index ranges of functions
-    i = 0
-    while i < len(lines):
-        ln = lines[i]
-        if not ln.blank and is_def(ln):
-            last_body = i
-            j = i + 1
-            while j < len(lines):
-                nxt = lines[j]
-                if nxt.blank:
-                    j += 1
-                    continue
-                if nxt.indent_col > top_col:
-                    last_body = j
-                    j += 1
-                    continue
-                break
-            regions.append((i, last_body))
-            i = last_body + 1
+    i = 0  # piece i runs from cuts[i] to cuts[i + 1]
+    while i + 1 < len(cuts):
+        lo, hi = cuts[i], cuts[i + 1]
+        if hi - lo >= cfg.min_chunk_tokens or len(cuts) == 2:
+            i += 1
+        elif i + 2 < len(cuts) and cuts[i + 2] - lo <= cfg.max_chunk_tokens:
+            del cuts[i + 1]
+        elif i > 0 and hi - cuts[i - 1] <= cfg.max_chunk_tokens:
+            del cuts[i]
+            i -= 1
         else:
             i += 1
 
-    units: list[tuple[int, int]] = []
-    cursor = 0
-    for s, e in regions:
-        lead = s
-        while lead > cursor and lines[lead - 1].blank:
-            lead -= 1
-        if cursor < lead:
-            units.append((lines[cursor].start, lines[lead - 1].end))
-        units.append((lines[lead].start, lines[e].end))
-        cursor = e + 1
-    if cursor < len(lines):
-        units.append((lines[cursor].start, lines[-1].end))
-    return units
-
-
-def _split_unit(
-    start: int, end: int, boundaries: list[int], cfg: ChunkConfig
-) -> list[tuple[int, int]]:
-    target = cfg.target_chunk_tokens
-    out = []
-    pos = start
-    while end - pos > target:
-        lo = bisect.bisect_right(boundaries, pos)
-        hi = bisect.bisect_right(boundaries, pos + target)
-        if hi > lo:
-            cut = boundaries[hi - 1]  # last statement start within target
-        elif lo < len(boundaries) and boundaries[lo] < end:
-            cut = boundaries[lo]  # oversized statement: take it whole
-        else:
-            cut = end
-        if cut - pos > cfg.max_chunk_tokens:
-            cut = pos + cfg.max_chunk_tokens  # hard cap mid-statement
-        out.append((pos, cut))
-        pos = cut
-    out.append((pos, end))
-    return out
-
-
-def _merge_short(frags: list[tuple[int, int]], cfg: ChunkConfig) -> list[tuple[int, int]]:
-    frags = list(frags)
-    i = 0
-    while i < len(frags):
-        size = frags[i][1] - frags[i][0]
-        if size >= cfg.min_chunk_tokens or len(frags) == 1:
-            i += 1
-            continue
-        if i + 1 < len(frags):
-            nxt = frags[i + 1][1] - frags[i + 1][0]
-            if size + nxt <= cfg.max_chunk_tokens:
-                frags[i] = (frags[i][0], frags[i + 1][1])
-                del frags[i + 1]
-                continue
-        if i > 0:
-            prev = frags[i - 1][1] - frags[i - 1][0]
-            if size + prev <= cfg.max_chunk_tokens:
-                frags[i - 1] = (frags[i - 1][0], frags[i][1])
-                del frags[i]
-                i -= 1
-                continue
-        i += 1  # boxed in by the max cap; keep the short fragment
-    return frags
+    return [
+        Chunk(
+            id=start_id + offset,
+            file=file.path,
+            token_range=(s, e),
+            line_range=(tokens[s].line, tokens[e - 1].line),
+            length=e - s,
+        )
+        for offset, (s, e) in enumerate(zip(cuts, cuts[1:]))
+    ]

@@ -326,9 +326,12 @@ def export_cpg_json(cpg: Cpg) -> str:
     return canonical_json(_sorted(cpg))
 
 
-def import_cpg_json(document: bytes | str, chunk: Chunk) -> Cpg:
-    """Parse and validate an interchange document against its chunk."""
-    cpg = _sorted(read_record(Cpg, decode_json(document, "graph"), "graph"))
+def import_cpg_json(document: bytes | str | Cpg, chunk: Chunk) -> Cpg:
+    """Validate an interchange document, as JSON text or as the record read
+    from it, against its chunk."""
+    if not isinstance(document, Cpg):
+        document = read_record(Cpg, decode_json(document, "graph"), "graph")
+    cpg = _sorted(document)
     if cpg.chunk_id != chunk.id:
         raise SchemaError(f"chunk_id {cpg.chunk_id} does not match target chunk {chunk.id}")
     if [n.id for n in cpg.nodes] != list(range(len(cpg.nodes))):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -46,7 +45,7 @@ from .errors import ConfigError, ParameterError, SchemaError
 from .lexer import SourceFile, Token, load_source, tokenize
 from .metrics import RetentionReport
 from .parsing import parse_subset
-from .plan import ChunkPlan, CompressionPlan, LayerPlan, decode_json
+from .plan import ChunkPlan, CompressionPlan, LayerPlan, decode_json, read_record
 
 
 def query_position(prefix_len: int, chunk_lengths: Sequence[int]) -> int:
@@ -95,7 +94,7 @@ def index_corpus(files: Sequence[SourceFile], chunking: ChunkConfig) -> CorpusIn
     return CorpusIndex(tuple(chunks), tuple(tokens))
 
 
-def chunk_graph(chunk: Chunk, tokens: list[Token], document: str | bytes | None = None) -> Cpg:
+def chunk_graph(chunk: Chunk, tokens: list[Token], document: Cpg | None = None) -> Cpg:
     """A chunk's property graph: the external document when there is one,
     else the built-in analyzer's over the chunk's tokens. A document with no
     nodes asks for attention-only treatment."""
@@ -116,19 +115,20 @@ def _selected_graphs(
     selected: Sequence[Chunk],
     index: CorpusIndex,
     corpus: Sequence[SourceFile],
-    docs: dict[int, str | bytes],
+    imported: dict[int, Cpg],
 ) -> dict[int, Cpg]:
-    """Each selected chunk's graph by id. A built-in graph comes from the
-    last plan's memo when its key is there and is built otherwise; the memo
-    then holds this plan's built-in graphs only."""
+    """Each selected chunk's graph by id: the imported one when there is
+    one, else the built-in one. A built-in graph comes from the last plan's
+    memo when its key is there and is built otherwise; the memo then holds
+    this plan's built-in graphs only."""
     global _GRAPHS
     previous, current = _GRAPHS, {}
     texts = {f.path: f.content for f in corpus}
     digests: dict[str, bytes] = {}
     cpgs: dict[int, Cpg] = {}
     for c in selected:
-        if c.id in docs:
-            cpgs[c.id] = chunk_graph(c, index.tokens[c.id], docs[c.id])
+        if c.id in imported:
+            cpgs[c.id] = imported[c.id]
             continue
         if c.file not in digests:
             text = texts[c.file].encode("utf-8", "surrogatepass")
@@ -184,12 +184,14 @@ def run_pipeline(
     corpus: Sequence[SourceFile],
     query: str | Sequence[Token],
     cfg: PipelineConfig,
-    external_cpgs: dict[int, str | bytes] | None = None,
+    external_cpgs: dict[int, str | bytes | Cpg] | None = None,
 ) -> tuple[CompressionPlan, RetentionReport]:
     """Produce a compression plan and its retention report.
 
     ``external_cpgs`` maps chunk ids to interchange documents; chunks with
-    a document use it instead of the built-in analyzer. Runs with the cyclic
+    a document use it instead of the built-in analyzer. Every document is
+    checked against its chunk before the first score request, so a bad one
+    fails the plan whether or not its chunk is selected. Runs with the cyclic
     garbage collector paused, and leaves it on or off as it found it.
     """
     enabled = gc.isenabled()
@@ -205,7 +207,7 @@ def _plan(
     corpus: Sequence[SourceFile],
     query: str | Sequence[Token],
     cfg: PipelineConfig,
-    external_cpgs: dict[int, str | bytes] | None,
+    external_cpgs: dict[int, str | bytes | Cpg] | None,
 ) -> tuple[CompressionPlan, RetentionReport]:
     query_tokens, prefix_tokens = context_tokens(query, cfg)
     prefix_len = len(prefix_tokens)
@@ -213,11 +215,12 @@ def _plan(
     docs = external_cpgs or {}
     if unknown := sorted(set(docs) - set(range(len(index.chunks)))):
         raise SchemaError(f"graph documents for chunk ids the corpus lacks: {unknown}")
+    imported = {cid: import_cpg_json(doc, index.chunks[cid]) for cid, doc in sorted(docs.items())}
     scores, selected_ids = score_chunks(index, query_tokens, prefix_tokens, cfg)
     ppl_by_id = dict(scores)
     selected = [index.chunks[cid] for cid in selected_ids]
 
-    cpgs = _selected_graphs(selected, index, corpus, docs)
+    cpgs = _selected_graphs(selected, index, corpus, imported)
 
     sigmas = [scoring.structural_score(scoring.extract_features(cpgs[c.id])) for c in selected]
     normalized = alloc.normalize_scores(sigmas, cfg.allocation) if sigmas else []
@@ -302,24 +305,22 @@ def _make_attention_backend(cfg: PipelineConfig):
     )
 
 
-def load_external_cpgs(path: str | Path) -> dict[int, str]:
+def load_external_cpgs(path: str | Path) -> dict[int, Cpg]:
     """Read a sidecar file of interchange documents keyed by chunk id.
 
     The file holds a JSON array of per-chunk documents (the same schema
     the exporter emits); each document's chunk_id must match a chunk id
-    produced by the `chunk` stage under the same chunking config.
+    produced by the `chunk` stage under the same chunking config. Each
+    document's fields are typed here; :func:`run_pipeline` checks it
+    against its chunk.
     """
     try:
-        doc = decode_json(Path(path).read_bytes(), str(path))
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(doc, list):
-        raise SchemaError(f"{path}: expected a JSON array of graph documents")
-    out: dict[int, str] = {}
-    for item in doc:
-        if not isinstance(item, dict) or not isinstance(item.get("chunk_id"), int):
-            raise SchemaError(f"{path}: every document needs an integer chunk_id")
-        if item["chunk_id"] in out:
-            raise SchemaError(f"{path}: more than one document for chunk_id {item['chunk_id']}")
-        out[item["chunk_id"]] = json.dumps(item)
+    out: dict[int, Cpg] = {}
+    for cpg in read_record(tuple[Cpg, ...], decode_json(data, str(path)), str(path)):
+        if cpg.chunk_id in out:
+            raise SchemaError(f"{path}: more than one document for chunk_id {cpg.chunk_id}")
+        out[cpg.chunk_id] = cpg
     return out

@@ -48,8 +48,8 @@ class SpanConfig:
         for key in DEFAULT_SPAN_WEIGHTS:
             if key not in self.weights:
                 raise ConfigError(f"missing span weight {key!r}")
-            if not self.weights[key] >= 0:
-                raise ConfigError(f"span weight {key!r} must be non-negative")
+            if not (math.isfinite(self.weights[key]) and self.weights[key] >= 0):
+                raise ConfigError(f"span weight {key!r} must be finite and non-negative")
 
 
 @dataclass(frozen=True)

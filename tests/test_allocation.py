@@ -35,6 +35,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg(epsilon=float("nan"))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["multiplier_min", "multiplier_max", "epsilon"])
+    def test_non_finite_float_rejected(self, field, value):
+        # an infinite multiplier_max made multiplier(0.0) = 0.5 + inf * 0 = nan
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            cfg(**{field: value})
+
 
 class TestNormalizeScores:
     def test_flat_profile_maps_to_half(self):

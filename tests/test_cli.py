@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from structkv import scoring
 from structkv.cli import _build_parser, main
 from structkv.config import PipelineConfig
 from structkv.errors import ConfigError, SchemaError
@@ -240,6 +241,49 @@ class TestCompressCommand:
             ) == 0
             prints.add(read_json(out / "plan.json")["config_fingerprint"])
         assert len(prints) == 2
+
+    @pytest.mark.parametrize(
+        "document, error",
+        [
+            ({"chunk_id": 1, "nodes": [{"id": 0}], "edges": []}, "SchemaError"),
+            (
+                {
+                    "chunk_id": 1,
+                    "nodes": [
+                        {"id": 0, "kind": "call", "token_range": [0, 999], "line": 1, "symbols": []}
+                    ],
+                    "edges": [],
+                },
+                "TokenRangeError",
+            ),
+            ({"chunk_id": 1, "nodes": [], "edges": [{"src": 0, "dst": 1, "kind": "cfg"}]},
+             "SchemaError"),
+        ],
+        ids=["malformed", "token-range-outside-chunk", "edge-to-unknown-node"],
+    )
+    def test_bad_sidecar_document_fails_before_any_score_call(
+        self, corpus_dir, config_file, tmp_path, capsys, monkeypatch, document, error
+    ):
+        # the document is for beta's chunk 1, which k=1 leaves unselected
+        calls = []
+        score_chunk = scoring.score_chunk
+        monkeypatch.setattr(scoring, "score_chunk", lambda *a: calls.append(a) or score_chunk(*a))
+        sidecar = tmp_path / "cpgs.json"
+        cfg = tmp_path / "sidecar.json"
+        cfg.write_text(json.dumps({**read_json(config_file), "external_cpg_file": str(sidecar)}))
+        args = ["compress", "--config", str(cfg), "--k", "1"]
+
+        sidecar.write_text(json.dumps([{"chunk_id": 1, "nodes": [], "edges": []}]))
+        assert main([*args, "--out", str(tmp_path / "good")]) == 0
+        assert [c["chunk_id"] for c in read_json(tmp_path / "good" / "plan.json")["chunks"]] == [0]
+        assert len(calls) == 2
+        calls.clear()
+
+        sidecar.write_text(json.dumps([document]))
+        assert main([*args, "--out", str(tmp_path / "bad")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == error
+        assert calls == []
+        assert not (tmp_path / "bad" / "plan.json").exists()
 
 
 class TestEvaluateCommand:

@@ -80,6 +80,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'call'"):
             SpanConfig(weights={**DEFAULT_SPAN_WEIGHTS, "call": float("nan")})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("key", ["query", "defuse"])
+    def test_non_finite_weight_rejected(self, key, value):
+        # an infinite query weight made score_span inf * 0 = nan for spans
+        # missing the query
+        with pytest.raises(ConfigError, match=f"span weight '{key}' must be finite"):
+            SpanConfig(weights={**DEFAULT_SPAN_WEIGHTS, key: value})
+
 
 class TestBuildSpans:
     def test_empty_graph_yields_no_spans(self):
