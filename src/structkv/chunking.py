@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ConfigError
 from .lexer import SourceFile, Token, TokenKind, logical_lines
@@ -111,10 +112,18 @@ def partition_chunks(
         else:
             i += 1
 
+    return chunks_between(file.path, tokens, cuts, start_id)
+
+
+def chunks_between(
+    path: str, tokens: list[Token], cuts: Sequence[int], start_id: int = 0
+) -> list[Chunk]:
+    """The chunks between consecutive entries of ascending token ``cuts``,
+    numbered from ``start_id``."""
     return [
         Chunk(
             id=start_id + offset,
-            file=file.path,
+            file=path,
             token_range=(s, e),
             line_range=(tokens[s].line, tokens[e - 1].line),
             length=e - s,

@@ -18,10 +18,13 @@ from __future__ import annotations
 import io
 import re
 import tokenize as py_tokenize
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, repeat
+from operator import add, sub
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import EncodingError
 
@@ -172,6 +175,68 @@ def tokenize(source: SourceFile) -> list[Token]:
             line_start = pos + tok.rfind("\n") + 1
         pos = end
     return tokens
+
+
+class PackedTokens(NamedTuple):
+    """A file's tokens as typed arrays, without their texts: each text is
+    sliced from the file's content again when the tokens are unpacked.
+    Each array has the smallest unsigned type that holds its values."""
+
+    starts: array  # character index of each token in the content
+    lengths: array  # in characters
+    byte_offsets: array | None  # None: an ASCII file, where they are ``starts``
+    lines: array
+    columns: array
+    kinds: bytes  # index into ``_KIND_ORDER``
+
+
+_KIND_ORDER = tuple(TokenKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KIND_ORDER)}
+
+
+def _column(values: Sequence[int]) -> array:
+    top = max(values, default=0)
+    code = next(c for c in "BHIQ" if top < 1 << 8 * array(c).itemsize)
+    return array(code, values)
+
+
+def _extra_bytes(text: str) -> int:
+    return len(text.encode("utf-8")) - len(text)
+
+
+def pack_tokens(text: str, tokens: list[Token]) -> PackedTokens:
+    """``tokenize``'s tokens of ``text`` as arrays; see ``unpack_tokens``."""
+    texts, offsets, lines, columns, kinds = zip(*tokens) if tokens else [()] * 5
+    starts = byte_offsets = _column(offsets)
+    if not text.isascii():
+        # a token starts after the extra UTF-8 bytes of the tokens before it
+        starts = _column([*map(sub, offsets, accumulate(map(_extra_bytes, texts), initial=0))])
+    return PackedTokens(
+        starts,
+        _column([*map(len, texts)]),
+        None if starts is byte_offsets else byte_offsets,
+        _column(lines),
+        _column(columns),
+        bytes(map(_KIND_CODES.__getitem__, kinds)),
+    )
+
+
+def unpack_tokens(text: str, packed: PackedTokens) -> list[Token]:
+    """The tokens ``packed`` holds, their texts sliced from ``text``: equal
+    to ``tokenize`` of ``text`` when ``packed`` came from those tokens."""
+    starts = packed.starts
+    ends = map(add, starts, packed.lengths)
+    # the tokens of a line share one int, as tokenize's do: an int per token
+    # would add 32 bytes to each token past line 256
+    line_ints = list(range(max(packed.lines, default=0) + 1))
+    fields = zip(
+        map(text.__getitem__, map(slice, starts, ends)),
+        starts if packed.byte_offsets is None else packed.byte_offsets,
+        map(line_ints.__getitem__, packed.lines),
+        packed.columns,
+        map(_KIND_ORDER.__getitem__, packed.kinds),
+    )
+    return list(map(tuple.__new__, repeat(Token), fields))
 
 
 def reconstruct(source: SourceFile, tokens: list[Token]) -> str:

@@ -7,13 +7,18 @@ requests are in flight at once. Everything after chunk selection runs on
 the calling thread in chunk-id order, and the plan is canonical JSON, so
 the worker count never changes a byte of output.
 
-Built-in graphs are reused across plans in one process. A chunk's graph
-depends only on its file's text and its token range, so a module-level memo
-maps (sha256 of the file's UTF-8 text, token range) to the pickled graph; a
-hit is unpickled and relabelled with the chunk's current id. Each plan
-replaces the memo with its own selected chunks' entries, so it never holds
-more than one plan's graphs, and nothing is written to disk. Chunks with an
-external graph document neither read nor fill it.
+Lexing, chunking and built-in graphs are reused across plans in one
+process. One module-level memo, keyed by (sha256 of a file's UTF-8 text,
+chunking config), holds every file of the last plan. A file that plan saw
+for the first time maps to None, so a file planned once costs one digest.
+A file that two plans in a row saw maps to an entry: its tokens as typed
+arrays without their texts (each text is sliced again from the current
+content, which has the same digest), its chunk cuts, and the pickled
+built-in graphs of the last plan's selected chunks by token range. Later
+plans read all three from the entry instead of lexing, chunking and
+building; a graph read back is relabelled with its chunk's current id.
+Each plan replaces the memo with its own files, and nothing is written to
+disk. Chunks with an external graph document neither read nor fill graphs.
 
 Planning runs with the cyclic garbage collector paused. A plan makes no
 reference cycles (a test holds this), so reference counting frees all of
@@ -31,18 +36,26 @@ import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import allocation as alloc
 from . import attention as attn
 from . import metrics as metrics_mod
 from . import scoring
 from . import spans as spans_mod
-from .chunking import Chunk, ChunkConfig, partition_chunks
+from .chunking import Chunk, ChunkConfig, chunks_between, partition_chunks
 from .config import PipelineConfig
 from .cpg import Cpg, build_cpg, import_cpg_json
 from .errors import ConfigError, ParameterError, SchemaError
-from .lexer import SourceFile, Token, load_source, tokenize
+from .lexer import (
+    PackedTokens,
+    SourceFile,
+    Token,
+    load_source,
+    pack_tokens,
+    tokenize,
+    unpack_tokens,
+)
 from .metrics import RetentionReport
 from .parsing import parse_subset
 from .plan import ChunkPlan, CompressionPlan, LayerPlan, decode_json, read_record
@@ -68,30 +81,63 @@ def load_corpus(directory: str | Path, include: Sequence[str] = ("**/*.py",)) ->
     return sorted(files, key=lambda f: f.path)
 
 
+class _Entry(NamedTuple):
+    """What the memo keeps of one file text under one chunking config:
+    packed tokens and pickled graphs, since live objects kept between plans
+    pin heap arenas and raise peak RSS."""
+
+    tokens: PackedTokens
+    cuts: tuple[int, ...]  # chunks run between consecutive cuts
+    graphs: dict[tuple[int, int], bytes]  # token range -> pickled built-in graph
+
+
+_Key = tuple[bytes, ChunkConfig]  # (sha256 of a file's UTF-8 text, chunking config)
+
+# Every file of the last plan (see the module docstring). A plan publishes a
+# new dict of new entries and never mutates a published one, so concurrent
+# plans share it safely.
+_MEMO: dict[_Key, _Entry | None] = {}
+
+
 @dataclass(frozen=True)
 class CorpusIndex:
     """The query-independent view of a corpus: chunks numbered from 0 in the
-    order of the files' path strings, and each chunk's own tokens."""
+    order of the files' path strings, each chunk's own tokens, and each
+    file's memo key and entry (None: not kept)."""
 
     chunks: tuple[Chunk, ...]  # chunks[i].id == i
     tokens: tuple[list[Token], ...]  # tokens[i]: the tokens of chunks[i]
+    memo: dict[str, tuple[_Key, _Entry | None]]  # by file path
 
 
 def index_corpus(files: Sequence[SourceFile], chunking: ChunkConfig) -> CorpusIndex:
-    """Lex and chunk every file; the one place chunk ids are assigned and
-    chunk tokens cut."""
+    """Lex and chunk every file, or read both from the memo; the one place
+    chunk ids are assigned and chunk tokens cut."""
+    previous, seen = _MEMO, {}
     chunks: list[Chunk] = []
     tokens: list[list[Token]] = []
-    paths: set[str] = set()
+    memo: dict[str, tuple[_Key, _Entry | None]] = {}
     for f in sorted(files, key=lambda f: f.path):
-        if f.path in paths:
+        if f.path in memo:
             raise ParameterError(f"duplicate path in corpus: {f.path}")
-        paths.add(f.path)
-        toks = tokenize(f)
-        for chunk in partition_chunks(f, toks, chunking, start_id=len(chunks)):
+        digest = hashlib.sha256(f.content.encode("utf-8", "surrogatepass")).digest()
+        key = (digest, chunking)
+        entry = seen.get(key) or previous.get(key)
+        if entry is None:
+            toks = tokenize(f)
+            file_chunks = partition_chunks(f, toks, chunking, start_id=len(chunks))
+            if key in previous:
+                cuts = (0, *(c.token_range[1] for c in file_chunks))
+                entry = _Entry(pack_tokens(f.content, toks), cuts, {})
+        else:
+            toks = unpack_tokens(f.content, entry.tokens)
+            file_chunks = chunks_between(f.path, toks, entry.cuts, start_id=len(chunks))
+        seen[key] = entry
+        memo[f.path] = (key, entry)
+        for chunk in file_chunks:
             chunks.append(chunk)
             tokens.append(toks[slice(*chunk.token_range)])
-    return CorpusIndex(tuple(chunks), tuple(tokens))
+    return CorpusIndex(tuple(chunks), tuple(tokens), memo)
 
 
 def chunk_graph(chunk: Chunk, tokens: list[Token], document: Cpg | None = None) -> Cpg:
@@ -103,38 +149,26 @@ def chunk_graph(chunk: Chunk, tokens: list[Token], document: Cpg | None = None) 
     return build_cpg(parse_subset(tokens), chunk, tokens)
 
 
-# (sha256 of a file's UTF-8 text, chunk token range) -> pickled built-in
-# graph of one of the last plan's selected chunks.  Bytes, not live graphs:
-# live graphs kept between plans pin heap arenas and raise peak RSS.  A plan
-# publishes a new dict and never mutates a published one, so concurrent
-# plans share it safely.
-_GRAPHS: dict[tuple[bytes, tuple[int, int]], bytes] = {}
-
-
 def _selected_graphs(
-    selected: Sequence[Chunk],
-    index: CorpusIndex,
-    corpus: Sequence[SourceFile],
-    imported: dict[int, Cpg],
+    selected: Sequence[Chunk], index: CorpusIndex, imported: dict[int, Cpg]
 ) -> dict[int, Cpg]:
     """Each selected chunk's graph by id: the imported one when there is
-    one, else the built-in one. A built-in graph comes from the last plan's
-    memo when its key is there and is built otherwise; the memo then holds
-    this plan's built-in graphs only."""
-    global _GRAPHS
-    previous, current = _GRAPHS, {}
-    texts = {f.path: f.content for f in corpus}
-    digests: dict[str, bytes] = {}
+    one, else the built-in one. A built-in graph comes from its file's memo
+    entry when it is there and is built otherwise. Then the memo is
+    replaced by this corpus's files, whose entries hold this plan's
+    built-in graphs only."""
+    global _MEMO
+    graphs: dict[_Key, dict[tuple[int, int], bytes]] = {}
     cpgs: dict[int, Cpg] = {}
     for c in selected:
         if c.id in imported:
             cpgs[c.id] = imported[c.id]
             continue
-        if c.file not in digests:
-            text = texts[c.file].encode("utf-8", "surrogatepass")
-            digests[c.file] = hashlib.sha256(text).digest()
-        key = (digests[c.file], c.token_range)
-        blob = previous.get(key)
+        key, entry = index.memo[c.file]
+        if entry is None:
+            cpgs[c.id] = chunk_graph(c, index.tokens[c.id])
+            continue
+        blob = entry.graphs.get(c.token_range)
         if blob is None:
             cpg = chunk_graph(c, index.tokens[c.id])
             blob = pickle.dumps(cpg, pickle.HIGHEST_PROTOCOL)
@@ -142,9 +176,12 @@ def _selected_graphs(
             cpg = pickle.loads(blob)
             if cpg.chunk_id != c.id:
                 cpg = replace(cpg, chunk_id=c.id)
-        current[key] = blob
+        graphs.setdefault(key, {})[c.token_range] = blob
         cpgs[c.id] = cpg
-    _GRAPHS = current
+    _MEMO = {
+        key: None if entry is None else entry._replace(graphs=graphs.get(key, {}))
+        for key, entry in index.memo.values()
+    }
     return cpgs
 
 
@@ -220,7 +257,7 @@ def _plan(
     ppl_by_id = dict(scores)
     selected = [index.chunks[cid] for cid in selected_ids]
 
-    cpgs = _selected_graphs(selected, index, corpus, imported)
+    cpgs = _selected_graphs(selected, index, imported)
 
     sigmas = [scoring.structural_score(scoring.extract_features(cpgs[c.id])) for c in selected]
     normalized = alloc.normalize_scores(sigmas, cfg.allocation) if sigmas else []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structkv.chunking import ChunkConfig
 from structkv.errors import EncodingError
 from structkv.lexer import (
     SourceFile,
@@ -12,9 +13,12 @@ from structkv.lexer import (
     TokenKind,
     load_source,
     logical_lines,
+    pack_tokens,
     reconstruct,
     tokenize,
+    unpack_tokens,
 )
+from structkv.pipeline import index_corpus, load_corpus
 
 
 def lex(text):
@@ -277,3 +281,65 @@ def test_stream_invariants_on_stdlib(package):
         offsets = [t.byte_offset for t in toks]
         assert all(a < b for a, b in zip(offsets, offsets[1:])), path
         assert all(follows_identifier_rule(t.text) for t in toks if t.kind is TokenKind.IDENTIFIER), path
+
+
+# line ends, wide characters of two, three and four UTF-8 bytes, and the
+# characters that open strings, comments and brackets
+PIECES = ["\r\n", "\r", "\n", "\\", "é", "€", "\U0001d518", "'", '"', "#", "(", ")", " ", "\t",
+          "a", "1", "+"]
+
+
+def round_trip(src):
+    """The tokens of ``src`` after packing them into columns and back."""
+    return unpack_tokens(src.content, pack_tokens(src.content, tokenize(src)))
+
+
+class TestPackedTokens:
+    """Packed tokens unpack to exactly the tokens ``tokenize`` made."""
+
+    @pytest.mark.parametrize("package", ["json", "asyncio", "pydoc_data"])
+    def test_round_trip_on_stdlib(self, package):
+        corpus = load_corpus(STDLIB / package)
+        assert corpus
+        for src in corpus:
+            assert round_trip(src) == tokenize(src), src.path
+        if package == "pydoc_data":
+            # an empty __init__.py, and topics.py, which is not ASCII
+            assert [len(src.content) == 0 for src in corpus] == [True, False]
+            assert not corpus[1].content.isascii()
+
+    def test_empty_file(self):
+        packed = pack_tokens("", [])
+        assert unpack_tokens("", packed) == []
+        assert packed.byte_offsets is None
+        assert [len(col) for col in packed if col is not None] == [0] * 5
+
+    def test_columns_take_the_smallest_type(self):
+        text = "x = 1\n" * 20 + "y = '" + "é" * 300 + "'\n"
+        packed = pack_tokens(text, lex(text))
+        # the final newline: 426 characters and 726 bytes in, at column 307
+        assert (packed.starts[-1], packed.byte_offsets[-1], packed.columns[-1]) == (426, 726, 307)
+        assert [col.typecode for col in packed[:-1]] == ["H", "H", "H", "B", "H"]
+        assert type(packed.kinds) is bytes
+        ascii_text = text.replace("é", "e")
+        assert pack_tokens(ascii_text, lex(ascii_text)).byte_offsets is None
+
+    @given(
+        st.lists(st.sampled_from(PIECES), max_size=80).map("".join),
+        st.none() | st.integers(0, 80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip(self, text, surrogate_at):
+        if surrogate_at is not None:
+            text = text[:surrogate_at] + "\ud800" + text[surrogate_at:]
+        src = SourceFile("t.py", text)
+        try:
+            expected = tokenize(src)
+        except UnicodeEncodeError:
+            # a lone surrogate stops the lexer, so no tokens are packed, and
+            # indexing fails the same way
+            assert surrogate_at is not None
+            with pytest.raises(UnicodeEncodeError):
+                index_corpus([src], ChunkConfig())
+            return
+        assert round_trip(src) == expected

@@ -139,8 +139,8 @@ class TestRunPipeline:
     def test_only_scoring_leaves_the_calling_thread(self, monkeypatch):
         # workers is the number of score requests in flight; graphs, spans and
         # attention run on the caller's thread in chunk-id order; an empty
-        # graph memo makes the pooled run build every graph
-        monkeypatch.setattr(pipeline, "_GRAPHS", {})
+        # memo makes the pooled run build every graph
+        monkeypatch.setattr(pipeline, "_MEMO", {})
         threads = defaultdict(set)
 
         def record(name, fn):
@@ -290,12 +290,12 @@ class TestRunPipeline:
 
 def cold_plan(*args, **kwargs):
     """The plan and report of a process that has planned nothing yet; the
-    graph memo is left as it was."""
-    saved, pipeline._GRAPHS = pipeline._GRAPHS, {}
+    memo is left as it was."""
+    saved, pipeline._MEMO = pipeline._MEMO, {}
     try:
         plan, report = run_pipeline(*args, **kwargs)
     finally:
-        pipeline._GRAPHS = saved
+        pipeline._MEMO = saved
     return plan.to_json(), report
 
 
@@ -304,15 +304,37 @@ def planned(*args, **kwargs):
     return plan.to_json(), report
 
 
+def warmed(*args, **kwargs):
+    """Plan twice: the first plan sees every file for the first time and
+    keeps nothing, the second fills the memo."""
+    planned(*args, **kwargs)
+    return planned(*args, **kwargs)
+
+
+def digest(text: str) -> bytes:
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
+def kept_graphs() -> dict[tuple[bytes, tuple[int, int]], bytes]:
+    """The memo's graphs by (file digest, token range)."""
+    return {
+        (key[0], token_range): blob
+        for key, entry in pipeline._MEMO.items()
+        if entry is not None
+        for token_range, blob in entry.graphs.items()
+    }
+
+
 class TestGraphMemo:
-    """Built-in graphs are reused across plans in one process, keyed by the
-    file's text and the chunk's token range; a warm plan equals a cold one."""
+    """Built-in graphs are reused across plans in one process, kept in the
+    memo entry of the chunk's file text under the chunk's token range; a
+    warm plan equals a cold one."""
 
     @pytest.fixture(autouse=True)
     def builds(self, monkeypatch):
         """An empty memo, and the chunks whose graphs get built (parse_subset
         calls are counted as ``None``)."""
-        monkeypatch.setattr(pipeline, "_GRAPHS", {})
+        monkeypatch.setattr(pipeline, "_MEMO", {})
         calls = []
         parse, build = pipeline.parse_subset, pipeline.build_cpg
 
@@ -339,8 +361,13 @@ class TestGraphMemo:
         first, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
         assert builds
         builds.clear()
+        # the second sight of a file fills its entry, so its graphs are built
+        # once more and kept
         second, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
-        assert first + "\n" == expected and second == first
+        assert builds
+        builds.clear()
+        third, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
+        assert first + "\n" == expected and second == third == first
         assert builds == []
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -351,6 +378,7 @@ class TestGraphMemo:
         cfg = golden_config(selection=SelectionConfig(k=1000, layers=2), workers=workers)
         chunks = len(index_corpus(corpus, cfg.chunking).chunks)
         cold = cold_plan(corpus, query, cfg)
+        planned(corpus, "why is the second helper slow", cfg)
         builds.clear()
         planned(corpus, "where is the first helper defined", cfg)
         assert len(self.built(builds)) == chunks > 6
@@ -368,7 +396,7 @@ class TestGraphMemo:
         ranges = [(c.file, c.token_range) for c in index_corpus(GOLDEN_FILES, cfg.chunking).chunks]
         assert [(c.file, c.token_range) for c in index_corpus(edited, cfg.chunking).chunks] == ranges
         cold = cold_plan(edited, GOLDEN_QUERY, cfg)
-        planned(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         builds.clear()
         assert planned(edited, GOLDEN_QUERY, cfg) == cold
         assert self.built(builds) == [(1, "beta.py")]
@@ -377,7 +405,7 @@ class TestGraphMemo:
         cfg = golden_config(selection=SelectionConfig(k=4, layers=2))
         shifted = [FIRST_FILE, *GOLDEN_FILES]
         cold = cold_plan(shifted, GOLDEN_QUERY, cfg)
-        planned(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         graphs = {}
         select = pipeline._selected_graphs
 
@@ -399,11 +427,11 @@ class TestGraphMemo:
         builtin = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         sidecar = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
         assert sidecar != builtin
-        planned(GOLDEN_FILES, GOLDEN_QUERY, cfg)
-        assert len(pipeline._GRAPHS) == 3
+        warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        assert len(kept_graphs()) == 3
         builds.clear()
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs) == sidecar
-        assert builds == [] and len(pipeline._GRAPHS) == 2
+        assert builds == [] and len(kept_graphs()) == 2
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
         assert self.built(builds) == [(1, "beta.py")]
 
@@ -433,17 +461,125 @@ class TestGraphMemo:
 
     def test_memo_holds_only_the_last_plans_graphs_as_bytes(self):
         cfg = golden_config(selection=SelectionConfig(k=3, layers=2))
-        planned(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         corpus = synth_corpus(seed=4, n_files=5)
-        plan, _ = run_pipeline(corpus, synth_query(4, corpus), cfg)
+        query = synth_query(4, corpus)
+        planned(corpus, query, cfg)
+        assert kept_graphs() == {}  # first sight of these files: no entries
+        planned(corpus, "what does the first helper return", cfg)
+        plan, _ = run_pipeline(corpus, query, cfg)
         texts = {f.path: f.content for f in corpus}
-        expected = {
-            (hashlib.sha256(texts[c.file].encode("utf-8")).digest(), c.token_range)
-            for c in plan.chunks
-        }
         assert len(plan.chunks) == 3
-        assert set(pipeline._GRAPHS) == expected
-        assert all(type(blob) is bytes for blob in pipeline._GRAPHS.values())
+        assert set(kept_graphs()) == {(digest(texts[c.file]), c.token_range) for c in plan.chunks}
+        assert all(type(blob) is bytes for blob in kept_graphs().values())
+        assert set(pipeline._MEMO) == {(digest(f.content), cfg.chunking) for f in corpus}
+
+
+class TestFileMemo:
+    """A file's tokens and chunk cuts are kept, by its text and chunking
+    config, once two plans in a row have seen it; later plans neither lex
+    nor chunk it."""
+
+    @pytest.fixture(autouse=True)
+    def lexed(self, monkeypatch):
+        """An empty memo, and the (stage, path) of every file that gets
+        lexed or chunked."""
+        monkeypatch.setattr(pipeline, "_MEMO", {})
+        calls = []
+        lex, partition = pipeline.tokenize, pipeline.partition_chunks
+
+        def lex_counted(source):
+            calls.append(("lex", source.path))
+            return lex(source)
+
+        def partition_counted(source, *args, **kwargs):
+            calls.append(("chunk", source.path))
+            return partition(source, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "tokenize", lex_counted)
+        monkeypatch.setattr(pipeline, "partition_chunks", partition_counted)
+        return calls
+
+    @staticmethod
+    def lexes(files) -> list[tuple[str, str]]:
+        """What a plan lexes and chunks: its query, then ``files`` in path order."""
+        paths = sorted(f.path for f in files)
+        return [("lex", "<query>")] + [(stage, p) for p in paths for stage in ("lex", "chunk")]
+
+    def test_third_plan_of_an_unchanged_corpus_lexes_nothing(self, lexed):
+        plans = set()
+        for expected in (self.lexes(GOLDEN_FILES), self.lexes(GOLDEN_FILES), self.lexes([])):
+            lexed.clear()
+            plans.add(planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())[0])
+            assert lexed == expected
+        assert len(plans) == 1
+
+    def test_first_sight_fills_no_entry(self, lexed):
+        planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
+        keys = {(digest(f.content), golden_config().chunking) for f in GOLDEN_FILES}
+        assert pipeline._MEMO == dict.fromkeys(keys)
+        planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
+        assert set(pipeline._MEMO) == keys and None not in pipeline._MEMO.values()
+
+    def test_edited_file_is_lexed_again(self, lexed):
+        edited = [*GOLDEN_FILES[:2], SourceFile("gamma.py", GOLDEN_FILES[2].content + "z = 1\n")]
+        cold = cold_plan(edited, GOLDEN_QUERY, golden_config())
+        warmed(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
+        lexed.clear()
+        assert planned(edited, GOLDEN_QUERY, golden_config()) == cold
+        assert lexed == self.lexes(edited[2:])
+
+    def test_other_chunking_config_chunks_again(self, lexed):
+        cfg = golden_config(chunking=ChunkConfig(min_chunk_tokens=2, target_chunk_tokens=8))
+        cold = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        warmed(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
+        lexed.clear()
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == cold
+        assert lexed == self.lexes(GOLDEN_FILES)
+
+    def test_index_from_the_memo_equals_a_fresh_index(self, lexed):
+        # asyncio has 33 files; a synth corpus adds files with tiny chunks
+        stdlib = Path(sysconfig.get_paths()["stdlib"])
+        for corpus, chunking in [
+            (load_corpus(stdlib / "asyncio"), PipelineConfig().chunking),
+            (synth_corpus(seed=8, n_files=5), golden_config().chunking),
+        ]:
+            cfg = dataclasses.replace(golden_config(), chunking=chunking)
+            fresh = index_corpus(corpus, chunking)
+            warmed(corpus, "where is the event loop closed", cfg)
+            lexed.clear()
+            memo = index_corpus(corpus, chunking)
+            assert lexed == []  # index_corpus lexes no query
+            assert memo.chunks == fresh.chunks and memo.tokens == fresh.tokens
+
+    def test_identical_files_at_two_paths(self, lexed):
+        twin = SourceFile("alpha_copy.py", GOLDEN_FILES[0].content)
+        corpus = [*GOLDEN_FILES, twin]
+        cfg = golden_config(selection=SelectionConfig(k=4, layers=2))
+        cold = cold_plan(corpus, GOLDEN_QUERY, cfg)
+        assert planned(corpus, GOLDEN_QUERY, cfg) == cold
+        lexed.clear()
+        # the second sight lexes the first copy and fills one entry for both
+        assert planned(corpus, GOLDEN_QUERY, cfg) == cold
+        assert lexed == self.lexes(GOLDEN_FILES)
+        assert len(pipeline._MEMO) == 3
+        lexed.clear()
+        assert planned(corpus, GOLDEN_QUERY, cfg) == cold
+        assert lexed == self.lexes([])
+
+    def test_an_empty_file_in_consecutive_corpora(self, lexed):
+        # as the empty __init__.py files of consecutive stdlib packages
+        empty = SourceFile("pkg/__init__.py", "")
+        corpora = [[empty, *GOLDEN_FILES[i : i + 1]] for i in range(3)]
+        colds = [cold_plan(corpus, GOLDEN_QUERY, golden_config()) for corpus in corpora]
+        for corpus, cold in zip(corpora, colds):
+            lexed.clear()
+            assert planned(corpus, GOLDEN_QUERY, golden_config()) == cold
+        # the third plan reads the empty file from the entry the second filled
+        assert lexed == self.lexes(corpora[2][1:])
+        entry = pipeline._MEMO[(digest(""), golden_config().chunking)]
+        assert entry.cuts == (0,) and entry.graphs == {}
+        assert index_corpus([empty], golden_config().chunking).chunks == ()
 
 
 def test_invariants_hold_on_stdlib_packages():
