@@ -119,7 +119,8 @@ def tokenize(source: SourceFile) -> list[Token]:
 
     Deterministic: a pure function of the content string.  Unknown
     characters degrade to one-character operator tokens rather than
-    failing, so arbitrary text can pass through the engine.
+    failing, so arbitrary text can pass through the engine; only a lone
+    surrogate, which has no UTF-8 bytes, raises ``EncodingError``.
     """
     text = source.content
     wide = not text.isascii()
@@ -169,7 +170,10 @@ def tokenize(source: SourceFile) -> list[Token]:
                     depth -= 1
         tokens.append(new(Token, (tok, pos + extra, line, pos - line_start + 1, kind)))
         if wide and not tok.isascii():
-            extra += len(tok.encode("utf-8")) - len(tok)
+            try:
+                extra += len(tok.encode("utf-8")) - len(tok)
+            except UnicodeEncodeError as exc:  # a lone surrogate
+                raise EncodingError(f"{source.path}: line {line}: {exc.reason}") from exc
         if group == "string" and "\n" in tok:
             line += tok.count("\n")
             line_start = pos + tok.rfind("\n") + 1

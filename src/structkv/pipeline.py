@@ -9,16 +9,17 @@ the worker count never changes a byte of output.
 
 Lexing, chunking and built-in graphs are reused across plans in one
 process. One module-level memo, keyed by (sha256 of a file's UTF-8 text,
-chunking config), holds every file of the last plan. A file that plan saw
-for the first time maps to None, so a file planned once costs one digest.
-A file that two plans in a row saw maps to an entry: its tokens as typed
-arrays without their texts (each text is sliced again from the current
-content, which has the same digest), its chunk cuts, and the pickled
-built-in graphs of the last plan's selected chunks by token range. Later
-plans read all three from the entry instead of lexing, chunking and
-building; a graph read back is relabelled with its chunk's current id.
-Each plan replaces the memo with its own files, and nothing is written to
-disk. Chunks with an external graph document neither read nor fill graphs.
+chunking config), holds every file of the last indexed corpus; only
+``index_corpus`` reads or replaces it. A file new to that corpus maps to
+None, so a file indexed once costs one digest. A file in two corpora in a
+row maps to an entry: its tokens as typed arrays without their texts (each
+text is sliced again from the current content, which has the same digest),
+its chunk cuts, and the pickled built-in graphs of every chunk selected
+since the entry was made, by token range. Later plans read all three from
+the entry instead of lexing, chunking and building; a graph read back is
+relabelled with its chunk's current id. An entry lives while its text stays
+in consecutive corpora; nothing is written to disk. Chunks with an external
+graph document neither read nor fill graphs.
 
 Planning runs with the cyclic garbage collector paused. A plan makes no
 reference cycles (a test holds this), so reference counting frees all of
@@ -84,7 +85,8 @@ def load_corpus(directory: str | Path, include: Sequence[str] = ("**/*.py",)) ->
 class _Entry(NamedTuple):
     """What the memo keeps of one file text under one chunking config:
     packed tokens and pickled graphs, since live objects kept between plans
-    pin heap arenas and raise peak RSS."""
+    pin heap arenas and raise peak RSS. ``graphs`` only gains keys, each in
+    one dict store, so plans running at once share an entry safely."""
 
     tokens: PackedTokens
     cuts: tuple[int, ...]  # chunks run between consecutive cuts
@@ -93,9 +95,8 @@ class _Entry(NamedTuple):
 
 _Key = tuple[bytes, ChunkConfig]  # (sha256 of a file's UTF-8 text, chunking config)
 
-# Every file of the last plan (see the module docstring). A plan publishes a
-# new dict of new entries and never mutates a published one, so concurrent
-# plans share it safely.
+# Every file of the last indexed corpus (see the module docstring); only
+# index_corpus reads or replaces it.
 _MEMO: dict[_Key, _Entry | None] = {}
 
 
@@ -103,26 +104,27 @@ _MEMO: dict[_Key, _Entry | None] = {}
 class CorpusIndex:
     """The query-independent view of a corpus: chunks numbered from 0 in the
     order of the files' path strings, each chunk's own tokens, and each
-    file's memo key and entry (None: not kept)."""
+    file's memo entry (None: not kept), shared with the published memo."""
 
     chunks: tuple[Chunk, ...]  # chunks[i].id == i
     tokens: tuple[list[Token], ...]  # tokens[i]: the tokens of chunks[i]
-    memo: dict[str, tuple[_Key, _Entry | None]]  # by file path
+    entries: dict[str, _Entry | None]  # by file path
 
 
 def index_corpus(files: Sequence[SourceFile], chunking: ChunkConfig) -> CorpusIndex:
-    """Lex and chunk every file, or read both from the memo; the one place
-    chunk ids are assigned and chunk tokens cut."""
-    previous, seen = _MEMO, {}
+    """Lex and chunk every file, or read both from the memo, then publish
+    the memo of these files; the one place chunk ids are assigned, chunk
+    tokens cut and the memo replaced."""
+    global _MEMO
+    previous, memo = _MEMO, {}
     chunks: list[Chunk] = []
     tokens: list[list[Token]] = []
-    memo: dict[str, tuple[_Key, _Entry | None]] = {}
+    entries: dict[str, _Entry | None] = {}
     for f in sorted(files, key=lambda f: f.path):
-        if f.path in memo:
+        if f.path in entries:
             raise ParameterError(f"duplicate path in corpus: {f.path}")
-        digest = hashlib.sha256(f.content.encode("utf-8", "surrogatepass")).digest()
-        key = (digest, chunking)
-        entry = seen.get(key) or previous.get(key)
+        key = (hashlib.sha256(f.content.encode("utf-8", "surrogatepass")).digest(), chunking)
+        entry = memo.get(key) or previous.get(key)
         if entry is None:
             toks = tokenize(f)
             file_chunks = partition_chunks(f, toks, chunking, start_id=len(chunks))
@@ -132,12 +134,12 @@ def index_corpus(files: Sequence[SourceFile], chunking: ChunkConfig) -> CorpusIn
         else:
             toks = unpack_tokens(f.content, entry.tokens)
             file_chunks = chunks_between(f.path, toks, entry.cuts, start_id=len(chunks))
-        seen[key] = entry
-        memo[f.path] = (key, entry)
+        memo[key] = entries[f.path] = entry
         for chunk in file_chunks:
             chunks.append(chunk)
             tokens.append(toks[slice(*chunk.token_range)])
-    return CorpusIndex(tuple(chunks), tuple(tokens), memo)
+    _MEMO = memo
+    return CorpusIndex(tuple(chunks), tuple(tokens), entries)
 
 
 def chunk_graph(chunk: Chunk, tokens: list[Token], document: Cpg | None = None) -> Cpg:
@@ -153,35 +155,22 @@ def _selected_graphs(
     selected: Sequence[Chunk], index: CorpusIndex, imported: dict[int, Cpg]
 ) -> dict[int, Cpg]:
     """Each selected chunk's graph by id: the imported one when there is
-    one, else the built-in one. A built-in graph comes from its file's memo
-    entry when it is there and is built otherwise. Then the memo is
-    replaced by this corpus's files, whose entries hold this plan's
-    built-in graphs only."""
-    global _MEMO
-    graphs: dict[_Key, dict[tuple[int, int], bytes]] = {}
+    one, else the built-in one from its file's memo entry, relabelled with
+    the chunk's id, else a new built-in one, kept in that entry when the
+    file has one."""
     cpgs: dict[int, Cpg] = {}
     for c in selected:
+        entry = index.entries[c.file]
+        blob = None if entry is None else entry.graphs.get(c.token_range)
         if c.id in imported:
             cpgs[c.id] = imported[c.id]
-            continue
-        key, entry = index.memo[c.file]
-        if entry is None:
-            cpgs[c.id] = chunk_graph(c, index.tokens[c.id])
-            continue
-        blob = entry.graphs.get(c.token_range)
-        if blob is None:
-            cpg = chunk_graph(c, index.tokens[c.id])
-            blob = pickle.dumps(cpg, pickle.HIGHEST_PROTOCOL)
-        else:
+        elif blob is not None:
             cpg = pickle.loads(blob)
-            if cpg.chunk_id != c.id:
-                cpg = replace(cpg, chunk_id=c.id)
-        graphs.setdefault(key, {})[c.token_range] = blob
-        cpgs[c.id] = cpg
-    _MEMO = {
-        key: None if entry is None else entry._replace(graphs=graphs.get(key, {}))
-        for key, entry in index.memo.values()
-    }
+            cpgs[c.id] = cpg if cpg.chunk_id == c.id else replace(cpg, chunk_id=c.id)
+        else:
+            cpgs[c.id] = chunk_graph(c, index.tokens[c.id])
+            if entry is not None:
+                entry.graphs[c.token_range] = pickle.dumps(cpgs[c.id], pickle.HIGHEST_PROTOCOL)
     return cpgs
 
 

@@ -335,11 +335,11 @@ class TestPackedTokens:
         src = SourceFile("t.py", text)
         try:
             expected = tokenize(src)
-        except UnicodeEncodeError:
+        except EncodingError as exc:
             # a lone surrogate stops the lexer, so no tokens are packed, and
-            # indexing fails the same way
-            assert surrogate_at is not None
-            with pytest.raises(UnicodeEncodeError):
+            # indexing fails the same way, naming the file
+            assert surrogate_at is not None and str(exc).startswith("t.py: line ")
+            with pytest.raises(EncodingError, match=r"^t\.py: line \d+: surrogates not allowed$"):
                 index_corpus([src], ChunkConfig())
             return
         assert round_trip(src) == expected

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import re
 import sys
 import sysconfig
 import threading
@@ -16,7 +17,14 @@ from structkv.chunking import ChunkConfig
 from structkv.config import PipelineConfig, SelectionConfig
 from structkv.cpg import build_cpg, export_cpg_json
 from structkv.attention import MockAttentionBackend
-from structkv.errors import BackendError, ConfigError, ParameterError, SchemaError, ScoringError
+from structkv.errors import (
+    BackendError,
+    ConfigError,
+    EncodingError,
+    ParameterError,
+    SchemaError,
+    ScoringError,
+)
 from structkv.lexer import SourceFile, tokenize
 from structkv.parsing import parse_subset
 from structkv.plan import CompressionPlan, canonical_json, read_record
@@ -114,6 +122,29 @@ class TestRunPipeline:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ParameterError):
             run_pipeline([], "q", golden_config())
+
+    @pytest.mark.parametrize(
+        "corpus, query, prefix, where",
+        [
+            (
+                [*GOLDEN_FILES[:2], SourceFile("gamma.py", "x = 1\ny = '\ud800'\n")],
+                GOLDEN_QUERY,
+                "",
+                "gamma.py: line 2",
+            ),
+            (GOLDEN_FILES, "why \ud800", "", "<query>: line 1"),
+            (GOLDEN_FILES, GOLDEN_QUERY, "a\nb \udfff", "<prefix>: line 2"),
+        ],
+        ids=["file", "query", "prefix"],
+    )
+    def test_lone_surrogate_names_its_input(self, corpus, query, prefix, where):
+        # a caller's text may hold a lone surrogate, which has no UTF-8 bytes;
+        # the plan fails as an encoding error that names the input, and
+        # publishes no memo
+        memo = pipeline._MEMO
+        with pytest.raises(EncodingError, match=f"^{re.escape(where)}: surrogates not allowed$"):
+            run_pipeline(corpus, query, golden_config(prefix=prefix))
+        assert pipeline._MEMO is memo
 
     def test_duplicate_paths_rejected(self):
         for second in (GOLDEN_FILES[0].content, "y = 2\n"):  # same file, other contents
@@ -376,8 +407,9 @@ class TestGraphMemo:
         corpus = synth_corpus(seed=11, n_files=6)
         query = synth_query(11, corpus)
         cfg = golden_config(selection=SelectionConfig(k=1000, layers=2), workers=workers)
-        chunks = len(index_corpus(corpus, cfg.chunking).chunks)
         cold = cold_plan(corpus, query, cfg)
+        # not index_corpus, which would count as the corpus's first sight
+        chunks = len(json.loads(cold[0])["chunks"])
         planned(corpus, "why is the second helper slow", cfg)
         builds.clear()
         planned(corpus, "where is the first helper defined", cfg)
@@ -427,24 +459,81 @@ class TestGraphMemo:
         builtin = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         sidecar = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
         assert sidecar != builtin
-        warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
-        assert len(kept_graphs()) == 3
+        # entries made by sidecar plans keep no graph of the documented chunk
+        warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
+        assert len(kept_graphs()) == 2
         builds.clear()
-        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs) == sidecar
-        assert builds == [] and len(kept_graphs()) == 2
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
+        assert self.built(builds) == [(1, "beta.py")] and len(kept_graphs()) == 3
+        builds.clear()
+        kept = kept_graphs()
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs) == sidecar
+        assert builds == [] and kept_graphs() == kept
+        # beta's graph is still in its entry
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
+        assert builds == []
+
+    def test_graphs_of_an_earlier_query_are_kept(self, builds, monkeypatch):
+        # at k=1 the golden query selects alpha's chunk and the other query beta's
+        cfg = golden_config(selection=SelectionConfig(k=1, layers=2))
+        other = "how does transform push each item"
+        cold = {q: cold_plan(GOLDEN_FILES, q, cfg) for q in (GOLDEN_QUERY, other)}
+        warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        published = []
+        index, select = pipeline.index_corpus, pipeline._selected_graphs
+
+        def indexing(*args):
+            result = index(*args)
+            published.append((pipeline._MEMO, [*pipeline._MEMO.items()]))
+            return result
+
+        def selecting(*args):
+            result = select(*args)
+            memo, items = published[-1]
+            assert pipeline._MEMO is memo and len(memo) == len(items)
+            assert all(memo[key] is entry for key, entry in items)
+            return result
+
+        monkeypatch.setattr(pipeline, "index_corpus", indexing)
+        monkeypatch.setattr(pipeline, "_selected_graphs", selecting)
+        builds.clear()
+        assert planned(GOLDEN_FILES, other, cfg) == cold[other]
         assert self.built(builds) == [(1, "beta.py")]
+        builds.clear()
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == cold[GOLDEN_QUERY]
+        assert builds == [] and len(published) == 2
 
     def test_concurrent_plans_each_equal_their_cold_plan(self):
-        cfg = golden_config(selection=SelectionConfig(k=4, layers=2))
+        # small chunks, and threads whose queries or k select different
+        # chunks of the same files
+        chunking = ChunkConfig(min_chunk_tokens=4, target_chunk_tokens=8)
+        asks = [
+            (GOLDEN_QUERY, 4),
+            ("how does transform push each item", 1),
+            ("what does init return", 1),
+            ("how does transform push each item", 3),
+        ]
+        cfgs = [
+            golden_config(chunking=chunking, selection=SelectionConfig(k=k, layers=2))
+            for _, k in asks
+        ]
         corpora = [GOLDEN_FILES, [FIRST_FILE, *GOLDEN_FILES], GOLDEN_FILES[1:]]
-        cold = [cold_plan(corpus, GOLDEN_QUERY, cfg) for corpus in corpora]
+        cold = {
+            (t, j): cold_plan(corpus, query, cfgs[t])
+            for t, (query, _) in enumerate(asks)
+            for j, corpus in enumerate(corpora)
+        }
+        # beta is in every corpus, so its entry, made here, is shared by all plans
+        for corpus in corpora[:2]:
+            index_corpus(corpus, chunking)
+        beta = pipeline._MEMO[(digest(GOLDEN_FILES[1].content), chunking)]
+        assert beta is not None and beta.graphs == {}
         matched = []
 
-        def plan_in_turn(offset):
+        def plan_in_turn(t):
             for i in range(12):
-                j = (i + offset) % len(corpora)
-                matched.append(planned(corpora[j], GOLDEN_QUERY, cfg) == cold[j])
+                j = (i + t) % len(corpora)
+                matched.append(planned(corpora[j], asks[t][0], cfgs[t]) == cold[t, j])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -458,21 +547,41 @@ class TestGraphMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert matched == [True] * 48
+        selected = {
+            tuple(c["token_range"])
+            for text, _ in cold.values()
+            for c in json.loads(text)["chunks"]
+            if c["file"] == "beta.py"
+        }
+        assert len(selected) == 4 and set(beta.graphs) == selected
+        assert pipeline._MEMO[(digest(GOLDEN_FILES[1].content), chunking)] is beta
 
-    def test_memo_holds_only_the_last_plans_graphs_as_bytes(self):
+    def test_entries_keep_every_graph_selected_since_they_were_made(self):
         cfg = golden_config(selection=SelectionConfig(k=3, layers=2))
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         corpus = synth_corpus(seed=4, n_files=5)
+        texts = {f.path: f.content for f in corpus}
         query = synth_query(4, corpus)
         planned(corpus, query, cfg)
-        assert kept_graphs() == {}  # first sight of these files: no entries
-        planned(corpus, "what does the first helper return", cfg)
-        plan, _ = run_pipeline(corpus, query, cfg)
-        texts = {f.path: f.content for f in corpus}
-        assert len(plan.chunks) == 3
-        assert set(kept_graphs()) == {(digest(texts[c.file]), c.token_range) for c in plan.chunks}
+        # the memo holds the files of the last indexed corpus; a first sight keeps none
+        assert set(pipeline._MEMO) == {(digest(text), cfg.chunking) for text in texts.values()}
+        assert kept_graphs() == {}
+        selected = set()
+        for q in (query, "what does the first helper return", "where is the last value stored"):
+            plan, _ = run_pipeline(corpus, q, cfg)
+            selected |= {(digest(texts[c.file]), c.token_range) for c in plan.chunks}
+            assert set(kept_graphs()) == selected
+        assert len(selected) > len(plan.chunks) == 3
         assert all(type(blob) is bytes for blob in kept_graphs().values())
-        assert set(pipeline._MEMO) == {(digest(f.content), cfg.chunking) for f in corpus}
+        # an edited file is a new key: the entry its second sight makes starts empty
+        old = digest(corpus[0].content)
+        edited = [SourceFile(corpus[0].path, corpus[0].content + "z = 1\n"), *corpus[1:]]
+        kept = {key: blob for key, blob in kept_graphs().items() if key[0] != old}
+        for _ in range(2):
+            index_corpus(edited, cfg.chunking)
+        assert set(pipeline._MEMO) == {(digest(f.content), cfg.chunking) for f in edited}
+        assert pipeline._MEMO[(digest(edited[0].content), cfg.chunking)].graphs == {}
+        assert kept_graphs() == kept
 
 
 class TestFileMemo:
