@@ -5,8 +5,9 @@ from __future__ import annotations
 import itertools
 import time
 
-import orjson
 import requests
+
+from .plan import decode_json
 
 # Seconds to wait before the first retry; each further retry waits twice as long.
 BACKOFF_S = 0.05
@@ -28,7 +29,8 @@ class HttpClient:
         on before each retry; the last failure is raised. Any other failure,
         a 4xx reply included, raises at once. The reply must be strict UTF-8
         JSON: a body that is not, or that holds a ``NaN`` or ``Infinity``
-        literal, raises ``orjson.JSONDecodeError`` (a ``ValueError``).
+        literal, raises :class:`SchemaError` (a ``ValueError``) naming the
+        URL, and is not retried.
         """
         for attempt in itertools.count():
             try:
@@ -39,5 +41,5 @@ class HttpClient:
             else:
                 if resp.status_code < 500 or attempt >= self.retries:
                     resp.raise_for_status()
-                    return orjson.loads(resp.content)
+                    return decode_json(resp.content, self.base_url + route)
             time.sleep(BACKOFF_S * 2**attempt)

@@ -65,8 +65,6 @@ def partition_chunks(
     start_id: int = 0,
 ) -> list[Chunk]:
     """Partition a file's tokens into chunks; every token lands in exactly one."""
-    if not tokens:
-        return []
     statements = [ln for ln in logical_lines(tokens) if not ln.blank]
     top = min((ln.indent_col for ln in statements), default=0)
     bounds = []  # token positions where a top-level function's unit starts or ends

@@ -12,7 +12,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .chunking import Chunk
+from .chunking import chunks_between
 from .config import PipelineConfig
 from .cpg import Cpg
 from .errors import ConfigError, ParameterError, StructKVError
@@ -205,13 +205,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
                 f"{chunk_plan.file}: token range {chunk_plan.token_range} exceeds "
                 f"current file ({len(toks)} tokens); source changed since planning?"
             )
-        chunk = Chunk(
-            id=chunk_plan.chunk_id,
-            file=chunk_plan.file,
-            token_range=(start, end),
-            line_range=(toks[start].line, toks[end - 1].line),
-            length=end - start,
-        )
+        (chunk,) = chunks_between(chunk_plan.file, toks, (start, end), chunk_plan.chunk_id)
         cpgs[chunk.id] = chunk_graph(chunk, toks[start:end], external.get(chunk.id))
         sigma = structural_score(extract_features(cpgs[chunk.id]))
         if sigma != chunk_plan.sigma:

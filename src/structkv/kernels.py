@@ -36,10 +36,6 @@ def sliding_mean(u: np.ndarray, window: int) -> np.ndarray:
 
 def levenshtein(a: np.ndarray, b: np.ndarray) -> int:
     """Row-vectorized DP; deletions applied with a running-minimum pass."""
-    if a.size == 0:
-        return int(b.size)
-    if b.size == 0:
-        return int(a.size)
     n = b.size
     jrange = np.arange(n + 1, dtype=np.int64)
     prev = jrange.copy()

@@ -249,7 +249,7 @@ def _plan(
     cpgs = _selected_graphs(selected, index, imported)
 
     sigmas = [scoring.structural_score(scoring.extract_features(cpgs[c.id])) for c in selected]
-    normalized = alloc.normalize_scores(sigmas, cfg.allocation) if sigmas else []
+    normalized = alloc.normalize_scores(sigmas, cfg.allocation)
     multipliers = [alloc.multiplier(s, cfg.allocation) for s in normalized]
     budgets = [alloc.budget(c.length, m, cfg.allocation) for c, m in zip(selected, multipliers)]
 

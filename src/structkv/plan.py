@@ -183,7 +183,7 @@ class CompressionPlan:
         return canonical_json(self)
 
     def to_dict(self) -> dict:
-        return json.loads(self.to_json())
+        return decode_json(self.to_json(), "plan")
 
     @classmethod
     def from_dict(cls, doc: object) -> "CompressionPlan":
@@ -299,13 +299,6 @@ def _reader(tp: object) -> typing.Callable[[object, str], object]:
                 raise UnsupportedKindError(
                     f"{_label(path)} has the unsupported value {value!r}"
                 ) from None
-
-    elif args == (int, ...):  # the long index arrays: one type check per array
-
-        def read(value, path):
-            if not isinstance(value, list) or not {*map(type, value)} <= {int}:
-                raise _mistyped(path, value, "an array of integers")
-            return tuple(value)
 
     elif origin is frozenset or args[-1:] == (...,):
         read_item = _reader(args[0])

@@ -196,24 +196,29 @@ class TestWireDecoding:
         "string-numbers": b'{"q": [["1.0", "2.0", "3.0"]], "k": [["1", "2", "3"]], "nll_mean": "0.5"}',
         "booleans": b'{"q": [[1.0, true, 2.0]], "k": [[1.0, 2.0, 3.0]], "nll_mean": true}',
     }
+    INVALID_JSON = {"not-json", "nan", "infinity", "not-utf8"}
 
-    @pytest.mark.parametrize("body", BAD_BODIES.values(), ids=BAD_BODIES.keys())
-    def test_bad_attention_reply_fails_once(self, server, body):
+    @pytest.mark.parametrize(("name", "body"), BAD_BODIES.items(), ids=BAD_BODIES.keys())
+    def test_bad_attention_reply_fails_once(self, server, name, body):
         server.body = body
         backend = HttpAttentionBackend(url(server), retries=3)
         with pytest.raises(BackendError) as err:
             backend.attention_window(chunk_id=1, layer=3, length=1)
         assert err.value.chunk_id == 1 and err.value.layer == 3
+        if name in self.INVALID_JSON:  # decoded by the one strict reader, which names the URL
+            assert f"{url(server)}/attention: invalid JSON" in str(err.value)
         assert len(server.requests) == 1
 
-    @pytest.mark.parametrize("body", BAD_BODIES.values(), ids=BAD_BODIES.keys())
-    def test_bad_score_reply_fails_once(self, server, body):
+    @pytest.mark.parametrize(("name", "body"), BAD_BODIES.items(), ids=BAD_BODIES.keys())
+    def test_bad_score_reply_fails_once(self, server, name, body):
         server.body = body
         chunk, tokens = single_chunk("x = 1\n")
         query = tokenize(SourceFile("<q>", "x"))
         with pytest.raises(ScoringError) as err:
             score_chunk(HttpScorer(url(server), retries=3), [], chunk, query, tokens)
         assert err.value.chunk_id == chunk.id
+        if name in self.INVALID_JSON:
+            assert f"{url(server)}/score_ppl: invalid JSON" in str(err.value)
         assert len(server.requests) == 1
 
 

@@ -57,6 +57,7 @@ class TestLevenshtein:
         [
             ("", "", 0),
             ("", "ab", 2),
+            ("ab", "", 2),
             ("kitten", "sitting", 3),
             ("flaw", "lawn", 2),
             ("abc", "abc", 0),

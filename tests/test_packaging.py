@@ -94,3 +94,25 @@ def test_source_lines_fit_in_100_columns():
         if len(line) > 100
     ]
     assert not long_lines, f"lines over 100 columns: {long_lines}"
+
+
+def test_json_is_decoded_in_one_place():
+    """Every JSON input goes through ``plan.decode_json``: no module but
+    ``plan.py`` imports ``orjson``, and none calls ``json.loads``."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "structkv").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            for name in names:
+                if name == "json.loads" or (
+                    name.split(".")[0] == "orjson" and path.name != "plan.py"
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} uses {name}")
+    assert not offenders, offenders

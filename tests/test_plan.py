@@ -95,6 +95,18 @@ def test_numbers_are_not_coerced():
         read_record(AttentionConfig, {"window": 2.0}, "config")
 
 
+@pytest.mark.parametrize(
+    "kept,expected",
+    [([0, "3"], "must be an integer, got str"), ({"0": 3}, "must be an array, got dict")],
+    ids=["string-item", "object"],
+)
+def test_index_arrays_are_typed_item_by_item(kept, expected):
+    doc = json.loads(GOLDEN_PLAN.read_text())
+    doc["chunks"][0]["layers"][0]["kept"] = kept
+    with pytest.raises(SchemaError, match=f"^plan: field 'kept' in 'chunks.layers' {expected}$"):
+        CompressionPlan.from_dict(doc)
+
+
 def reference_json(obj):
     """The stdlib encoder with the options canonical_json promises."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode)
