@@ -52,14 +52,14 @@ from .scoring import (
 )
 from .spans import (
     SpanConfig,
-    StructuralSpan,
+    SpanTable,
     build_spans,
     protect_chunk,
     protect_tokens,
-    query_protection,
-    score_span,
+    query_hits,
     select_spans,
     span_budget,
+    span_scores,
 )
 
 __version__ = "0.1.0"

@@ -83,8 +83,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be positive, got {self.workers}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        # the plan records the seed, and JSON readers take integers to 64 bits
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for pattern in self.include:
             if not pattern or Path(pattern).is_absolute() or ".." in Path(pattern).parts:
                 raise ConfigError(f"include pattern {pattern!r} must stay under the corpus root")

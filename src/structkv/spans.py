@@ -1,12 +1,16 @@
 """Span-level protection: carve structural spans out of a chunk, rank them,
 pack them under the span budget (query hits and signatures first), and turn
 the survivors into a protected token set that fills the chunk budget.
+
+The query-independent half, a chunk's candidates, is one packed
+:class:`SpanTable` that a caller may keep and reuse; each plan then marks the
+query hits, scores and packs on its arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -52,33 +56,50 @@ class SpanConfig:
                 raise ConfigError(f"span weight {key!r} must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class StructuralSpan:
-    anchor_node: int
-    token_range: tuple[int, int]  # chunk-local, half-open
-    indicators: frozenset[str]  # node kinds
-    symbols: frozenset[str]
-    line_range: tuple[int, int]
-    participates_defuse: bool = False
+# Bit i of a candidate's indicator mask stands for key i of
+# DEFAULT_SPAN_WEIGHTS: its node kind (windows merge only with a shared one),
+# and "defuse" when a window's node takes part in a def-use edge. The
+# "query" bit is never set; a hit is per query.
+_BIT = {kind: 1 << i for i, kind in enumerate(DEFAULT_SPAN_WEIGHTS)}
+_DEFUSE = _BIT["defuse"]
 
-    @property
-    def width(self) -> int:
-        return self.token_range[1] - self.token_range[0]
+
+@dataclass(frozen=True, eq=False)
+class SpanTable:
+    """A chunk's span candidates, packed in read-only arrays: one row per
+    merged candidate in chunk order, and the chunk-order windows merged
+    into them, of which each candidate owns a run from its ``first``.
+
+    It depends on the chunk's graph and tokens and the config's
+    ``min_span_tokens`` and ``merge_gap_lines`` only, never on the query or
+    the weights, so one table serves every plan of the chunk's text."""
+
+    anchor: np.ndarray  # graph node id of the candidate's first window
+    start: np.ndarray  # chunk-local token range, half-open
+    end: np.ndarray
+    bits: np.ndarray  # indicator mask, see _BIT
+    window_start: np.ndarray  # pre-merge windows, chunk-local, half-open
+    window_end: np.ndarray
+    first: np.ndarray  # index of each candidate's first window
+
+    def __len__(self) -> int:
+        return len(self.anchor)
 
 
 class SpanSelection(NamedTuple):
-    index: int  # position in the candidate list
+    index: int  # row of the candidate in its table
     stage: int  # 1 = query hit or signature, 2 = score-ranked
 
 
 def protect_chunk(
-    cpg: Cpg,
+    table: SpanTable | None,
     budget: int,
     cfg: SpanConfig,
     tokens: list[Token],
     query_syms: frozenset[str],
 ) -> tuple[tuple[int, ...], tuple[SpanRecord, ...], int]:
-    """(protected tokens, chosen spans, span budget) of one chunk.
+    """(protected tokens, chosen spans, span budget) of one chunk, from its
+    candidates (None only when spans are off).
 
     The protected set is empty when spans are off or none is chosen, and
     otherwise exactly ``budget`` tokens: :func:`protect_tokens` pads the
@@ -86,75 +107,88 @@ def protect_chunk(
     """
     if not cfg.enabled:
         return (), (), 0
-    candidates = build_spans(cpg, cfg, tokens)
-    hits = [query_protection(z, query_syms) for z in candidates]
-    scores = [score_span(z, cfg, hit) for z, hit in zip(candidates, hits)]
+    hits = query_hits(table, tokens, query_syms)
+    scores = span_scores(table, cfg.weights, hits)
     b_span = span_budget(budget, cfg)
-    selections = select_spans(candidates, scores, hits, b_span)
-    chosen = [candidates[s.index] for s in selections]
+    selections = select_spans(table, scores, hits, b_span)
+    anchor, start, end, score = (a.tolist() for a in (table.anchor, table.start, table.end, scores))
     records = tuple(
-        SpanRecord(z.anchor_node, s.stage, scores[s.index], z.token_range)
-        for s, z in zip(selections, chosen)
+        SpanRecord(anchor[i], stage, score[i], (start[i], end[i])) for i, stage in selections
     )
-    return tuple(protect_tokens(chosen, budget, len(tokens))), records, b_span
+    protected = protect_tokens([r.token_range for r in records], budget, len(tokens))
+    return tuple(protected), records, b_span
 
 
-def build_spans(cpg: Cpg, cfg: SpanConfig, tokens: list[Token]) -> list[StructuralSpan]:
-    """One candidate per graph node, widened to the minimum span size and
-    merged with near neighbors that share a structural indicator."""
+def build_spans(cpg: Cpg, cfg: SpanConfig, tokens: list[Token]) -> SpanTable:
+    """One window per graph node, widened to the minimum span size, and
+    windows merged into candidates with near neighbors that share a
+    structural indicator (a node kind)."""
     length = len(tokens)
-    defuse_nodes = {
-        nid
-        for e in cpg.edges
-        if e.kind is EdgeKind.PDG
-        for nid in (e.src, e.dst)
-    }
-    names = [t.text if t.kind is TokenKind.IDENTIFIER else None for t in tokens]
-    candidates = []
+    defuse = {nid for e in cpg.edges if e.kind is EdgeKind.PDG for nid in (e.src, e.dst)}
+    windows = []
     for node in cpg.nodes:
         start, end = node.token_range
         # Widen to the minimum (the preceding side gets the odd token), then
         # shift the window back inside the chunk.
         width = min(length, max(end - start, cfg.min_span_tokens))
         start = min(max(start - (width - (end - start) + 1) // 2, 0), length - width)
-        end = start + width
-        candidates.append(
-            StructuralSpan(
-                anchor_node=node.id,
-                token_range=(start, end),
-                indicators=frozenset({node.kind.value}),
-                symbols=frozenset(filter(None, names[start:end])),
-                line_range=(tokens[start].line, tokens[end - 1].line),
-                participates_defuse=node.id in defuse_nodes,
-            )
-        )
-    candidates.sort(key=lambda z: (z.token_range, z.anchor_node))
-    merged = candidates[:1]
-    for z in candidates[1:]:
-        prev = merged[-1]
-        gap = z.line_range[0] - prev.line_range[1]
-        if gap > cfg.merge_gap_lines or not prev.indicators & z.indicators:
-            merged.append(z)
+        bits = _BIT[node.kind.value] | (_DEFUSE if node.id in defuse else 0)
+        windows.append((start, start + width, node.id, bits))
+    windows.sort()  # by token range, then node id (ids are unique)
+    anchor: list[int] = []
+    first: list[int] = []
+    bits: list[int] = []
+    end: list[int] = []
+    last_line = 0  # the merged candidate's last line
+    for i, (w_start, w_end, nid, w_bits) in enumerate(windows):
+        gap = tokens[w_start].line - last_line
+        if anchor and gap <= cfg.merge_gap_lines and bits[-1] & w_bits & ~_DEFUSE:
+            bits[-1] |= w_bits
+            end[-1] = max(end[-1], w_end)
+            last_line = max(last_line, tokens[w_end - 1].line)
         else:
-            merged[-1] = replace(
-                prev,
-                token_range=(prev.token_range[0], max(prev.token_range[1], z.token_range[1])),
-                indicators=prev.indicators | z.indicators,
-                symbols=prev.symbols | z.symbols,
-                line_range=(prev.line_range[0], max(prev.line_range[1], z.line_range[1])),
-                participates_defuse=prev.participates_defuse or z.participates_defuse,
-            )
-    return merged
+            anchor.append(nid)
+            first.append(i)
+            bits.append(w_bits)
+            end.append(w_end)
+            last_line = tokens[w_end - 1].line
+    pos, ids = np.min_scalar_type(length), np.min_scalar_type(len(windows))
+    window_start = np.array([w[0] for w in windows], pos)
+    arrays = [
+        np.array(anchor, ids),
+        window_start[first],
+        np.array(end, pos),
+        np.array(bits, np.uint8),
+        window_start,
+        np.array([w[1] for w in windows], pos),
+        np.array(first, ids),
+    ]
+    for a in arrays:
+        a.flags.writeable = False
+    return SpanTable(*arrays)
 
 
-def score_span(z: StructuralSpan, cfg: SpanConfig, query_hit: int = 0) -> float:
-    w = cfg.weights
-    defuse = ("defuse",) if z.participates_defuse else ()
-    return sum(w[kind] for kind in (*z.indicators, *defuse)) + w["query"] * query_hit
+def query_hits(table: SpanTable, tokens: list[Token], query_syms: frozenset[str]) -> np.ndarray:
+    """Whether each candidate holds a query identifier: one of its windows
+    does. Tokens between two merged windows are no part of it."""
+    marked = np.fromiter(
+        (t.text in query_syms and t.kind is TokenKind.IDENTIFIER for t in tokens),
+        dtype=np.intp,
+        count=len(tokens),
+    )
+    seen = np.concatenate(([0], np.cumsum(marked)))  # query identifiers before each token
+    in_window = seen[table.window_end] > seen[table.window_start]
+    return np.logical_or.reduceat(in_window, table.first)
 
 
-def query_protection(z: StructuralSpan, query_syms: frozenset[str]) -> int:
-    return 1 if z.symbols & query_syms else 0
+def span_scores(table: SpanTable, weights: dict[str, float], hits: np.ndarray) -> np.ndarray:
+    """Each candidate's score: the weights of its indicators, summed in the
+    key order of DEFAULT_SPAN_WEIGHTS so the float is the same in every
+    process, plus the query weight on a hit."""
+    scores = np.zeros(len(table))
+    for kind, bit in _BIT.items():
+        scores += np.where(table.bits & bit, weights[kind], 0.0)
+    return scores + weights["query"] * hits
 
 
 def span_budget(b: int, cfg: SpanConfig) -> int:
@@ -164,54 +198,47 @@ def span_budget(b: int, cfg: SpanConfig) -> int:
 
 
 def select_spans(
-    spans: list[StructuralSpan],
-    scores: list[float],
-    protections: list[int],
-    b_span: int,
+    table: SpanTable, scores: np.ndarray, hits: np.ndarray, b_span: int
 ) -> list[SpanSelection]:
-    """Greedy packing under the span budget, one attempt per span.
+    """Greedy packing under the span budget, one attempt per candidate.
 
     Stage 1 offers the query hits, then the signatures, each in chunk order
-    (token range, then index); stage 2 offers the rest by descending score.
-    A span is taken when its not-yet-covered width fits in what is left of
-    ``b_span``, so overlapping tokens are charged once.
+    (token range, then row); stage 2 offers the rest by descending score.
+    A candidate is taken when its not-yet-covered width fits in what is
+    left of ``b_span``, so overlapping tokens are charged once.
     """
-
-    def priority(i: int) -> tuple:
-        z = spans[i]
-        if protections[i]:
-            return (0, z.token_range, i)
-        if "signature" in z.indicators:
-            return (1, z.token_range, i)
-        return (2, -scores[i], z.token_range, i)
-
-    # A span that does not fit never fits later, so it is offered once:
+    first_stage = hits | (table.bits & _BIT["signature"] > 0)
+    rank = np.where(hits, 0, np.where(first_stage, 1, 2))
+    # a stable sort, so rows tie-break last
+    order = np.lexsort((table.end, table.start, np.where(first_stage, 0.0, -scores), rank))
+    # A candidate that does not fit never fits later, so it is offered once:
     # every later take lowers `remaining` by its whole uncovered width, which
-    # is at least what it covers of the span that did not fit.
-    covered = np.zeros(max((z.token_range[1] for z in spans), default=0), dtype=bool)
+    # is at least what it covers of the candidate that did not fit.
+    starts, ends, stage_one = table.start.tolist(), table.end.tolist(), first_stage.tolist()
+    covered = bytearray(max(ends, default=0))
     remaining = b_span
     out: list[SpanSelection] = []
-    for key in sorted(map(priority, range(len(spans)))):
-        start, end = spans[key[-1]].token_range
-        fresh = end - start - np.count_nonzero(covered[start:end])
+    for i in order.tolist():
+        start, end = starts[i], ends[i]
+        fresh = covered.count(0, start, end)
         if fresh <= remaining:
-            covered[start:end] = True
+            covered[start:end] = b"\x01" * (end - start)
             remaining -= fresh
-            out.append(SpanSelection(key[-1], 2 if key[0] == 2 else 1))
+            out.append(SpanSelection(i, 1 if stage_one[i] else 2))
     return out
 
 
-def protect_tokens(selected: list[StructuralSpan], b: int, length: int) -> list[int]:
+def protect_tokens(ranges: list[tuple[int, int]], b: int, length: int) -> list[int]:
     """Indices into a chunk of ``length`` tokens guaranteed to survive
-    compression, at most ``b`` of them.
+    compression, at most ``b`` of them, given the chosen spans' token ranges.
 
     The span union is kept whole when it fits; the rest of the budget is
     filled with the tokens nearest the protected region. When the union
     overflows, its first ``b`` indices in sequence order are kept.
     """
     mask = np.zeros(length, dtype=bool)
-    for span in selected:
-        mask[slice(*span.token_range)] = True
+    for start, end in ranges:
+        mask[start:end] = True
     pts = np.flatnonzero(mask)
     if len(pts) >= b or not len(pts):
         return pts[:b].tolist()

@@ -12,6 +12,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import pytest
 from cpg_cases import CASES
 from synth import synth_corpus, synth_query
 
-from plan_helpers import check_plan_invariants, single_chunk
+from plan_helpers import check_plan_invariants, single_chunk, span_table
 from structkv.allocation import AllocationConfig, budget, multiplier, normalize_scores
 from structkv.attention import AttentionWindow, importance
 from structkv.chunking import Chunk, ChunkConfig
@@ -40,7 +41,7 @@ from structkv.scoring import (
     normalize,
     structural_score,
 )
-from structkv.spans import SpanConfig, StructuralSpan, select_spans, span_budget
+from structkv.spans import SpanConfig, select_spans, span_budget
 
 
 @contextmanager
@@ -190,21 +191,27 @@ def test_criterion_3_hard_query_protection():
                 scores.append(rng.uniform(0.5, 5.0))  # tempting high scores
                 cursor += width + rng.randint(0, 4)
 
-            selected = {s.index for s in select_spans(spans, scores, protections, b_span)}
+            table = span_table(spans)
+            hits = np.array(protections, dtype=bool)
+            selected = {s.index for s in select_spans(table, np.array(scores), hits, b_span)}
             for i in must_select:
                 if spans[i].width <= b_span and i not in selected:
                     violations += 1
         assert violations == 0
 
 
+class _Span(NamedTuple):
+    token_range: tuple[int, int]
+    indicators: frozenset[str]
+    participates_defuse: bool = False
+
+    @property
+    def width(self) -> int:
+        return self.token_range[1] - self.token_range[0]
+
+
 def _span(start, end, kinds):
-    return StructuralSpan(
-        anchor_node=start,
-        token_range=(start, end),
-        indicators=frozenset(kinds),
-        symbols=frozenset(),
-        line_range=(start, start),
-    )
+    return _Span((start, end), frozenset(kinds))
 
 
 def test_criterion_4_protection_dominance_and_budget_exactness(plan_battery):

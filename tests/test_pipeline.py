@@ -2,7 +2,9 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import sysconfig
 import threading
@@ -11,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+import structkv
 from structkv import pipeline, spans
 from structkv.allocation import AllocationConfig
 from structkv.chunking import ChunkConfig
@@ -29,6 +34,7 @@ from structkv.lexer import SourceFile, tokenize
 from structkv.parsing import parse_subset
 from structkv.plan import CompressionPlan, canonical_json, read_record
 from structkv.scoring import MockScorer
+from structkv.spans import DEFAULT_SPAN_WEIGHTS, SpanConfig
 from structkv.chunking import partition_chunks
 from structkv.pipeline import (
     index_corpus,
@@ -88,6 +94,60 @@ def test_index_cuts_each_chunks_own_tokens():
 def test_golden_config_round_trips_through_json():
     cfg = golden_config()
     assert read_record(PipelineConfig, json.loads(canonical_json(cfg)), "config") == cfg
+
+
+def test_largest_seed_round_trips_through_the_plan():
+    plan, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, golden_config(seed=2**64 - 1))
+    assert plan.seed == 2**64 - 1
+    assert CompressionPlan.from_json(plan.to_json()) == plan
+
+
+def test_seed_past_64_bits_refused_before_planning():
+    # a plan would record it as a number the plan reader takes for a float
+    message = r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"
+    with pytest.raises(ConfigError, match=message):
+        golden_config(seed=2**64)
+    with pytest.raises(ConfigError, match=message):
+        PipelineConfig.from_dict({"seed": 2**64})
+
+
+def test_plans_do_not_depend_on_the_hash_seed():
+    """Span scores add weights in one fixed order, so a plan is the same
+    bytes under every PYTHONHASHSEED; with these weights the sum of three
+    depends on the order of its terms."""
+    weights = {**DEFAULT_SPAN_WEIGHTS, "call": 0.1, "control": 0.2, "return": 0.3}
+    cfg = golden_config(
+        span=SpanConfig(weights=weights), selection=SelectionConfig(k=1000, layers=1)
+    )
+    script = (
+        "import json, sys\n"
+        "from structkv.config import PipelineConfig\n"
+        "from structkv.lexer import SourceFile\n"
+        "from structkv.pipeline import run_pipeline\n"
+        "files, query, cfg = json.load(sys.stdin)\n"
+        "plan, _ = run_pipeline([SourceFile(*f) for f in files], query,"
+        " PipelineConfig.from_dict(cfg))\n"
+        "sys.stdout.write(plan.to_json())\n"
+    )
+    corpus = [*GOLDEN_FILES, *synth_corpus(seed=9, n_files=3)]
+    files = [[f.path, f.content] for f in corpus]
+    stdin = json.dumps([files, GOLDEN_QUERY, json.loads(canonical_json(cfg))])
+    src = str(Path(structkv.__file__).parents[1])
+    texts = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            input=stdin,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    plan, _ = run_pipeline(corpus, GOLDEN_QUERY, cfg)
+    assert texts == {plan.to_json()}
+    assert any(c.spans for c in plan.chunks)
 
 
 class TestQueryPosition:
@@ -356,6 +416,21 @@ def kept_graphs() -> dict[tuple[bytes, tuple[int, int]], bytes]:
     }
 
 
+def kept_tables() -> dict[tuple[bytes, tuple], spans.SpanTable]:
+    """The memo's span tables by (file digest, (token range, min_span_tokens,
+    merge_gap_lines))."""
+    return {
+        (key[0], span_key): table
+        for key, entry in pipeline._MEMO.items()
+        if entry is not None
+        for span_key, table in entry.spans.items()
+    }
+
+
+def span_key(token_range, cfg):
+    return (tuple(token_range), cfg.span.min_span_tokens, cfg.span.merge_gap_lines)
+
+
 class TestGraphMemo:
     """Built-in graphs are reused across plans in one process, kept in the
     memo entry of the chunk's file text under the chunk's token range; a
@@ -461,14 +536,17 @@ class TestGraphMemo:
         assert sidecar != builtin
         # entries made by sidecar plans keep no graph of the documented chunk
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
-        assert len(kept_graphs()) == 2
+        assert len(kept_graphs()) == len(kept_tables()) == 2
         builds.clear()
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
-        assert self.built(builds) == [(1, "beta.py")] and len(kept_graphs()) == 3
+        assert self.built(builds) == [(1, "beta.py")]
+        assert len(kept_graphs()) == len(kept_tables()) == 3
         builds.clear()
-        kept = kept_graphs()
+        kept, tables = kept_graphs(), kept_tables()
+        # the kept table of the built-in graph is not read either: the plan
+        # equals the cold one, whose chunk 1 has no candidates
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs) == sidecar
-        assert builds == [] and kept_graphs() == kept
+        assert builds == [] and kept_graphs() == kept and kept_tables() == tables
         # beta's graph is still in its entry
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
         assert builds == []
@@ -527,7 +605,7 @@ class TestGraphMemo:
         for corpus in corpora[:2]:
             index_corpus(corpus, chunking)
         beta = pipeline._MEMO[(digest(GOLDEN_FILES[1].content), chunking)]
-        assert beta is not None and beta.graphs == {}
+        assert beta is not None and beta.graphs == beta.spans == {}
         matched = []
 
         def plan_in_turn(t):
@@ -554,6 +632,7 @@ class TestGraphMemo:
             if c["file"] == "beta.py"
         }
         assert len(selected) == 4 and set(beta.graphs) == selected
+        assert set(beta.spans) == {span_key(r, cfgs[0]) for r in selected}
         assert pipeline._MEMO[(digest(GOLDEN_FILES[1].content), chunking)] is beta
 
     def test_entries_keep_every_graph_selected_since_they_were_made(self):
@@ -571,17 +650,97 @@ class TestGraphMemo:
             plan, _ = run_pipeline(corpus, q, cfg)
             selected |= {(digest(texts[c.file]), c.token_range) for c in plan.chunks}
             assert set(kept_graphs()) == selected
+            assert set(kept_tables()) == {(d, span_key(r, cfg)) for d, r in selected}
         assert len(selected) > len(plan.chunks) == 3
         assert all(type(blob) is bytes for blob in kept_graphs().values())
         # an edited file is a new key: the entry its second sight makes starts empty
         old = digest(corpus[0].content)
         edited = [SourceFile(corpus[0].path, corpus[0].content + "z = 1\n"), *corpus[1:]]
         kept = {key: blob for key, blob in kept_graphs().items() if key[0] != old}
+        tables = {key: table for key, table in kept_tables().items() if key[0] != old}
         for _ in range(2):
             index_corpus(edited, cfg.chunking)
         assert set(pipeline._MEMO) == {(digest(f.content), cfg.chunking) for f in edited}
-        assert pipeline._MEMO[(digest(edited[0].content), cfg.chunking)].graphs == {}
-        assert kept_graphs() == kept
+        entry = pipeline._MEMO[(digest(edited[0].content), cfg.chunking)]
+        assert entry.graphs == entry.spans == {}
+        assert kept_graphs() == kept and kept_tables() == tables
+
+
+class TestSpanMemo:
+    """A chunk's span candidates are kept in its file's memo entry beside its
+    graph, by token range and the span fields that shape them, and a warm
+    plan equals a cold one."""
+
+    @pytest.fixture(autouse=True)
+    def built(self, monkeypatch):
+        """An empty memo, and the (file, token range) of every chunk whose
+        span candidates get built."""
+        monkeypatch.setattr(pipeline, "_MEMO", {})
+        calls = []
+        build = spans.build_spans
+
+        def counted(cpg, cfg, tokens):
+            calls.append(cpg.chunk_id)
+            return build(cpg, cfg, tokens)
+
+        monkeypatch.setattr(spans, "build_spans", counted)
+        return calls
+
+    @pytest.mark.parametrize("corpus, k", [("golden", 1), ("synth", 3)])
+    def test_warm_plans_equal_cold_plans(self, built, corpus, k):
+        corpus = GOLDEN_FILES if corpus == "golden" else synth_corpus(seed=5, n_files=6)
+        cfg = golden_config(selection=SelectionConfig(k=k, layers=2))
+        asks = [
+            GOLDEN_QUERY if corpus is GOLDEN_FILES else synth_query(5, corpus),
+            "how does transform push each item",
+            "what does the first helper return",
+        ]
+        cold = {q: cold_plan(corpus, q, cfg) for q in asks}
+        picks = {tuple(c["chunk_id"] for c in json.loads(cold[q][0])["chunks"]) for q in asks}
+        assert len(picks) > 1  # the asks select different chunks
+        kept: set[tuple[str, tuple[int, ...]]] = set()  # chunks selected since the second plan
+        for i, q in enumerate([*asks, *asks]):
+            built.clear()
+            assert planned(corpus, q, cfg) == cold[q]
+            chunks = json.loads(cold[q][0])["chunks"]
+            new = {(c["file"], tuple(c["token_range"])) for c in chunks} - kept
+            ids = {(c["file"], tuple(c["token_range"])): c["chunk_id"] for c in chunks}
+            if i >= 2:
+                # from the third plan on only chunks not selected since the
+                # second are built
+                assert sorted(built) == sorted(ids[c] for c in new)
+            if i >= 1:
+                kept |= new
+        assert built == [] and len(kept_tables()) == len(kept)
+
+    def test_other_span_fields_build_again(self, built):
+        cfg = golden_config()
+        other = golden_config(span=SpanConfig(min_span_tokens=4, merge_gap_lines=0))
+        cold = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, other)
+        warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        built.clear()
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, other) == cold
+        assert len(built) == 2 and len(kept_tables()) == 4
+        # the weights and rho_span shape no table
+        weights = {**DEFAULT_SPAN_WEIGHTS, "call": 0.5}
+        heavier = golden_config(span=SpanConfig(weights=weights, rho_span=0.9))
+        cold = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, heavier)
+        built.clear()
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, heavier) == cold
+        assert built == []
+
+    def test_tables_stay_packed(self):
+        """Three plans of every asyncio chunk keep one table per chunk, in
+        numpy arrays only, under 0.25 MB in all."""
+        corpus = load_corpus(Path(sysconfig.get_paths()["stdlib"]) / "asyncio")
+        cfg = PipelineConfig(selection=SelectionConfig(k=1000, layers=1))
+        for q in ("where is the event loop closed", "why is a task cancelled", "close the pipe"):
+            plan, _ = run_pipeline(corpus, q, cfg)
+        tables = kept_tables().values()
+        assert len(tables) == len(plan.chunks) > 100
+        arrays = [a for t in tables for a in vars(t).values()]
+        assert all(type(a) is np.ndarray for a in arrays)
+        assert sum(a.nbytes for a in arrays) < 250_000
 
 
 class TestFileMemo:

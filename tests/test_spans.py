@@ -1,31 +1,49 @@
 import itertools
 import random
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plan_helpers import single_chunk
+from plan_helpers import SPAN_BIT, single_chunk, span_table
 from structkv.cpg import Cpg, CpgEdge, CpgNode, EdgeKind, NodeKind, build_cpg
 from structkv.errors import ConfigError
+from structkv.lexer import TokenKind
 from structkv.parsing import parse_subset
+from structkv.plan import SpanRecord
 from structkv.spans import (
     DEFAULT_SPAN_WEIGHTS,
     SpanConfig,
-    StructuralSpan,
     build_spans,
     protect_chunk,
     protect_tokens,
-    query_protection,
-    score_span,
+    query_hits,
     select_spans,
     span_budget,
+    span_scores,
 )
+
+
+class Candidate(NamedTuple):
+    """One span candidate as a record: what a row of a SpanTable means."""
+
+    anchor_node: int
+    token_range: tuple[int, int]  # chunk-local, half-open
+    indicators: frozenset[str]  # node kinds
+    symbols: frozenset[str]
+    line_range: tuple[int, int]
+    participates_defuse: bool = False
+
+    @property
+    def width(self) -> int:
+        return self.token_range[1] - self.token_range[0]
 
 
 def mkspan(start, end, kinds=("call",), symbols=(), line=None, defuse=False):
     width_line = line if line is not None else start
-    return StructuralSpan(
+    return Candidate(
         anchor_node=start,
         token_range=(start, end),
         indicators=frozenset(kinds),
@@ -35,10 +53,42 @@ def mkspan(start, end, kinds=("call",), symbols=(), line=None, defuse=False):
     )
 
 
+def candidates(table, toks) -> list[Candidate]:
+    """A table read back as records; a candidate's symbols are the
+    identifiers of its windows."""
+    bounds = [*table.first.tolist(), len(table.window_start)]
+    out = []
+    for i in range(len(table)):
+        start, end, bits = int(table.start[i]), int(table.end[i]), int(table.bits[i])
+        symbols = {
+            t.text
+            for w in range(bounds[i], bounds[i + 1])
+            for t in toks[table.window_start[w] : table.window_end[w]]
+            if t.kind is TokenKind.IDENTIFIER
+        }
+        out.append(
+            Candidate(
+                int(table.anchor[i]),
+                (start, end),
+                frozenset(k.value for k in NodeKind if bits & SPAN_BIT[k.value]),
+                frozenset(symbols),
+                (toks[start].line, toks[end - 1].line),
+                bool(bits & SPAN_BIT["defuse"]),
+            )
+        )
+    return out
+
+
+def select(spans, scores, hits, b_span):
+    return select_spans(
+        span_table(spans), np.array(scores, dtype=float), np.array(hits, dtype=bool), b_span
+    )
+
+
 def spans_for(code, cfg=None):
     chunk, toks = single_chunk(code)
     cpg = build_cpg(parse_subset(toks), chunk, toks)
-    return build_spans(cpg, cfg or SpanConfig(), toks), chunk, cpg
+    return candidates(build_spans(cpg, cfg or SpanConfig(), toks), toks), chunk, cpg
 
 
 class TestConfig:
@@ -83,8 +133,8 @@ class TestConfig:
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize("key", ["query", "defuse"])
     def test_non_finite_weight_rejected(self, key, value):
-        # an infinite query weight made score_span inf * 0 = nan for spans
-        # missing the query
+        # an infinite query weight made a span's score inf * 0 = nan for
+        # spans missing the query
         with pytest.raises(ConfigError, match=f"span weight '{key}' must be finite"):
             SpanConfig(weights={**DEFAULT_SPAN_WEIGHTS, key: value})
 
@@ -92,9 +142,8 @@ class TestConfig:
 class TestBuildSpans:
     def test_empty_graph_yields_no_spans(self):
         chunk, toks = single_chunk("import os\n")
-        from structkv.cpg import Cpg
-
-        assert build_spans(Cpg((), (), chunk.id), SpanConfig(), toks) == []
+        table = build_spans(Cpg((), (), chunk.id), SpanConfig(), toks)
+        assert len(table) == 0 and len(table.window_start) == 0
 
     def test_widening_to_minimum(self):
         # a call anchor on a long line widens symmetrically to 16 tokens
@@ -214,42 +263,88 @@ def test_build_spans_exact(row):
         tuple(CpgEdge(a, b, EdgeKind.PDG) for a, b in defuse),
         chunk.id,
     )
-    assert build_spans(cpg, SpanConfig(**fields), toks) == [
-        StructuralSpan(
-            anchor, span, frozenset(kinds.split()), frozenset(symbols.split()), lines, du
-        )
+    table = build_spans(cpg, SpanConfig(**fields), toks)
+    assert candidates(table, toks) == [
+        Candidate(anchor, span, frozenset(kinds.split()), frozenset(symbols.split()), lines, du)
         for anchor, span, kinds, lines, du, symbols in expected
     ]
+    assert all(a.flags.writeable is False for a in vars(table).values())
+
+
+def score(z, hit=False, weights=None):
+    table = span_table([z])
+    return span_scores(table, weights or DEFAULT_SPAN_WEIGHTS, np.array([hit])).tolist()[0]
 
 
 class TestScoreSpan:
     def test_bare_span_scores_zero(self):
-        assert score_span(mkspan(0, 4, kinds=()), SpanConfig()) == 0.0
+        assert score(mkspan(0, 4, kinds=())) == 0.0
 
     def test_call_only(self):
-        assert score_span(mkspan(0, 4, kinds=("call",)), SpanConfig()) == pytest.approx(0.20)
+        assert score(mkspan(0, 4, kinds=("call",))) == pytest.approx(0.20)
 
     def test_call_return_with_defuse(self):
         z = mkspan(0, 4, kinds=("call", "return"), defuse=True)
-        assert score_span(z, SpanConfig()) == pytest.approx(0.44)
+        assert score(z) == pytest.approx(0.44)
 
     def test_query_hit_adds_query_weight(self):
         z = mkspan(0, 4, kinds=("call",))
-        assert score_span(z, SpanConfig(), 1) == pytest.approx(0.38)
+        assert score(z, hit=True) == pytest.approx(0.38)
+
+    def test_weights_add_in_key_order(self):
+        # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 are different floats; a sum
+        # over a set of kinds picked one of them by the process's hash seed
+        weights = {**DEFAULT_SPAN_WEIGHTS, "call": 0.1, "control": 0.2, "return": 0.3}
+        z = mkspan(0, 4, kinds=("return", "control", "call"))
+        assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+        assert score(z, weights=weights) == 0.1 + 0.2 + 0.3
 
 
 class TestQueryProtection:
+    """A candidate is a query hit when one of its windows holds a query
+    identifier."""
+
+    def hits(self, code, token_range, query):
+        _, toks = single_chunk(code)
+        table = span_table([mkspan(*token_range)])
+        return query_hits(table, toks, frozenset(query)).tolist()
+
     def test_overlap_protects(self):
-        z = mkspan(0, 4, symbols=("parse", "buf"))
-        assert query_protection(z, frozenset({"buf"})) == 1
+        assert self.hits("parse(buf)\n", (0, 4), {"buf"}) == [True]
 
     def test_disjoint_not_protected(self):
-        z = mkspan(0, 4, symbols=("parse",))
-        assert query_protection(z, frozenset({"buf"})) == 0
+        assert self.hits("parse(buf)\n", (0, 1), {"buf"}) == [False]
 
     def test_empty_query_never_protects(self):
-        z = mkspan(0, 4, symbols=("parse",))
-        assert query_protection(z, frozenset()) == 0
+        assert self.hits("parse(buf)\n", (0, 4), set()) == [False]
+
+    def test_only_identifiers_hit(self):
+        # the keyword and the string hold the text, but no identifier does
+        assert self.hits("if 'if'\n", (0, 2), {"if", "'if'"}) == [False]
+
+    @pytest.mark.parametrize(
+        "query, expected", [({"a0"}, True), ({"b2"}, True), ({"a1"}, False), ({"b0"}, False)]
+    )
+    def test_the_gap_between_merged_windows_is_no_hit(self, query, expected):
+        # assign windows a0 = (line 1) and a2 = b2 (line 3) merge at a gap of
+        # two lines into one candidate over tokens 0-11, which covers b0 and
+        # the whole of line 2; a query identifier there is no hit
+        nodes = [("assign", (0, 2)), ("assign", (8, 11))]
+        chunk, toks = single_chunk(TEN_LINES)
+        cpg = Cpg(
+            tuple(
+                CpgNode(i, NodeKind(kind), span, toks[span[0]].line, frozenset())
+                for i, (kind, span) in enumerate(nodes)
+            ),
+            (),
+            chunk.id,
+        )
+        table = build_spans(cpg, SpanConfig(min_span_tokens=1, merge_gap_lines=2), toks)
+        (z,) = candidates(table, toks)
+        assert z.token_range == (0, 11) and z.symbols == {"a0", "a2", "b2"}
+        assert query_hits(table, toks, frozenset(query)).tolist() == [expected]
+        protected, records, _ = protect_chunk(table, 11, SpanConfig(), toks, frozenset(query))
+        assert [r.stage for r in records] == [1 if expected else 2]
 
 
 class TestSpanBudget:
@@ -270,16 +365,16 @@ class TestSelectSpans:
     def test_protected_beats_higher_score(self):
         spans = [mkspan(0, 16), mkspan(20, 36)]
         scores = [0.0, 0.44]
-        out = select_spans(spans, scores, [1, 0], b_span=16)
+        out = select(spans, scores, [1, 0], b_span=16)
         assert [(s.index, s.stage) for s in out] == [(0, 1)]
 
     def test_zero_budget_selects_nothing(self):
-        assert select_spans([mkspan(0, 4)], [1.0], [1], 0) == []
+        assert select([mkspan(0, 4)], [1.0], [1], 0) == []
 
     def test_greedy_matches_exhaustive_at_small_size(self):
         spans = [mkspan(0, 16, line=0), mkspan(20, 36, line=1), mkspan(40, 56, line=2)]
         scores = [0.3, 0.2, 0.1]
-        out = select_spans(spans, scores, [0, 0, 0], b_span=32)
+        out = select(spans, scores, [0, 0, 0], b_span=32)
         chosen = {s.index for s in out}
         assert chosen == {0, 1}
         # exhaustive check: no feasible subset has a higher total score
@@ -296,22 +391,22 @@ class TestSelectSpans:
     def test_skipped_big_span_does_not_block_later_fit(self):
         spans = [mkspan(0, 40), mkspan(50, 60)]
         scores = [0.9, 0.1]
-        out = select_spans(spans, scores, [0, 0], b_span=12)
+        out = select(spans, scores, [0, 0], b_span=12)
         assert {s.index for s in out} == {1}
 
     def test_overlap_counted_once(self):
         spans = [mkspan(0, 16), mkspan(8, 24)]
-        out = select_spans(spans, [0.5, 0.4], [0, 0], b_span=24)
+        out = select(spans, [0.5, 0.4], [0, 0], b_span=24)
         assert {s.index for s in out} == {0, 1}
 
     def test_signatures_enter_stage_one(self):
         spans = [mkspan(0, 16, kinds=("signature",)), mkspan(20, 36, kinds=("call",))]
-        out = select_spans(spans, [0.0, 0.2], [0, 0], b_span=16)
+        out = select(spans, [0.0, 0.2], [0, 0], b_span=16)
         assert [(s.index, s.stage) for s in out] == [(0, 1)]
 
     def test_query_spans_take_priority_over_signatures(self):
         spans = [mkspan(0, 16, kinds=("signature",)), mkspan(20, 36, kinds=("call",))]
-        out = select_spans(spans, [0.0, 0.2], [0, 1], b_span=16)
+        out = select(spans, [0.0, 0.2], [0, 1], b_span=16)
         assert [(s.index, s.stage) for s in out] == [(1, 1)]
 
     def test_union_never_exceeds_budget(self):
@@ -324,7 +419,7 @@ class TestSelectSpans:
             scores = [rng.random() for _ in spans]
             prot = [rng.random() < 0.3 for _ in spans]
             b = rng.randrange(0, 80)
-            out = select_spans(spans, scores, prot, b)
+            out = select(spans, scores, prot, b)
             union = set()
             for s in out:
                 union.update(range(*spans[s.index].token_range))
@@ -339,8 +434,8 @@ class TestSelectSpans:
                 spans.append(mkspan(start, start + rng.randint(1, 20), line=start))
             scores = [rng.random() for _ in spans]
             prot = [rng.random() < 0.4 for _ in spans]
-            small = select_spans(spans, scores, prot, 30)
-            large = select_spans(spans, scores, prot, 60)
+            small = select(spans, scores, prot, 30)
+            large = select(spans, scores, prot, 60)
             small_protected = {s.index for s in small if s.stage == 1}
             large_protected = {s.index for s in large if s.stage == 1}
             assert small_protected <= large_protected
@@ -394,7 +489,7 @@ def packing_cases(draw):
 @given(packing_cases())
 @settings(max_examples=500, deadline=None)
 def test_select_spans_matches_the_three_pass_rule(case):
-    out = select_spans(*case)
+    out = select(*case)
     assert [(s.index, s.stage) for s in out] == three_pass_packing(*case)
 
 
@@ -402,7 +497,7 @@ def padded_by_rule(selected, b, length):
     """The padding rule, stated directly: the span union whole when it fits
     (its first b indices when it does not), then outside tokens by
     (distance to the nearest protected token, index) until b are kept."""
-    union = sorted({i for z in selected for i in range(*z.token_range)})
+    union = sorted({i for r in selected for i in range(*r)})
     if len(union) >= b or not union:
         return union[:b]
     outside = [i for i in range(length) if i not in union]
@@ -414,8 +509,8 @@ def padded_by_rule(selected, b, length):
 def padding_cases(draw):
     length = draw(st.integers(1, 60))
     starts = draw(st.lists(st.integers(0, length - 1), max_size=5))
-    spans = [mkspan(s, min(length, s + draw(st.integers(1, 12)))) for s in starts]
-    return spans, draw(st.integers(0, length)), length
+    ranges = [(s, min(length, s + draw(st.integers(1, 12)))) for s in starts]
+    return ranges, draw(st.integers(0, length)), length
 
 
 class TestProtectTokens:
@@ -424,8 +519,8 @@ class TestProtectTokens:
     @given(padding_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_padding_rule(self, case):
-        spans, b, length = case
-        assert protect_tokens(spans, b, length) == padded_by_rule(spans, b, length)
+        ranges, b, length = case
+        assert protect_tokens(ranges, b, length) == padded_by_rule(ranges, b, length)
 
     @pytest.mark.parametrize(
         "ranges, b, length, expected",
@@ -440,30 +535,26 @@ class TestProtectTokens:
         ],
     )
     def test_padding_corners(self, ranges, b, length, expected):
-        spans = [mkspan(*r) for r in ranges]
-        assert padded_by_rule(spans, b, length) == expected
-        assert protect_tokens(spans, b, length) == expected
+        assert padded_by_rule(ranges, b, length) == expected
+        assert protect_tokens(ranges, b, length) == expected
 
     def test_prefix_rule_on_overflow(self):
-        z = mkspan(4, 20)
-        assert protect_tokens([z], 10, self.LENGTH) == list(range(4, 14))
+        assert protect_tokens([(4, 20)], 10, self.LENGTH) == list(range(4, 14))
 
     def test_distance_fill(self):
-        z = mkspan(10, 12)
-        assert protect_tokens([z], 5, 20) == [8, 9, 10, 11, 12]
+        assert protect_tokens([(10, 12)], 5, 20) == [8, 9, 10, 11, 12]
 
     def test_no_spans_no_tokens(self):
         assert protect_tokens([], 10, self.LENGTH) == []
 
     def test_exact_budget_kept_whole(self):
-        z = mkspan(0, 10)
-        assert protect_tokens([z], 10, self.LENGTH) == list(range(10))
+        assert protect_tokens([(0, 10)], 10, self.LENGTH) == list(range(10))
 
     def test_size_never_exceeds_budget(self):
         rng = random.Random(3)
         for _ in range(200):
             spans = [
-                mkspan(s, min(40, s + rng.randint(1, 15)))
+                (s, min(40, s + rng.randint(1, 15)))
                 for s in rng.sample(range(35), k=rng.randint(0, 5))
             ]
             b = rng.randrange(0, 41)
@@ -476,8 +567,7 @@ class TestProtectTokens:
                 assert out == []
 
     def test_budget_reached_when_possible(self):
-        z = mkspan(5, 8)
-        out = protect_tokens([z], 25, self.LENGTH)
+        out = protect_tokens([(5, 8)], 25, self.LENGTH)
         assert len(out) == 25
 
 
@@ -488,9 +578,10 @@ class TestProtectChunk:
     )
 
     def protect(self, budget, cfg=None):
+        cfg = cfg or SpanConfig()
         chunk, toks = single_chunk(self.CODE)
-        cpg = build_cpg(parse_subset(toks), chunk, toks)
-        return protect_chunk(cpg, budget, cfg or SpanConfig(), toks, frozenset({"parse"}))
+        table = build_spans(build_cpg(parse_subset(toks), chunk, toks), cfg, toks)
+        return protect_chunk(table, budget, cfg, toks, frozenset({"parse"}))
 
     def test_disabled_protects_nothing(self):
         assert self.protect(10, SpanConfig(enabled=False)) == ((), (), 0)
@@ -509,15 +600,123 @@ class TestProtectChunk:
         hit = next(r for r in records if r.stage == 1)
         z = next(z for z in spans if z.anchor_node == hit.anchor_node)
         assert "parse" in z.symbols
-        assert hit.score == score_span(z, SpanConfig()) + DEFAULT_SPAN_WEIGHTS["query"]
+        assert hit.score == score(z) + DEFAULT_SPAN_WEIGHTS["query"]
 
     def test_query_hit_computed_once_per_span(self, monkeypatch):
+        # one pass over the chunk's tokens marks every candidate
         import structkv.spans as spans_mod
 
         calls = []
-        real = spans_mod.query_protection
-        monkeypatch.setattr(
-            spans_mod, "query_protection", lambda z, syms: calls.append(z) or real(z, syms)
-        )
+        real = spans_mod.query_hits
+
+        def counted(table, toks, syms):
+            calls.append(len(table))
+            return real(table, toks, syms)
+
+        monkeypatch.setattr(spans_mod, "query_hits", counted)
         self.protect(20)
-        assert calls == spans_for(self.CODE)[0]
+        assert calls == [len(spans_for(self.CODE)[0])]
+
+
+def reference_candidates(cpg, cfg, toks):
+    """build_spans as first written: a record per graph node, widened, then
+    merged with near neighbors that share a kind, symbols as sets."""
+    length = len(toks)
+    defuse = {nid for e in cpg.edges if e.kind is EdgeKind.PDG for nid in (e.src, e.dst)}
+    names = [t.text if t.kind is TokenKind.IDENTIFIER else None for t in toks]
+    spans = []
+    for node in cpg.nodes:
+        start, end = node.token_range
+        width = min(length, max(end - start, cfg.min_span_tokens))
+        start = min(max(start - (width - (end - start) + 1) // 2, 0), length - width)
+        end = start + width
+        spans.append(
+            Candidate(
+                node.id,
+                (start, end),
+                frozenset({node.kind.value}),
+                frozenset(filter(None, names[start:end])),
+                (toks[start].line, toks[end - 1].line),
+                node.id in defuse,
+            )
+        )
+    spans.sort(key=lambda z: (z.token_range, z.anchor_node))
+    merged = spans[:1]
+    for z in spans[1:]:
+        prev = merged[-1]
+        gap = z.line_range[0] - prev.line_range[1]
+        if gap > cfg.merge_gap_lines or not prev.indicators & z.indicators:
+            merged.append(z)
+        else:
+            merged[-1] = prev._replace(
+                token_range=(prev.token_range[0], max(prev.token_range[1], z.token_range[1])),
+                indicators=prev.indicators | z.indicators,
+                symbols=prev.symbols | z.symbols,
+                line_range=(prev.line_range[0], max(prev.line_range[1], z.line_range[1])),
+                participates_defuse=prev.participates_defuse or z.participates_defuse,
+            )
+    return merged
+
+
+def reference_protect(cpg, budget, cfg, toks, query_syms):
+    """protect_chunk as first written, over records: a candidate hits when
+    its symbols meet the query, and scores its kinds' weights (added in key
+    order), its def-use weight and the query weight on a hit."""
+    if not cfg.enabled:
+        return (), (), 0
+    spans = reference_candidates(cpg, cfg, toks)
+    hits = [1 if z.symbols & query_syms else 0 for z in spans]
+    w = cfg.weights
+    scores = [
+        sum(w[k] for k in DEFAULT_SPAN_WEIGHTS if k in z.indicators)
+        + (w["defuse"] if z.participates_defuse else 0.0)
+        + w["query"] * hit
+        for z, hit in zip(spans, hits)
+    ]
+    b_span = span_budget(budget, cfg)
+    chosen = three_pass_packing(spans, scores, hits, b_span)
+    records = tuple(
+        SpanRecord(spans[i].anchor_node, stage, scores[i], spans[i].token_range)
+        for i, stage in chosen
+    )
+    protected = padded_by_rule([r.token_range for r in records], budget, len(toks))
+    return tuple(protected), records, b_span
+
+
+@st.composite
+def chunk_cases(draw):
+    """A small chunk of identifier, keyword and number lines, a graph of
+    short nodes over it (so merges are common), a span config and a query."""
+    words = ["x", "y", "parse", "buf", "if", "1"]
+    lines = st.lists(st.sampled_from(words), min_size=1, max_size=4)
+    lines = draw(st.lists(lines, min_size=1, max_size=8))
+    chunk, toks = single_chunk("".join(" = ".join(line) + "\n" for line in lines))
+    kinds = st.sampled_from([NodeKind.CALL, NodeKind.CONTROL, NodeKind.RETURN, NodeKind.SIGNATURE])
+    nodes = []
+    for i in range(draw(st.integers(0, 10))):
+        start = draw(st.integers(0, len(toks) - 1))
+        end = draw(st.integers(start + 1, min(len(toks), start + 4)))
+        nodes.append(CpgNode(i, draw(kinds), (start, end), toks[start].line, frozenset()))
+    ids = st.integers(0, max(len(nodes) - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=3 if nodes else 0))
+    edges = [CpgEdge(a, b, EdgeKind.PDG) for a, b in pairs]
+    weight = st.sampled_from([0.0, 0.1, 0.2, 0.3])
+    cfg = SpanConfig(
+        rho_span=draw(st.sampled_from([0.3, 0.5, 1.0])),
+        b_min=draw(st.integers(1, 8)),
+        min_span_tokens=draw(st.integers(1, 6)),
+        merge_gap_lines=draw(st.integers(0, 2)),
+        weights={k: draw(weight) for k in DEFAULT_SPAN_WEIGHTS},
+    )
+    query = frozenset(draw(st.lists(st.sampled_from(words))))
+    budget = draw(st.integers(0, len(toks)))
+    return Cpg(tuple(nodes), tuple(edges), chunk.id), budget, cfg, toks, query
+
+
+@given(chunk_cases())
+@settings(max_examples=400, deadline=None)
+def test_protect_chunk_matches_the_record_rules(case):
+    cpg, budget, cfg, toks, query = case
+    table = build_spans(cpg, cfg, toks)
+    assert candidates(table, toks) == reference_candidates(cpg, cfg, toks)
+    assert protect_chunk(table, budget, cfg, toks, query) == reference_protect(*case)
