@@ -12,12 +12,14 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .chunking import chunks_between
 from .config import PipelineConfig
-from .cpg import Cpg
 from .errors import ConfigError, ParameterError, StructKVError
 from .lexer import load_source, tokenize
 from .metrics import (
+    kind_mask,
     normalized_edit_distance,
     set_metrics,
     structure_score,
@@ -147,7 +149,7 @@ def _cmd_cpg(args: argparse.Namespace) -> None:
         wanted = {corpus[0].path}
     index = index_corpus(corpus, cfg.chunking)
     graphs = [
-        chunk_graph(chunk, index.tokens[chunk.id]) for chunk in index.chunks if chunk.file in wanted
+        chunk_graph(chunk, index.tokens(chunk.id)) for chunk in index.chunks if chunk.file in wanted
     ]
     if not graphs:
         raise ParameterError(f"{args.file}: no chunks produced (is it under the corpus root?)")
@@ -196,7 +198,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     names = sorted({c.file for c in plan.chunks})
     tokens_by_file = {name: tokenize(load_source(root / name)) for name in names}
     external = load_external_cpgs(cfg.external_cpg_file) if cfg.external_cpg_file else {}
-    cpgs: dict[int, Cpg] = {}
+    kinds: dict[int, np.ndarray] = {}
     for chunk_plan in plan.chunks:
         toks = tokens_by_file[chunk_plan.file]
         start, end = chunk_plan.token_range
@@ -205,16 +207,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
                 f"{chunk_plan.file}: token range {chunk_plan.token_range} exceeds "
                 f"current file ({len(toks)} tokens); source changed since planning?"
             )
-        (chunk,) = chunks_between(chunk_plan.file, toks, (start, end), chunk_plan.chunk_id)
-        cpgs[chunk.id] = chunk_graph(chunk, toks[start:end], external.get(chunk.id))
-        sigma = structural_score(extract_features(cpgs[chunk.id]))
+        (chunk,) = chunks_between(
+            chunk_plan.file, lambda i: toks[i].line, (start, end), chunk_plan.chunk_id
+        )
+        cpg = chunk_graph(chunk, toks[start:end], external.get(chunk.id))
+        kinds[chunk.id] = kind_mask(cpg, chunk.length)
+        sigma = structural_score(extract_features(cpg))
         if sigma != chunk_plan.sigma:
             raise ParameterError(
                 f"chunk {chunk.id} ({chunk.file}): its graph gives sigma {sigma!r}, the plan "
                 f"{chunk_plan.sigma!r}; the graph source (external_cpg_file) or the file "
                 "differs from planning"
             )
-    report = structure_score(plan, cpgs)
+    report = structure_score(plan, kinds)
     doc = report.to_dict()
     doc["config_fingerprint"] = plan.config_fingerprint
     if len(plan.chunks) >= 1:

@@ -21,10 +21,12 @@ import tokenize as py_tokenize
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
-from operator import add, sub
+from itertools import accumulate, compress, repeat
+from operator import add, attrgetter, is_, sub
 from pathlib import Path
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import EncodingError
 
@@ -241,6 +243,30 @@ def unpack_tokens(text: str, packed: PackedTokens) -> list[Token]:
         map(_KIND_ORDER.__getitem__, packed.kinds),
     )
     return list(map(tuple.__new__, repeat(Token), fields))
+
+
+class Names(NamedTuple):
+    """The identifiers of a token run, which no query changes: a plan marks
+    a query's hits by looking its identifiers up in ``texts`` and indexing
+    the result by ``ids``."""
+
+    texts: tuple[str, ...]  # each distinct identifier text, sorted
+    ids: np.ndarray  # per token: its index into texts, -1 for a token that is no identifier
+    set: frozenset[str]  # texts as a set
+
+
+def identifier_names(tokens: Sequence[Token]) -> Names:
+    """The :class:`Names` of ``tokens``. The texts are sorted, so the ids
+    are the same under every ``PYTHONHASHSEED``."""
+    is_identifier = [*map(is_, map(attrgetter("kind"), tokens), repeat(TokenKind.IDENTIFIER))]
+    words = [*compress(map(attrgetter("text"), tokens), is_identifier)]
+    distinct = frozenset(words)
+    texts = tuple(sorted(distinct))
+    ids = np.full(len(tokens), -1, np.int16 if len(texts) < 1 << 15 else np.int32)
+    index = dict(zip(texts, range(len(texts))))
+    ids[np.flatnonzero(is_identifier)] = [*map(index.__getitem__, words)]
+    ids.flags.writeable = False
+    return Names(texts, ids, distinct)
 
 
 def reconstruct(source: SourceFile, tokens: list[Token]) -> str:

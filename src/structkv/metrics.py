@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +21,10 @@ from .errors import ParameterError
 from .plan import CompressionPlan
 
 CATEGORIES = tuple(k.value for k in NodeKind)
+_KIND_BIT = {kind: 1 << i for i, kind in enumerate(NodeKind)}
+_MASKS = 1 << len(NodeKind)  # distinct kind masks
+# _HAS_KIND[m, i]: whether mask m has the bit of CATEGORIES[i]
+_HAS_KIND = (np.arange(_MASKS)[:, None] >> np.arange(len(NodeKind)) & 1).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -47,42 +52,58 @@ class SetMetrics:
     gold_empty: bool = False
 
 
-def structure_score(plan: CompressionPlan, cpgs: dict[int, Cpg]) -> RetentionReport:
+def kind_mask(cpg: Cpg, length: int) -> np.ndarray:
+    """Per token of a chunk of ``length`` tokens, the node kinds whose
+    token ranges cover it: bit i stands for ``CATEGORIES[i]``, and a token
+    with any bit set is critical."""
+    mask = np.zeros(length, dtype=np.uint8)
+    for node in cpg.nodes:
+        mask[slice(*node.token_range)] |= _KIND_BIT[node.kind]
+    return mask
+
+
+def structure_score(plan: CompressionPlan, kinds: dict[int, np.ndarray]) -> RetentionReport:
     """Retention of the critical tokens over every (layer, chunk) pair that
     has any, in one walk: overall, per layer, and per node kind over the
-    pairs whose chunk has tokens of that kind. Every list follows plan
-    order, so the sums do not depend on how they were collected."""
+    pairs whose chunk has tokens of that kind. ``kinds`` holds each graphed
+    chunk's :func:`kind_mask` by chunk id, and each layer's ``kept`` must
+    ascend within its chunk, as ``CompressionPlan.from_dict`` checks. Every
+    list follows plan order and every retention is a quotient of two token
+    counts, so the sums do not depend on how the counts were made."""
     overall: list[float] = []
     by_layer: dict[int, list[float]] = {}
     by_category: dict[str, list[float]] = {c: [] for c in CATEGORIES}
     for chunk in plan.chunks:
-        cpg = cpgs.get(chunk.chunk_id)
-        if cpg is None:
+        mask = kinds.get(chunk.chunk_id)
+        if mask is None:
             continue
-        by_kind: dict[str, set[int]] = {}
-        for node in cpg.nodes:
-            by_kind.setdefault(node.kind.value, set()).update(range(*node.token_range))
-        critical = set().union(*by_kind.values())
+        total = np.bincount(mask, minlength=_MASKS)  # tokens by kind mask
+        critical = len(mask) - int(total[0])
         if not critical:
             continue
-        previous = None
+        # layers that share their keep set with the layer before (the
+        # pipeline shares it where protection fills the budget) share its
+        # counts: count each run's set once
+        keeps: list[tuple[int, ...]] = []
+        run: list[int] = []  # per layer, the index of its keep set
         for layer_plan in chunk.layers:
-            # layers that share their keep set with the layer before (the
-            # pipeline shares it where protection fills the budget) reuse
-            # that layer's retentions
-            if layer_plan.kept is not previous:
-                previous = layer_plan.kept
-                kept = set(previous)
-                retention = len(critical & kept) / len(critical)
-                kind_retentions = [
-                    (category, len(tokens & kept) / len(tokens))
-                    for category, tokens in by_kind.items()
-                    if tokens
-                ]
-            overall.append(retention)
-            by_layer.setdefault(layer_plan.layer, []).append(retention)
-            for category, value in kind_retentions:
-                by_category[category].append(value)
+            if not keeps or layer_plan.kept is not keeps[-1]:
+                keeps.append(layer_plan.kept)
+            run.append(len(keeps) - 1)
+        kept = np.fromiter(chain.from_iterable(keeps), dtype=np.intp)
+        which = np.repeat(np.arange(len(keeps)), [len(k) for k in keeps])
+        counts = np.bincount(which * _MASKS + mask[kept], minlength=len(keeps) * _MASKS)
+        counts = counts.reshape(len(keeps), _MASKS)
+        # each list gains this chunk's values in layer order
+        retentions = [n / critical for n in (counts.sum(axis=1) - counts[:, 0]).tolist()]
+        overall += map(retentions.__getitem__, run)
+        for layer_plan, i in zip(chunk.layers, run):
+            by_layer.setdefault(layer_plan.layer, []).append(retentions[i])
+        by_kind = zip(CATEGORIES, (total @ _HAS_KIND).tolist(), (counts @ _HAS_KIND).T.tolist())
+        for category, n, kept_n in by_kind:
+            if n:
+                values = [k / n for k in kept_n]
+                by_category[category] += map(values.__getitem__, run)
     return RetentionReport(
         structure_score=sum(overall) / len(overall) if overall else 0.0,
         per_category_retention={c: sum(v) / len(v) for c, v in by_category.items() if v},

@@ -7,42 +7,49 @@ requests are in flight at once. Everything after chunk selection runs on
 the calling thread in chunk-id order, and the plan is canonical JSON, so
 the worker count never changes a byte of output.
 
-Lexing, chunking, built-in graphs and span candidates are reused across
-plans in one process. One module-level memo, keyed by (sha256 of a file's
-UTF-8 text, chunking config), holds every file of the last indexed corpus;
-only ``index_corpus`` reads or replaces it. A file new to that corpus maps
-to None, so a file indexed once costs one digest. A file in two corpora in
-a row maps to an entry: its tokens as typed arrays without their texts
-(each text is sliced again from the current content, which has the same
-digest), its chunk cuts, and for every chunk selected since the entry was
-made its pickled built-in graph, by token range, and its span candidates as
-a ``spans.SpanTable`` of numpy arrays, by token range, ``min_span_tokens``
-and ``merge_gap_lines``. Later plans read them from the entry instead of
-lexing, chunking and building; a graph read back is relabelled with its
-chunk's current id, and only the query hits, scores and packing of spans
-run per plan. For all 163 ``asyncio`` chunks an entry set holds about
-0.54 MB of tokens, 0.8 MB of graphs and 0.07 MB of span arrays. An entry
-lives while its text stays in consecutive corpora; nothing is written to
-disk. Chunks with an external graph document neither read nor fill graphs
-or span candidates.
+Lexing, chunking and everything a plan reads of a chunk's built-in graph
+are reused across plans in one process. One module-level memo, keyed by
+(sha256 of a file's UTF-8 text, chunking config), holds every file of the
+last indexed corpus of each chunking config; only ``index_corpus`` reads or
+replaces it. A file new to that corpus maps to None, so a file indexed once
+costs one digest. A file in two corpora in a row maps to an entry: its
+tokens as typed arrays without their texts (each text is sliced again from
+the current content, which has the same digest), its chunk cuts, each
+chunk's identifier names (``lexer.Names``: its sorted identifier texts, as
+a tuple and a set, and per token an index into them), and for every chunk
+selected since the entry was made its graph facts (the six feature counts
+and a per-token bitmask of the node kinds covering it), by token range,
+and its span candidates as a ``spans.SpanTable`` of numpy arrays, by token
+range, ``min_span_tokens`` and ``merge_gap_lines``. A later plan reads all
+of them from the entry, so it builds no token list and no graph: query
+hits, scores, span packing and the structure score run on these arrays.
+Tokens are unpacked only for a memo miss and for the HTTP scorer. For all
+163 ``asyncio`` chunks an entry set holds about 0.54 MB of tokens, 1.0 MB
+of names, 0.09 MB of graph facts and 0.07 MB of span arrays. An entry
+lives while its text stays in consecutive corpora of its chunking config;
+nothing is written to disk. Chunks with an external graph document neither
+read nor fill graph facts or span candidates.
 
 Planning runs with the cyclic garbage collector paused. A plan makes no
 reference cycles (a test holds this), so reference counting frees all of
 it, and the collections its many tracked objects would set off find
 nothing. Other threads of the host get no automatic cyclic collection
 while a plan runs. The caller's collector state is restored when the plan
-returns or raises.
+returns or raises, and the C heap's free pages are then handed back to the
+system (``plan.release_free_heap``).
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import allocation as alloc
 from . import attention as attn
@@ -54,9 +61,11 @@ from .config import PipelineConfig
 from .cpg import Cpg, build_cpg, import_cpg_json
 from .errors import ConfigError, ParameterError, SchemaError
 from .lexer import (
+    Names,
     PackedTokens,
     SourceFile,
     Token,
+    identifier_names,
     load_source,
     pack_tokens,
     tokenize,
@@ -64,7 +73,14 @@ from .lexer import (
 )
 from .metrics import RetentionReport
 from .parsing import parse_subset
-from .plan import ChunkPlan, CompressionPlan, LayerPlan, decode_json, read_record
+from .plan import (
+    ChunkPlan,
+    CompressionPlan,
+    LayerPlan,
+    decode_json,
+    read_record,
+    release_free_heap,
+)
 
 
 def query_position(prefix_len: int, chunk_lengths: Sequence[int]) -> int:
@@ -92,66 +108,110 @@ def load_corpus(directory: str | Path, include: Sequence[str] = ("**/*.py",)) ->
 _SpanKey = tuple[tuple[int, int], int, int]
 
 
+class _Graph(NamedTuple):
+    """What a plan reads of a chunk's graph: its feature counts, and per
+    token the node kinds that cover it (``metrics.kind_mask``)."""
+
+    features: scoring.StructuralFeatures
+    kinds: np.ndarray
+
+
 class _Entry(NamedTuple):
     """What the memo keeps of one file text under one chunking config:
-    packed tokens, pickled graphs and span candidates in arrays, since live
-    objects kept between plans pin heap arenas and raise peak RSS. ``graphs``
-    and ``spans`` only gain keys, each in one dict store, so plans running
-    at once share an entry safely."""
+    tokens and graphs only as arrays and counts, since the many live token
+    and graph objects kept between plans would pin heap arenas and raise
+    peak RSS. ``graphs`` and ``spans`` only gain keys, each in one dict
+    store, so plans running at once share an entry safely."""
 
     tokens: PackedTokens
     cuts: tuple[int, ...]  # chunks run between consecutive cuts
-    graphs: dict[tuple[int, int], bytes]  # token range -> pickled built-in graph
+    names: dict[tuple[int, int], Names]  # every chunk's, by token range
+    graphs: dict[tuple[int, int], _Graph]  # by token range, from the built-in graph
     spans: dict[_SpanKey, spans_mod.SpanTable]  # candidates from the built-in graph
 
 
 _Key = tuple[bytes, ChunkConfig]  # (sha256 of a file's UTF-8 text, chunking config)
 
-# Every file of the last indexed corpus (see the module docstring); only
-# index_corpus reads or replaces it.
+# The files of the last indexed corpus of each chunking config (see the
+# module docstring); only index_corpus reads or replaces it.
 _MEMO: dict[_Key, _Entry | None] = {}
 
 
 @dataclass(frozen=True)
 class CorpusIndex:
     """The query-independent view of a corpus: chunks numbered from 0 in the
-    order of the files' path strings, each chunk's own tokens, and each
-    file's memo entry (None: not kept), shared with the published memo."""
+    order of the files' path strings, and each file's memo entry (None: not
+    kept), shared with the published memo. A chunk's tokens and identifier
+    names are made or read only when a plan asks for them."""
 
     chunks: tuple[Chunk, ...]  # chunks[i].id == i
-    tokens: tuple[list[Token], ...]  # tokens[i]: the tokens of chunks[i]
     entries: dict[str, _Entry | None]  # by file path
+    contents: dict[str, str]  # by file path
+    lexed: dict[str, list[Token]]  # by file path: tokens lexed, or unpacked when first asked for
+
+    def tokens(self, chunk_id: int) -> list[Token]:
+        """The tokens of one chunk; a kept file's are unpacked from its
+        entry on first use."""
+        chunk = self.chunks[chunk_id]
+        toks = self.lexed.get(chunk.file)
+        if toks is None:
+            entry = self.entries[chunk.file]
+            toks = self.lexed[chunk.file] = unpack_tokens(self.contents[chunk.file], entry.tokens)
+        return toks[slice(*chunk.token_range)]
+
+    def scored_tokens(self, chunk_id: int) -> Sequence[Token]:
+        """The tokens of one chunk as a scorer reads them: those lexed by
+        this index, else a view that holds the kept names (all the mock
+        scorer reads) and unpacks the tokens only when read."""
+        chunk = self.chunks[chunk_id]
+        entry = self.entries[chunk.file]
+        if entry is None:
+            return self.tokens(chunk_id)
+        return scoring.ChunkTokens(entry.names[chunk.token_range], partial(self.tokens, chunk_id))
+
+    def names(self, chunk_id: int) -> Names:
+        """The identifier names of one chunk: its file's entry's, else made
+        from its tokens and not kept."""
+        chunk = self.chunks[chunk_id]
+        entry = self.entries[chunk.file]
+        if entry is None:
+            return identifier_names(self.tokens(chunk_id))
+        return entry.names[chunk.token_range]
 
 
 def index_corpus(files: Sequence[SourceFile], chunking: ChunkConfig) -> CorpusIndex:
     """Lex and chunk every file, or read both from the memo, then publish
-    the memo of these files; the one place chunk ids are assigned, chunk
-    tokens cut and the memo replaced."""
+    the memo with these files as its corpus for ``chunking``; the one place
+    chunk ids are assigned and the memo replaced."""
     global _MEMO
-    previous, memo = _MEMO, {}
+    previous = _MEMO
+    memo = {key: entry for key, entry in previous.items() if key[1] != chunking}
     chunks: list[Chunk] = []
-    tokens: list[list[Token]] = []
     entries: dict[str, _Entry | None] = {}
+    lexed: dict[str, list[Token]] = {}
     for f in sorted(files, key=lambda f: f.path):
         if f.path in entries:
             raise ParameterError(f"duplicate path in corpus: {f.path}")
         key = (hashlib.sha256(f.content.encode("utf-8", "surrogatepass")).digest(), chunking)
         entry = memo.get(key) or previous.get(key)
         if entry is None:
-            toks = tokenize(f)
+            toks = lexed[f.path] = tokenize(f)
             file_chunks = partition_chunks(f, toks, chunking, start_id=len(chunks))
             if key in previous:
                 cuts = (0, *(c.token_range[1] for c in file_chunks))
-                entry = _Entry(pack_tokens(f.content, toks), cuts, {}, {})
+                names = {
+                    c.token_range: identifier_names(toks[slice(*c.token_range)])
+                    for c in file_chunks
+                }
+                entry = _Entry(pack_tokens(f.content, toks), cuts, names, {}, {})
         else:
-            toks = unpack_tokens(f.content, entry.tokens)
-            file_chunks = chunks_between(f.path, toks, entry.cuts, start_id=len(chunks))
+            lines = entry.tokens.lines
+            file_chunks = chunks_between(f.path, lines.__getitem__, entry.cuts, len(chunks))
         memo[key] = entries[f.path] = entry
-        for chunk in file_chunks:
-            chunks.append(chunk)
-            tokens.append(toks[slice(*chunk.token_range)])
+        chunks.extend(file_chunks)
     _MEMO = memo
-    return CorpusIndex(tuple(chunks), tuple(tokens), entries)
+    contents = {f.path: f.content for f in files}
+    return CorpusIndex(tuple(chunks), entries, contents, lexed)
 
 
 def chunk_graph(chunk: Chunk, tokens: list[Token], document: Cpg | None = None) -> Cpg:
@@ -163,53 +223,44 @@ def chunk_graph(chunk: Chunk, tokens: list[Token], document: Cpg | None = None) 
     return build_cpg(parse_subset(tokens), chunk, tokens)
 
 
-def _selected_graphs(
-    selected: Sequence[Chunk], index: CorpusIndex, imported: dict[int, Cpg]
-) -> dict[int, Cpg]:
-    """Each selected chunk's graph by id: the imported one when there is
-    one, else the built-in one from its file's memo entry, relabelled with
-    the chunk's id, else a new built-in one, kept in that entry when the
-    file has one."""
-    cpgs: dict[int, Cpg] = {}
-    for c in selected:
-        entry = index.entries[c.file]
-        blob = None if entry is None else entry.graphs.get(c.token_range)
-        if c.id in imported:
-            cpgs[c.id] = imported[c.id]
-        elif blob is not None:
-            cpg = pickle.loads(blob)
-            cpgs[c.id] = cpg if cpg.chunk_id == c.id else replace(cpg, chunk_id=c.id)
-        else:
-            cpgs[c.id] = chunk_graph(c, index.tokens[c.id])
-            if entry is not None:
-                entry.graphs[c.token_range] = pickle.dumps(cpgs[c.id], pickle.HIGHEST_PROTOCOL)
-    return cpgs
+def _graph_facts(cpg: Cpg, length: int) -> _Graph:
+    kinds = metrics_mod.kind_mask(cpg, length)
+    kinds.flags.writeable = False
+    return _Graph(scoring.extract_features(cpg), kinds)
 
 
-def _span_tables(
+def _selected_facts(
     selected: Sequence[Chunk],
     index: CorpusIndex,
     imported: dict[int, Cpg],
-    cpgs: dict[int, Cpg],
     cfg: spans_mod.SpanConfig,
-) -> dict[int, spans_mod.SpanTable]:
-    """Each selected chunk's span candidates by id, none when spans are off:
-    from its file's memo entry, else built from its graph and kept in that
-    entry when the file has one. A chunk with an imported graph neither
-    reads nor fills entries."""
+) -> tuple[dict[int, _Graph], dict[int, spans_mod.SpanTable]]:
+    """Each selected chunk's graph facts and span candidates (none when
+    spans are off) by id. A chunk with an imported graph has them from that
+    graph and neither reads nor fills entries. Any other reads them from
+    its file's memo entry; what the entry lacks comes from a new built-in
+    graph and is kept in it when the file has one."""
+    graphs: dict[int, _Graph] = {}
     tables: dict[int, spans_mod.SpanTable] = {}
-    if not cfg.enabled:
-        return tables
     for c in selected:
         entry = None if c.id in imported else index.entries[c.file]
         key = (c.token_range, cfg.min_span_tokens, cfg.merge_gap_lines)
+        graph = None if entry is None else entry.graphs.get(c.token_range)
         table = None if entry is None else entry.spans.get(key)
-        if table is None:
-            table = spans_mod.build_spans(cpgs[c.id], cfg, index.tokens[c.id])
-            if entry is not None:
-                entry.spans[key] = table
-        tables[c.id] = table
-    return tables
+        if graph is None or (cfg.enabled and table is None):
+            cpg = imported[c.id] if c.id in imported else chunk_graph(c, index.tokens(c.id))
+            if graph is None:
+                graph = _graph_facts(cpg, c.length)
+                if entry is not None:
+                    entry.graphs[c.token_range] = graph
+            if cfg.enabled and table is None:
+                table = spans_mod.build_spans(cpg, cfg, index.tokens(c.id))
+                if entry is not None:
+                    entry.spans[key] = table
+        graphs[c.id] = graph
+        if cfg.enabled:
+            tables[c.id] = table
+    return graphs, tables
 
 
 def context_tokens(
@@ -235,9 +286,8 @@ def score_chunks(
     scorer = _make_scorer(cfg)
 
     def score_one(chunk: Chunk) -> tuple[int, float]:
-        value = scoring.score_chunk(
-            scorer, prefix_tokens, chunk, query_tokens, index.tokens[chunk.id]
-        )
+        tokens = index.scored_tokens(chunk.id)
+        value = scoring.score_chunk(scorer, prefix_tokens, chunk, query_tokens, tokens)
         return (chunk.id, value)
 
     scores = _map(score_one, index.chunks, cfg.workers)
@@ -265,6 +315,7 @@ def run_pipeline(
     finally:
         if enabled:
             gc.enable()
+        release_free_heap()
 
 
 def _plan(
@@ -284,10 +335,9 @@ def _plan(
     ppl_by_id = dict(scores)
     selected = [index.chunks[cid] for cid in selected_ids]
 
-    cpgs = _selected_graphs(selected, index, imported)
-    tables = _span_tables(selected, index, imported, cpgs, cfg.span)
+    graphs, tables = _selected_facts(selected, index, imported, cfg.span)
 
-    sigmas = [scoring.structural_score(scoring.extract_features(cpgs[c.id])) for c in selected]
+    sigmas = [scoring.structural_score(graphs[c.id].features) for c in selected]
     normalized = alloc.normalize_scores(sigmas, cfg.allocation)
     multipliers = [alloc.multiplier(s, cfg.allocation) for s in normalized]
     budgets = [alloc.budget(c.length, m, cfg.allocation) for c, m in zip(selected, multipliers)]
@@ -299,7 +349,7 @@ def _plan(
         selected, sigmas, normalized, multipliers, budgets
     ):
         protected, span_records, b_span = spans_mod.protect_chunk(
-            tables.get(chunk.id), chunk_budget, cfg.span, index.tokens[chunk.id], query_syms
+            tables.get(chunk.id), chunk_budget, cfg.span, index.names(chunk.id), query_syms
         )
         # each chunk sits alone after the prefix, so a kept token's position
         # is prefix_len plus its chunk-local index (chunks' ranges overlap)
@@ -343,7 +393,7 @@ def _plan(
         seed=cfg.seed,
         config_fingerprint=cfg.fingerprint(),
     )
-    report = metrics_mod.structure_score(plan, cpgs)
+    report = metrics_mod.structure_score(plan, {cid: g.kinds for cid, g in graphs.items()})
     return plan, report
 
 

@@ -19,6 +19,7 @@ import types
 import typing
 from dataclasses import dataclass
 from enum import Enum
+from operator import lt
 
 import orjson
 
@@ -56,6 +57,23 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MAPPED_BYTES = 4 << 20
 
 
+def _glibc() -> ctypes.CDLL | None:
+    """The C library when it is glibc, whose malloc this module tunes."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (ValueError, OSError):
+        return None
+    if not libc.startswith("glibc"):
+        return None
+    c = ctypes.CDLL(None)
+    c.mallopt.argtypes, c.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    c.malloc_trim.argtypes, c.malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return c
+
+
+_LIBC = _glibc()
+
+
 def _map_large_blocks() -> None:
     """Keep plan-sized strings out of the C heap. A deep plan's text is one
     ~10 MB string, and whoever writes or hashes it makes more of that size.
@@ -67,17 +85,23 @@ def _map_large_blocks() -> None:
     block of ``_MAPPED_BYTES`` or more and returns it to the system when it
     is freed; the trim threshold is set to twice it, as glibc's own rule
     would. Other C libraries are left alone."""
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
-    except (ValueError, OSError):
-        return
-    if libc.startswith("glibc"):
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt(_M_TRIM_THRESHOLD, 2 * _MAPPED_BYTES)
-        mallopt(_M_MMAP_THRESHOLD, _MAPPED_BYTES)
+    if _LIBC is not None:
+        _LIBC.mallopt(_M_TRIM_THRESHOLD, 2 * _MAPPED_BYTES)
+        _LIBC.mallopt(_M_MMAP_THRESHOLD, _MAPPED_BYTES)
 
 
 _map_large_blocks()
+
+
+def release_free_heap() -> None:
+    """Hand the C heap's free pages back to the system (glibc only). A plan
+    frees its working arrays and tuples in the middle of the heap, where
+    glibc's own trim, which only cuts a free top past its threshold, does
+    not reach, so without this the caller would write the plan, with its
+    plan-sized strings, on top of up to ~10 MB of free heap. One call takes
+    about 0.4 ms after a plan of every ``asyncio`` chunk."""
+    if _LIBC is not None:
+        _LIBC.malloc_trim(0)
 
 
 def _write(obj: object, out: list[str], memo: dict[int, str]) -> None:
@@ -189,7 +213,8 @@ class CompressionPlan:
     def from_dict(cls, doc: object) -> "CompressionPlan":
         """Inverse of :meth:`to_dict`. A missing or mistyped field, or a chunk
         whose ``token_range`` is not ``[start, start + length)`` with
-        ``0 <= start`` and ``0 < length``, raises :class:`SchemaError`."""
+        ``0 <= start`` and ``0 < length``, or a layer whose ``kept`` indices
+        do not ascend within ``[0, length)``, raises :class:`SchemaError`."""
         plan = read_record(cls, doc, "plan")
         for c in plan.chunks:
             start, end = c.token_range
@@ -198,6 +223,14 @@ class CompressionPlan:
                     f"plan: chunk {c.chunk_id} has token_range {list(c.token_range)} "
                     f"and length {c.length}"
                 )
+            for layer in c.layers:
+                kept = layer.kept
+                ascending = all(map(lt, kept, kept[1:]))
+                if kept and not (0 <= kept[0] and kept[-1] < c.length and ascending):
+                    raise SchemaError(
+                        f"plan: chunk {c.chunk_id} layer {layer.layer} keeps indices that do "
+                        f"not ascend within [0, {c.length})"
+                    )
         return plan
 
     @classmethod

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 from ._http import HttpClient
 from .chunking import Chunk
 from .cpg import Cpg, EdgeKind, NodeKind
 from .errors import ConfigError, ParameterError, ScoringError
-from .lexer import Token, TokenKind
+from .lexer import Names, Token, TokenKind
 
 FEATURE_KEYS = ("n_call", "n_control", "n_return", "n_assign", "e_cfg", "e_pdg")
 
@@ -106,6 +106,32 @@ class ChunkScorer(Protocol):
     ) -> float: ...
 
 
+class ChunkTokens(Sequence[Token]):
+    """One chunk's tokens as the pipeline hands them to a scorer: its
+    identifier names at hand, its token list made by ``make`` when first
+    read. The mock scorer reads only the names, so a plan that keeps them
+    builds no tokens to score."""
+
+    def __init__(self, names: Names, make: Callable[[], list[Token]]) -> None:
+        self.names = names
+        self._make = make
+        self._tokens: list[Token] | None = None
+
+    def _list(self) -> list[Token]:
+        if self._tokens is None:
+            self._tokens = self._make()
+        return self._tokens
+
+    def __len__(self) -> int:
+        return len(self.names.ids)
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self) -> Iterator[Token]:
+        return iter(self._list())
+
+
 class MockScorer:
     """Deterministic stand-in: one minus the fraction of query identifiers
     the chunk mentions. Shares the scorer's orientation (lower = better)."""
@@ -117,7 +143,10 @@ class MockScorer:
         query: Sequence[Token],
     ) -> float:
         q = query_symbols(query)
-        c = query_symbols(chunk_tokens)
+        if isinstance(chunk_tokens, ChunkTokens):
+            c = chunk_tokens.names.set
+        else:  # tokens from elsewhere, as a server relexes them from the wire
+            c = query_symbols(chunk_tokens)
         return 1.0 - len(c & q) / max(1, len(q))
 
 

@@ -9,6 +9,7 @@ query hits, scores and packs on its arrays.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -17,7 +18,7 @@ import numpy as np
 
 from .cpg import Cpg, EdgeKind
 from .errors import ConfigError
-from .lexer import Token, TokenKind
+from .lexer import Names, Token
 from .plan import SpanRecord
 
 DEFAULT_SPAN_WEIGHTS = {
@@ -95,11 +96,11 @@ def protect_chunk(
     table: SpanTable | None,
     budget: int,
     cfg: SpanConfig,
-    tokens: list[Token],
+    names: Names,
     query_syms: frozenset[str],
 ) -> tuple[tuple[int, ...], tuple[SpanRecord, ...], int]:
     """(protected tokens, chosen spans, span budget) of one chunk, from its
-    candidates (None only when spans are off).
+    candidates (None only when spans are off) and its identifier names.
 
     The protected set is empty when spans are off or none is chosen, and
     otherwise exactly ``budget`` tokens: :func:`protect_tokens` pads the
@@ -107,7 +108,7 @@ def protect_chunk(
     """
     if not cfg.enabled:
         return (), (), 0
-    hits = query_hits(table, tokens, query_syms)
+    hits = query_hits(table, names, query_syms)
     scores = span_scores(table, cfg.weights, hits)
     b_span = span_budget(budget, cfg)
     selections = select_spans(table, scores, hits, b_span)
@@ -115,7 +116,7 @@ def protect_chunk(
     records = tuple(
         SpanRecord(anchor[i], stage, score[i], (start[i], end[i])) for i, stage in selections
     )
-    protected = protect_tokens([r.token_range for r in records], budget, len(tokens))
+    protected = protect_tokens([r.token_range for r in records], budget, len(names.ids))
     return tuple(protected), records, b_span
 
 
@@ -168,15 +169,17 @@ def build_spans(cpg: Cpg, cfg: SpanConfig, tokens: list[Token]) -> SpanTable:
     return SpanTable(*arrays)
 
 
-def query_hits(table: SpanTable, tokens: list[Token], query_syms: frozenset[str]) -> np.ndarray:
+def query_hits(table: SpanTable, names: Names, query_syms: frozenset[str]) -> np.ndarray:
     """Whether each candidate holds a query identifier: one of its windows
     does. Tokens between two merged windows are no part of it."""
-    marked = np.fromiter(
-        (t.text in query_syms and t.kind is TokenKind.IDENTIFIER for t in tokens),
-        dtype=np.intp,
-        count=len(tokens),
-    )
-    seen = np.concatenate(([0], np.cumsum(marked)))  # query identifiers before each token
+    texts = names.texts
+    found = [bisect.bisect_left(texts, sym) for sym in query_syms & names.set]
+    if not found:
+        return np.zeros(len(table), dtype=bool)
+    named = np.zeros(len(texts) + 1, dtype=bool)  # the last slot answers id -1
+    named[found] = True
+    # query identifiers before each token
+    seen = np.concatenate(([0], np.cumsum(named[names.ids])))
     in_window = seen[table.window_end] > seen[table.window_start]
     return np.logical_or.reduceat(in_window, table.first)
 

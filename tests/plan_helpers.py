@@ -1,11 +1,15 @@
-"""Helpers the test modules import: one-chunk snippets and the benchmark's
-plan invariants. Fixtures live in ``conftest.py``."""
+"""Helpers the test modules import: one-chunk snippets, the benchmark's
+plan invariants, and the object-walking forms of the per-plan rules that
+now run on arrays (``oracle_*``), as references. Fixtures live in
+``conftest.py``."""
 
 import numpy as np
 
 from perfbench.checks import plan_violations
 from structkv.chunking import ChunkConfig, partition_chunks
-from structkv.lexer import SourceFile, tokenize
+from structkv.lexer import SourceFile, TokenKind, tokenize
+from structkv.metrics import CATEGORIES, RetentionReport
+from structkv.scoring import query_symbols
 from structkv.spans import DEFAULT_SPAN_WEIGHTS, SpanTable
 
 # the indicator mask of a SpanTable: bit i is key i of DEFAULT_SPAN_WEIGHTS
@@ -51,3 +55,64 @@ def span_table(spans) -> SpanTable:
         np.array(rows, dtype=np.intp), starts, ends, np.array(bits, dtype=np.uint8),
         starts, ends, np.array(rows, dtype=np.intp),
     )
+
+
+def oracle_structure_score(plan, cpgs) -> RetentionReport:
+    """``metrics.structure_score`` as it was over graphs: each chunk's
+    critical tokens as one set per node kind, intersected with each keep
+    set."""
+    overall: list[float] = []
+    by_layer: dict[int, list[float]] = {}
+    by_category: dict[str, list[float]] = {c: [] for c in CATEGORIES}
+    for chunk in plan.chunks:
+        cpg = cpgs.get(chunk.chunk_id)
+        if cpg is None:
+            continue
+        by_kind: dict[str, set[int]] = {}
+        for node in cpg.nodes:
+            by_kind.setdefault(node.kind.value, set()).update(range(*node.token_range))
+        critical = set().union(*by_kind.values())
+        if not critical:
+            continue
+        previous = None
+        for layer_plan in chunk.layers:
+            if layer_plan.kept is not previous:
+                previous = layer_plan.kept
+                kept = set(previous)
+                retention = len(critical & kept) / len(critical)
+                kind_retentions = [
+                    (category, len(tokens & kept) / len(tokens))
+                    for category, tokens in by_kind.items()
+                    if tokens
+                ]
+            overall.append(retention)
+            by_layer.setdefault(layer_plan.layer, []).append(retention)
+            for category, value in kind_retentions:
+                by_category[category].append(value)
+    return RetentionReport(
+        structure_score=sum(overall) / len(overall) if overall else 0.0,
+        per_category_retention={c: sum(v) / len(v) for c, v in by_category.items() if v},
+        per_layer={layer: sum(v) / len(v) for layer, v in sorted(by_layer.items())},
+        pairs_counted=len(overall),
+    )
+
+
+def oracle_query_hits(table: SpanTable, tokens, query_syms) -> np.ndarray:
+    """``spans.query_hits`` as it was over tokens: each token marked by its
+    kind and text."""
+    marked = np.fromiter(
+        (t.text in query_syms and t.kind is TokenKind.IDENTIFIER for t in tokens),
+        dtype=np.intp,
+        count=len(tokens),
+    )
+    seen = np.concatenate(([0], np.cumsum(marked)))
+    in_window = seen[table.window_end] > seen[table.window_start]
+    return np.logical_or.reduceat(in_window, table.first)
+
+
+def oracle_mock_score(chunk_tokens, query) -> float:
+    """``MockScorer.score`` as it was: the chunk's identifier set made from
+    its tokens."""
+    q = query_symbols(query)
+    c = query_symbols(chunk_tokens)
+    return 1.0 - len(c & q) / max(1, len(q))

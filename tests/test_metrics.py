@@ -5,12 +5,23 @@ from hypothesis import strategies as st
 from structkv.cpg import Cpg, CpgNode, NodeKind
 from structkv.errors import ParameterError
 from structkv.metrics import (
+    kind_mask,
     normalized_edit_distance,
     set_metrics,
     structure_score,
     topk_overlap_jaccard,
 )
 from structkv.plan import ChunkPlan, CompressionPlan, LayerPlan
+from plan_helpers import oracle_structure_score
+
+
+def score(plan, cpgs):
+    """structure_score over each graph's kind mask; it equals the set-based
+    oracle's report float for float."""
+    lengths = {c.chunk_id: c.length for c in plan.chunks}
+    report = structure_score(plan, {cid: kind_mask(g, lengths[cid]) for cid, g in cpgs.items()})
+    assert report == oracle_structure_score(plan, cpgs)
+    return report
 
 
 def node(nid, kind, start, end):
@@ -57,13 +68,13 @@ class TestStructureScore:
     def test_full_retention(self):
         cpg = Cpg((node(0, "call", 2, 6),), (), 0)
         plan = fake_plan([(0, 10, {0: range(10)})])
-        report = structure_score(plan, {0: cpg})
+        report = score(plan, {0: cpg})
         assert report.structure_score == 1.0
 
     def test_zero_retention(self):
         cpg = Cpg((node(0, "call", 2, 6),), (), 0)
         plan = fake_plan([(0, 10, {0: [0, 1, 8, 9]})])
-        report = structure_score(plan, {0: cpg})
+        report = score(plan, {0: cpg})
         assert report.structure_score == 0.0
 
     def test_mean_over_chunks(self):
@@ -75,21 +86,21 @@ class TestStructureScore:
                 (1, 8, {0: [0, 1]}),  # retention 0.5
             ]
         )
-        report = structure_score(plan, {0: cpg0, 1: cpg1})
+        report = score(plan, {0: cpg0, 1: cpg1})
         assert report.structure_score == pytest.approx(0.75)
 
     def test_chunks_without_critical_tokens_excluded(self):
         cpg0 = Cpg((node(0, "call", 0, 4),), (), 0)
         empty = Cpg((), (), 1)
         plan = fake_plan([(0, 8, {0: [0, 1, 2, 3]}), (1, 8, {0: []})])
-        report = structure_score(plan, {0: cpg0, 1: empty})
+        report = score(plan, {0: cpg0, 1: empty})
         assert report.structure_score == 1.0
         assert report.pairs_counted == 1
 
     def test_per_layer_breakdown(self):
         cpg = Cpg((node(0, "call", 0, 4),), (), 0)
         plan = fake_plan([(0, 8, {0: [0, 1, 2, 3], 1: [0, 1]})])
-        report = structure_score(plan, {0: cpg})
+        report = score(plan, {0: cpg})
         assert report.per_layer == {0: 1.0, 1: 0.5}
         assert report.structure_score == pytest.approx(0.75)
 
@@ -98,8 +109,8 @@ class TestStructureScore:
         small = fake_plan([(0, 10, {0: [0, 1]})])
         large = fake_plan([(0, 10, {0: [0, 1, 2, 3]})])
         assert (
-            structure_score(large, {0: cpg}).structure_score
-            >= structure_score(small, {0: cpg}).structure_score
+            score(large, {0: cpg}).structure_score
+            >= score(small, {0: cpg}).structure_score
         )
 
 
@@ -107,23 +118,23 @@ class TestCategoryRetention:
     def test_saturated_category(self):
         cpg = Cpg((node(0, "call", 0, 4), node(1, "assign", 6, 8)), (), 0)
         plan = fake_plan([(0, 10, {0: [0, 1, 2, 3]})])
-        assert structure_score(plan, {0: cpg}).per_category_retention["call"] == 1.0
+        assert score(plan, {0: cpg}).per_category_retention["call"] == 1.0
 
     def test_absent_category_reports_none(self):
         cpg = Cpg((node(0, "call", 0, 4),), (), 0)
         plan = fake_plan([(0, 10, {0: [0]})])
-        assert "signature" not in structure_score(plan, {0: cpg}).per_category_retention
+        assert "signature" not in score(plan, {0: cpg}).per_category_retention
 
     def test_half_kept(self):
         cpg = Cpg((node(0, "return", 0, 4),), (), 0)
         plan = fake_plan([(0, 10, {0: [0, 1]})])
-        retention = structure_score(plan, {0: cpg}).per_category_retention["return"]
+        retention = score(plan, {0: cpg}).per_category_retention["return"]
         assert retention == pytest.approx(0.5)
 
     def test_report_includes_present_categories(self):
         cpg = Cpg((node(0, "call", 0, 2), node(1, "return", 4, 6)), (), 0)
         plan = fake_plan([(0, 10, {0: [0, 1, 4, 5]})])
-        report = structure_score(plan, {0: cpg})
+        report = score(plan, {0: cpg})
         assert set(report.per_category_retention) == {"call", "return"}
         assert report.per_category_retention["call"] == 1.0
 

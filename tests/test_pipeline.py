@@ -20,7 +20,7 @@ from structkv import pipeline, spans
 from structkv.allocation import AllocationConfig
 from structkv.chunking import ChunkConfig
 from structkv.config import PipelineConfig, SelectionConfig
-from structkv.cpg import build_cpg, export_cpg_json
+from structkv.cpg import Cpg, CpgEdge, CpgNode, build_cpg, export_cpg_json
 from structkv.attention import MockAttentionBackend
 from structkv.errors import (
     BackendError,
@@ -30,7 +30,7 @@ from structkv.errors import (
     SchemaError,
     ScoringError,
 )
-from structkv.lexer import SourceFile, tokenize
+from structkv.lexer import SourceFile, Token, tokenize
 from structkv.parsing import parse_subset
 from structkv.plan import CompressionPlan, canonical_json, read_record
 from structkv.scoring import MockScorer
@@ -81,13 +81,13 @@ def golden_config(**overrides):
 def test_index_cuts_each_chunks_own_tokens():
     files = synth_corpus(3, n_files=4)
     index = index_corpus(files, ChunkConfig(min_chunk_tokens=8, target_chunk_tokens=40))
-    assert len(index.tokens) == len(index.chunks) > len(files)
+    assert len(index.chunks) > len(files)
     by_file = {f.path: tokenize(f) for f in files}
-    for chunk, tokens in zip(index.chunks, index.tokens):
+    for chunk in index.chunks:
         start, end = chunk.token_range
-        assert tokens == by_file[chunk.file][start:end]
+        assert index.tokens(chunk.id) == by_file[chunk.file][start:end]
     for path, file_tokens in by_file.items():
-        own = [t for c, toks in zip(index.chunks, index.tokens) if c.file == path for t in toks]
+        own = [t for c in index.chunks if c.file == path for t in index.tokens(c.id)]
         assert own == file_tokens
 
 
@@ -123,30 +123,38 @@ def test_plans_do_not_depend_on_the_hash_seed():
         "import json, sys\n"
         "from structkv.config import PipelineConfig\n"
         "from structkv.lexer import SourceFile\n"
-        "from structkv.pipeline import run_pipeline\n"
+        "from structkv.pipeline import index_corpus, run_pipeline\n"
         "files, query, cfg = json.load(sys.stdin)\n"
-        "plan, _ = run_pipeline([SourceFile(*f) for f in files], query,"
-        " PipelineConfig.from_dict(cfg))\n"
-        "sys.stdout.write(plan.to_json())\n"
+        "corpus, cfg = [SourceFile(*f) for f in files], PipelineConfig.from_dict(cfg)\n"
+        "plans = [run_pipeline(corpus, query, cfg)[0].to_json() for _ in range(3)]\n"
+        "index = index_corpus(corpus, cfg.chunking)\n"
+        "names = [index.names(c.id).texts for c in index.chunks]\n"
+        "json.dump([plans, names], sys.stdout)\n"
     )
     corpus = [*GOLDEN_FILES, *synth_corpus(seed=9, n_files=3)]
     files = [[f.path, f.content] for f in corpus]
     stdin = json.dumps([files, GOLDEN_QUERY, json.loads(canonical_json(cfg))])
     src = str(Path(structkv.__file__).parents[1])
-    texts = {
-        subprocess.run(
-            [sys.executable, "-c", script],
-            input=stdin,
-            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-        ).stdout
+    outputs = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", script],
+                input=stdin,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout
+        )
         for seed in ("0", "1")
-    }
+    ]
     plan, _ = run_pipeline(corpus, GOLDEN_QUERY, cfg)
-    assert texts == {plan.to_json()}
+    # the third plan of each process is warm: it reads every chunk's kept
+    # identifier names, whose order is sorted, not hashed
+    assert {text for plans, _ in outputs for text in plans} == {plan.to_json()}
+    assert outputs[0][1] == outputs[1][1]
+    assert all(names == sorted(names) for names in outputs[0][1])
     assert any(c.spans for c in plan.chunks)
 
 
@@ -406,13 +414,13 @@ def digest(text: str) -> bytes:
     return hashlib.sha256(text.encode("utf-8")).digest()
 
 
-def kept_graphs() -> dict[tuple[bytes, tuple[int, int]], bytes]:
-    """The memo's graphs by (file digest, token range)."""
+def kept_graphs() -> dict[tuple[bytes, tuple[int, int]], pipeline._Graph]:
+    """The memo's graph facts by (file digest, token range)."""
     return {
-        (key[0], token_range): blob
+        (key[0], token_range): graph
         for key, entry in pipeline._MEMO.items()
         if entry is not None
-        for token_range, blob in entry.graphs.items()
+        for token_range, graph in entry.graphs.items()
     }
 
 
@@ -514,19 +522,21 @@ class TestGraphMemo:
         cold = cold_plan(shifted, GOLDEN_QUERY, cfg)
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         graphs = {}
-        select = pipeline._selected_graphs
+        select = pipeline._selected_facts
 
         def recording(*args):
             result = select(*args)
-            graphs.update(result)
+            graphs.update(result[0])
             return result
 
-        monkeypatch.setattr(pipeline, "_selected_graphs", recording)
+        monkeypatch.setattr(pipeline, "_selected_facts", recording)
         builds.clear()
         assert planned(shifted, GOLDEN_QUERY, cfg) == cold
         assert self.built(builds) == [(0, "aaa.py")]
+        # the kept facts carry no chunk id: the plan files them under the new ids
         assert sorted(graphs) == [0, 1, 2, 3]
-        assert all(g.chunk_id == cid for cid, g in graphs.items())
+        kept = [*kept_graphs().values()]
+        assert all(any(graphs[cid] is g for g in kept) for cid in (1, 2, 3))
 
     def test_sidecar_chunks_neither_read_nor_fill_the_memo(self, builds):
         cfg = golden_config(selection=SelectionConfig(k=3, layers=2))
@@ -558,7 +568,7 @@ class TestGraphMemo:
         cold = {q: cold_plan(GOLDEN_FILES, q, cfg) for q in (GOLDEN_QUERY, other)}
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         published = []
-        index, select = pipeline.index_corpus, pipeline._selected_graphs
+        index, select = pipeline.index_corpus, pipeline._selected_facts
 
         def indexing(*args):
             result = index(*args)
@@ -573,7 +583,7 @@ class TestGraphMemo:
             return result
 
         monkeypatch.setattr(pipeline, "index_corpus", indexing)
-        monkeypatch.setattr(pipeline, "_selected_graphs", selecting)
+        monkeypatch.setattr(pipeline, "_selected_facts", selecting)
         builds.clear()
         assert planned(GOLDEN_FILES, other, cfg) == cold[other]
         assert self.built(builds) == [(1, "beta.py")]
@@ -652,11 +662,11 @@ class TestGraphMemo:
             assert set(kept_graphs()) == selected
             assert set(kept_tables()) == {(d, span_key(r, cfg)) for d, r in selected}
         assert len(selected) > len(plan.chunks) == 3
-        assert all(type(blob) is bytes for blob in kept_graphs().values())
+        assert all(type(g.kinds) is np.ndarray for g in kept_graphs().values())
         # an edited file is a new key: the entry its second sight makes starts empty
         old = digest(corpus[0].content)
         edited = [SourceFile(corpus[0].path, corpus[0].content + "z = 1\n"), *corpus[1:]]
-        kept = {key: blob for key, blob in kept_graphs().items() if key[0] != old}
+        kept = {key: graph for key, graph in kept_graphs().items() if key[0] != old}
         tables = {key: table for key, table in kept_tables().items() if key[0] != old}
         for _ in range(2):
             index_corpus(edited, cfg.chunking)
@@ -731,7 +741,9 @@ class TestSpanMemo:
 
     def test_tables_stay_packed(self):
         """Three plans of every asyncio chunk keep one table per chunk, in
-        numpy arrays only, under 0.25 MB in all."""
+        numpy arrays only, under 0.25 MB in all; no entry holds a token or a
+        graph object, and each chunk's names and graph facts together stay
+        near the 1.08 MB measured for all 163 chunks (CPython 3.11)."""
         corpus = load_corpus(Path(sysconfig.get_paths()["stdlib"]) / "asyncio")
         cfg = PipelineConfig(selection=SelectionConfig(k=1000, layers=1))
         for q in ("where is the event loop closed", "why is a task cancelled", "close the pipe"):
@@ -741,6 +753,36 @@ class TestSpanMemo:
         arrays = [a for t in tables for a in vars(t).values()]
         assert all(type(a) is np.ndarray for a in arrays)
         assert sum(a.nbytes for a in arrays) < 250_000
+        entries = [e for e in pipeline._MEMO.values() if e is not None]
+        assert len(entries) == len(corpus) == 33
+        held = {type(o) for o in reachable(tuple(entries))}
+        assert not held & {Token, Cpg, CpgNode, CpgEdge, list}, held
+        names = [n for e in entries for n in e.names.values()]
+        graphs = [g for e in entries for g in e.graphs.values()]
+        assert len(names) == len(graphs) == len(plan.chunks)
+        facts = sum(
+            n.ids.nbytes + sys.getsizeof(n.texts) + sys.getsizeof(n.set)
+            + sum(map(sys.getsizeof, n.texts))
+            for n in names
+        ) + sum(g.kinds.nbytes + sys.getsizeof(g) + sys.getsizeof(g.features) for g in graphs)
+        assert facts < 1_150_000, facts
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through containers and records."""
+    stack, seen = [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack += obj
+        elif dataclasses.is_dataclass(obj):
+            stack += vars(obj).values()
 
 
 class TestFileMemo:
@@ -818,7 +860,12 @@ class TestFileMemo:
             lexed.clear()
             memo = index_corpus(corpus, chunking)
             assert lexed == []  # index_corpus lexes no query
-            assert memo.chunks == fresh.chunks and memo.tokens == fresh.tokens
+            assert memo.chunks == fresh.chunks
+            for chunk in fresh.chunks:
+                assert memo.tokens(chunk.id) == fresh.tokens(chunk.id)
+                a, b = memo.names(chunk.id), fresh.names(chunk.id)
+                assert a.texts == b.texts and a.set == b.set
+                assert a.ids.tolist() == b.ids.tolist() and a.ids.dtype == b.ids.dtype
 
     def test_identical_files_at_two_paths(self, lexed):
         twin = SourceFile("alpha_copy.py", GOLDEN_FILES[0].content)
@@ -848,6 +895,77 @@ class TestFileMemo:
         entry = pipeline._MEMO[(digest(""), golden_config().chunking)]
         assert entry.cuts == (0,) and entry.graphs == {}
         assert index_corpus([empty], golden_config().chunking).chunks == ()
+
+
+class TestWarmPath:
+    """From the third plan of an unchanged corpus on, a plan reads every
+    chunk's query-independent facts from the memo: it lexes only the query,
+    unpacks no tokens and builds no graph."""
+
+    @pytest.fixture(autouse=True)
+    def calls(self, monkeypatch):
+        """An empty memo, and every call that makes tokens or graphs, by
+        (function, file path or chunk id)."""
+        monkeypatch.setattr(pipeline, "_MEMO", {})
+        calls = []
+        lex, unpack, build = pipeline.tokenize, pipeline.unpack_tokens, pipeline.build_cpg
+
+        def lex_counted(source):
+            calls.append(("tokenize", source.path))
+            return lex(source)
+
+        def unpack_counted(text, packed):
+            calls.append(("unpack_tokens", len(text)))
+            return unpack(text, packed)
+
+        def build_counted(ast, chunk, tokens):
+            calls.append(("build_cpg", chunk.id))
+            return build(ast, chunk, tokens)
+
+        monkeypatch.setattr(pipeline, "tokenize", lex_counted)
+        monkeypatch.setattr(pipeline, "unpack_tokens", unpack_counted)
+        monkeypatch.setattr(pipeline, "build_cpg", build_counted)
+        return calls
+
+    @pytest.mark.parametrize("corpus", ["golden", "asyncio"])
+    def test_third_plan_makes_no_tokens_and_no_graphs(self, calls, corpus):
+        if corpus == "golden":
+            files, query, cfg = GOLDEN_FILES, GOLDEN_QUERY, golden_config()
+        else:
+            files = load_corpus(Path(sysconfig.get_paths()["stdlib"]) / "asyncio")
+            query = "why is a task cancelled when the loop is closed"
+            cfg = PipelineConfig(selection=SelectionConfig(k=1000, layers=2))
+        cold = cold_plan(files, query, cfg)
+        warmed(files, query, cfg)
+        calls.clear()
+        third = planned(files, query, cfg)
+        assert calls == [("tokenize", "<query>")]
+        assert third[0] == cold[0]
+        assert canonical_json(third[1].to_dict()) == canonical_json(cold[1].to_dict())
+        if corpus == "golden":
+            expected = (Path(__file__).parent / "data" / "golden_plan.json").read_text("utf-8")
+            assert third[0] + "\n" == expected
+        else:
+            assert len(json.loads(third[0])["chunks"]) == 163
+        assert not hasattr(pipeline, "pickle")
+
+    def test_two_chunking_configs_keep_their_entries(self, calls):
+        # the memo holds the last corpus of each chunking config, so plans
+        # that alternate two configs over one corpus stop lexing and building
+        corpus = load_corpus(Path(sysconfig.get_paths()["stdlib"]) / "asyncio")
+        query = "where is the event loop closed"
+        base = PipelineConfig(selection=SelectionConfig(k=30, layers=1))
+        cfgs = [base, dataclasses.replace(base, chunking=ChunkConfig(target_chunk_tokens=256))]
+        cold = [cold_plan(corpus, query, cfg) for cfg in cfgs]
+        assert cold[0][0] != cold[1][0]
+        for round_ in range(4):
+            for cfg, expected in zip(cfgs, cold):
+                calls.clear()
+                plan, report = planned(corpus, query, cfg)
+                assert plan == expected[0] and report == expected[1]
+                made = [c for c in calls if c != ("tokenize", "<query>")]
+                # the first plan under a config keeps nothing, the second fills its entries
+                assert bool(made) is (round_ < 2), (round_, made[:3])
 
 
 def test_invariants_hold_on_stdlib_packages():

@@ -107,6 +107,25 @@ def test_index_arrays_are_typed_item_by_item(kept, expected):
         CompressionPlan.from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "kept",
+    [[2, 1], [0, 0], [-1, 2], "past-the-end"],
+    ids=["descending", "repeated", "negative", "past-the-end"],
+)
+def test_kept_indices_must_ascend_within_the_chunk(kept):
+    # structure_score counts each kept index once, by position in its chunk
+    doc = json.loads(GOLDEN_PLAN.read_text())
+    chunk = doc["chunks"][0]
+    chunk["layers"][0]["kept"] = [0, chunk["length"]] if kept == "past-the-end" else kept
+    layer = chunk["layers"][0]["layer"]
+    message = (
+        f"^plan: chunk {chunk['chunk_id']} layer {layer} keeps indices that do not "
+        f"ascend within \\[0, {chunk['length']}\\)$"
+    )
+    with pytest.raises(SchemaError, match=message):
+        CompressionPlan.from_dict(doc)
+
+
 def reference_json(obj):
     """The stdlib encoder with the options canonical_json promises."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode)

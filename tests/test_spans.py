@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from plan_helpers import SPAN_BIT, single_chunk, span_table
 from structkv.cpg import Cpg, CpgEdge, CpgNode, EdgeKind, NodeKind, build_cpg
 from structkv.errors import ConfigError
-from structkv.lexer import TokenKind
+from structkv.lexer import TokenKind, identifier_names
 from structkv.parsing import parse_subset
 from structkv.plan import SpanRecord
 from structkv.spans import (
@@ -307,7 +307,7 @@ class TestQueryProtection:
     def hits(self, code, token_range, query):
         _, toks = single_chunk(code)
         table = span_table([mkspan(*token_range)])
-        return query_hits(table, toks, frozenset(query)).tolist()
+        return query_hits(table, identifier_names(toks), frozenset(query)).tolist()
 
     def test_overlap_protects(self):
         assert self.hits("parse(buf)\n", (0, 4), {"buf"}) == [True]
@@ -342,8 +342,9 @@ class TestQueryProtection:
         table = build_spans(cpg, SpanConfig(min_span_tokens=1, merge_gap_lines=2), toks)
         (z,) = candidates(table, toks)
         assert z.token_range == (0, 11) and z.symbols == {"a0", "a2", "b2"}
-        assert query_hits(table, toks, frozenset(query)).tolist() == [expected]
-        protected, records, _ = protect_chunk(table, 11, SpanConfig(), toks, frozenset(query))
+        names = identifier_names(toks)
+        assert query_hits(table, names, frozenset(query)).tolist() == [expected]
+        protected, records, _ = protect_chunk(table, 11, SpanConfig(), names, frozenset(query))
         assert [r.stage for r in records] == [1 if expected else 2]
 
 
@@ -581,7 +582,7 @@ class TestProtectChunk:
         cfg = cfg or SpanConfig()
         chunk, toks = single_chunk(self.CODE)
         table = build_spans(build_cpg(parse_subset(toks), chunk, toks), cfg, toks)
-        return protect_chunk(table, budget, cfg, toks, frozenset({"parse"}))
+        return protect_chunk(table, budget, cfg, identifier_names(toks), frozenset({"parse"}))
 
     def test_disabled_protects_nothing(self):
         assert self.protect(10, SpanConfig(enabled=False)) == ((), (), 0)
@@ -603,15 +604,15 @@ class TestProtectChunk:
         assert hit.score == score(z) + DEFAULT_SPAN_WEIGHTS["query"]
 
     def test_query_hit_computed_once_per_span(self, monkeypatch):
-        # one pass over the chunk's tokens marks every candidate
+        # one lookup of the query in the chunk's names marks every candidate
         import structkv.spans as spans_mod
 
         calls = []
         real = spans_mod.query_hits
 
-        def counted(table, toks, syms):
+        def counted(table, names, syms):
             calls.append(len(table))
-            return real(table, toks, syms)
+            return real(table, names, syms)
 
         monkeypatch.setattr(spans_mod, "query_hits", counted)
         self.protect(20)
@@ -719,4 +720,5 @@ def test_protect_chunk_matches_the_record_rules(case):
     cpg, budget, cfg, toks, query = case
     table = build_spans(cpg, cfg, toks)
     assert candidates(table, toks) == reference_candidates(cpg, cfg, toks)
-    assert protect_chunk(table, budget, cfg, toks, query) == reference_protect(*case)
+    names = identifier_names(toks)
+    assert protect_chunk(table, budget, cfg, names, query) == reference_protect(*case)
