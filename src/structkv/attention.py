@@ -11,9 +11,9 @@ without a model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from http.client import HTTPException
 
 import numpy as np
-import requests
 
 from . import kernels
 from ._http import HttpClient
@@ -114,6 +114,6 @@ class HttpAttentionBackend(HttpClient):
                     f"backend returned a {q.shape} query block for {k.shape} keys; "
                     "it must be a non-empty matrix as wide as the keys"
                 )
-        except (requests.RequestException, KeyError, ValueError, TypeError) as exc:
+        except (HTTPException, KeyError, ValueError, TypeError) as exc:
             raise BackendError(chunk_id, layer, str(exc)) from exc
         return AttentionWindow(q_block=q, k_block=k, layer=layer)

@@ -6,6 +6,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._http import split_url
 from .allocation import AllocationConfig
 from .chunking import ChunkConfig
 from .errors import ConfigError, SchemaError
@@ -25,8 +26,10 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("mock", "http"):
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.backend == "http" and not self.url:
-            raise ConfigError("http backend requires a url")
+        if self.backend == "http":
+            if not self.url:
+                raise ConfigError("http backend requires a url")
+            split_url(self.url)
         if not self.timeout_s > 0:
             raise ConfigError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.retries < 0:

@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, compress, repeat
-from operator import add, attrgetter, is_, sub
+from operator import attrgetter, is_, sub
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -227,16 +227,21 @@ def pack_tokens(text: str, tokens: list[Token]) -> PackedTokens:
     )
 
 
+def token_texts(text: str, packed: PackedTokens, lo: int = 0, hi: int | None = None) -> list[str]:
+    """The texts of tokens ``lo`` to ``hi`` (exclusive) of ``packed``,
+    sliced from ``text``, without making their tokens."""
+    return [text[i : i + n] for i, n in zip(packed.starts[lo:hi], packed.lengths[lo:hi])]
+
+
 def unpack_tokens(text: str, packed: PackedTokens) -> list[Token]:
     """The tokens ``packed`` holds, their texts sliced from ``text``: equal
     to ``tokenize`` of ``text`` when ``packed`` came from those tokens."""
     starts = packed.starts
-    ends = map(add, starts, packed.lengths)
     # the tokens of a line share one int, as tokenize's do: an int per token
     # would add 32 bytes to each token past line 256
     line_ints = list(range(max(packed.lines, default=0) + 1))
     fields = zip(
-        map(text.__getitem__, map(slice, starts, ends)),
+        token_texts(text, packed),
         starts if packed.byte_offsets is None else packed.byte_offsets,
         map(line_ints.__getitem__, packed.lines),
         packed.columns,

@@ -5,7 +5,10 @@ The pipeline is deterministic for a fixed (corpus, query, config, seed).
 Only scoring, one request per corpus chunk, fans out: ``workers`` score
 requests are in flight at once. Everything after chunk selection runs on
 the calling thread in chunk-id order, and the plan is canonical JSON, so
-the worker count never changes a byte of output.
+the worker count never changes a byte of output. An HTTP backend keeps
+its connections alive for one plan, one per thread posting at a time (at
+most ``workers`` for scoring, one for attention), and closes them when its
+stage ends, whether the plan returns or raises.
 
 Lexing, chunking and everything a plan reads of a chunk's built-in graph
 are reused across plans in one process. One module-level memo, keyed by
@@ -22,8 +25,9 @@ and a per-token bitmask of the node kinds covering it), by token range,
 and its span candidates as a ``spans.SpanTable`` of numpy arrays, by token
 range, ``min_span_tokens`` and ``merge_gap_lines``. A later plan reads all
 of them from the entry, so it builds no token list and no graph: query
-hits, scores, span packing and the structure score run on these arrays.
-Tokens are unpacked only for a memo miss and for the HTTP scorer. For all
+hits, scores, span packing and the structure score run on these arrays,
+and the HTTP scorer's token texts are sliced from the content by the kept
+starts and lengths. Tokens are unpacked only for a memo miss. For all
 163 ``asyncio`` chunks an entry set holds about 0.54 MB of tokens, 1.0 MB
 of names, 0.09 MB of graph facts and 0.07 MB of span arrays. An entry
 lives while its text stays in consecutive corpora of its chunking config;
@@ -44,6 +48,7 @@ from __future__ import annotations
 import gc
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -68,6 +73,7 @@ from .lexer import (
     identifier_names,
     load_source,
     pack_tokens,
+    token_texts,
     tokenize,
     unpack_tokens,
 )
@@ -162,12 +168,17 @@ class CorpusIndex:
     def scored_tokens(self, chunk_id: int) -> Sequence[Token]:
         """The tokens of one chunk as a scorer reads them: those lexed by
         this index, else a view that holds the kept names (all the mock
-        scorer reads) and unpacks the tokens only when read."""
+        scorer reads), slices the texts (all the HTTP scorer reads) from the
+        content by the kept starts and lengths, and unpacks the tokens only
+        when read."""
         chunk = self.chunks[chunk_id]
         entry = self.entries[chunk.file]
         if entry is None:
             return self.tokens(chunk_id)
-        return scoring.ChunkTokens(entry.names[chunk.token_range], partial(self.tokens, chunk_id))
+        texts = partial(token_texts, self.contents[chunk.file], entry.tokens, *chunk.token_range)
+        return scoring.ChunkTokens(
+            entry.names[chunk.token_range], partial(self.tokens, chunk_id), texts
+        )
 
     def names(self, chunk_id: int) -> Names:
         """The identifier names of one chunk: its file's entry's, else made
@@ -283,14 +294,14 @@ def score_chunks(
     """Every chunk's (id, score) in id order, and the selected top-k ids."""
     if not index.chunks:
         raise ParameterError("corpus produced no chunks")
-    scorer = _make_scorer(cfg)
 
     def score_one(chunk: Chunk) -> tuple[int, float]:
         tokens = index.scored_tokens(chunk.id)
         value = scoring.score_chunk(scorer, prefix_tokens, chunk, query_tokens, tokens)
         return (chunk.id, value)
 
-    scores = _map(score_one, index.chunks, cfg.workers)
+    with _make_scorer(cfg) as scorer:
+        scores = _map(score_one, index.chunks, cfg.workers)
     return scores, scoring.select_topk(scores, min(cfg.selection.k, len(scores)))
 
 
@@ -311,7 +322,8 @@ def run_pipeline(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _plan(corpus, query, cfg, external_cpgs)
+        with _make_attention_backend(cfg) as backend:
+            return _plan(corpus, query, cfg, external_cpgs, backend)
     finally:
         if enabled:
             gc.enable()
@@ -323,6 +335,7 @@ def _plan(
     query: str | Sequence[Token],
     cfg: PipelineConfig,
     external_cpgs: dict[int, str | bytes | Cpg] | None,
+    backend: attn.MockAttentionBackend | attn.HttpAttentionBackend,
 ) -> tuple[CompressionPlan, RetentionReport]:
     query_tokens, prefix_tokens = context_tokens(query, cfg)
     prefix_len = len(prefix_tokens)
@@ -342,7 +355,6 @@ def _plan(
     multipliers = [alloc.multiplier(s, cfg.allocation) for s in normalized]
     budgets = [alloc.budget(c.length, m, cfg.allocation) for c, m in zip(selected, multipliers)]
 
-    backend = _make_attention_backend(cfg)
     query_syms = scoring.query_symbols(query_tokens)
     chunk_plans = []
     for chunk, sigma, norm, mult, chunk_budget in zip(
@@ -404,16 +416,19 @@ def _map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
+# Both return context managers: leaving one closes an HTTP backend's connections.
 def _make_scorer(cfg: PipelineConfig):
     if cfg.scorer.backend == "mock":
-        return scoring.MockScorer()
+        return nullcontext(scoring.MockScorer())
     return scoring.HttpScorer(cfg.scorer.url, cfg.scorer.timeout_s, cfg.scorer.retries)
 
 
 def _make_attention_backend(cfg: PipelineConfig):
     if cfg.attention.backend == "mock":
-        return attn.MockAttentionBackend(
-            seed=cfg.seed, window=cfg.attention.window, dim=cfg.attention.dim
+        return nullcontext(
+            attn.MockAttentionBackend(
+                seed=cfg.seed, window=cfg.attention.window, dim=cfg.attention.dim
+            )
         )
     return attn.HttpAttentionBackend(
         cfg.attention.url, cfg.attention.timeout_s, cfg.attention.retries

@@ -108,12 +108,19 @@ class ChunkScorer(Protocol):
 
 class ChunkTokens(Sequence[Token]):
     """One chunk's tokens as the pipeline hands them to a scorer: its
-    identifier names at hand, its token list made by ``make`` when first
-    read. The mock scorer reads only the names, so a plan that keeps them
+    identifier names at hand, its token texts made by ``texts()`` and its
+    token list by ``make`` when first read. The mock scorer reads only the
+    names and the HTTP scorer only the texts, so a plan that keeps them
     builds no tokens to score."""
 
-    def __init__(self, names: Names, make: Callable[[], list[Token]]) -> None:
+    def __init__(
+        self,
+        names: Names,
+        make: Callable[[], list[Token]],
+        texts: Callable[[], list[str]],
+    ) -> None:
         self.names = names
+        self.texts = texts
         self._make = make
         self._tokens: list[Token] | None = None
 
@@ -159,9 +166,13 @@ class HttpScorer(HttpClient):
         chunk_tokens: Sequence[Token],
         query: Sequence[Token],
     ) -> float:
+        if isinstance(chunk_tokens, ChunkTokens):
+            chunk = chunk_tokens.texts()
+        else:
+            chunk = [t.text for t in chunk_tokens]
         payload = {
             "prefix": [t.text for t in prefix],
-            "chunk": [t.text for t in chunk_tokens],
+            "chunk": chunk,
             "query": [t.text for t in query],
         }
         value = self._post("/score_ppl", payload)["nll_mean"]

@@ -1,12 +1,18 @@
-"""Helpers the test modules import: one-chunk snippets, the benchmark's
-plan invariants, and the object-walking forms of the per-plan rules that
-now run on arrays (``oracle_*``), as references. Fixtures live in
-``conftest.py``."""
+"""Helpers the test modules import: the golden corpus and config,
+one-chunk snippets, the benchmark's plan invariants, configs that plan
+through the stub model server, and the object-walking forms of the
+per-plan rules that now run on arrays (``oracle_*``), as references.
+Fixtures live in ``conftest.py``."""
+
+import dataclasses
+import json
 
 import numpy as np
 
 from perfbench.checks import plan_violations
+from structkv.allocation import AllocationConfig
 from structkv.chunking import ChunkConfig, partition_chunks
+from structkv.config import PipelineConfig, SelectionConfig
 from structkv.lexer import SourceFile, TokenKind, tokenize
 from structkv.metrics import CATEGORIES, RetentionReport
 from structkv.scoring import query_symbols
@@ -14,6 +20,65 @@ from structkv.spans import DEFAULT_SPAN_WEIGHTS, SpanTable
 
 # the indicator mask of a SpanTable: bit i is key i of DEFAULT_SPAN_WEIGHTS
 SPAN_BIT = {kind: 1 << i for i, kind in enumerate(DEFAULT_SPAN_WEIGHTS)}
+
+# The corpus, query and config of tests/data/golden_plan.json.
+GOLDEN_FILES = [
+    SourceFile(
+        "alpha.py",
+        "def read_config(path):\n    raw = load(path)\n    cfg = parse(raw)\n"
+        "    if cfg:\n        return cfg\n    return None\n",
+    ),
+    SourceFile(
+        "beta.py",
+        "def transform(data):\n    out = init()\n    for item in data:\n"
+        "        out = push(out, item)\n    return out\n",
+    ),
+    SourceFile(
+        "gamma.py",
+        "def unrelated(n):\n    t = n * 2\n    while t > 0:\n"
+        "        t = t - 3\n    return t\n",
+    ),
+]
+GOLDEN_QUERY = "why does parse of raw config fail"
+
+
+def golden_config(**overrides):
+    cfg = PipelineConfig(
+        chunking=ChunkConfig(min_chunk_tokens=4, target_chunk_tokens=512, max_chunk_tokens=4096),
+        allocation=AllocationConfig(capacity_ratio=0.4),
+        selection=SelectionConfig(k=2, layers=2),
+        seed=7,
+    )
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+
+
+def stub_config(httpd, files, cfg: PipelineConfig) -> PipelineConfig:
+    """``cfg`` with both backends posting to ``httpd``, a started
+    ``perfbench.stub_server``, which is told the chunk lengths of ``files``
+    under ``cfg``: a plan made with it equals the mock plan but for the
+    config fingerprint, which hashes the URL."""
+    lengths, next_id = {}, 0
+    for f in sorted(files, key=lambda f: f.path):
+        for chunk in partition_chunks(f, tokenize(f), cfg.chunking, start_id=next_id):
+            lengths[chunk.id] = chunk.length
+            next_id = chunk.id + 1
+    attention = cfg.attention
+    httpd.state.configure(
+        {"seed": cfg.seed, "window": attention.window, "dim": attention.dim, "lengths": lengths}
+    )
+    url = f"http://127.0.0.1:{httpd.server_address[1]}"
+    return dataclasses.replace(
+        cfg,
+        scorer=dataclasses.replace(cfg.scorer, backend="http", url=url),
+        attention=dataclasses.replace(attention, backend="http", url=url),
+    )
+
+
+def sans_fingerprint(plan_json: str) -> dict:
+    """A plan document without its config fingerprint."""
+    doc = json.loads(plan_json)
+    del doc["config_fingerprint"]
+    return doc
 
 
 def single_chunk(code: str, path: str = "t.py"):

@@ -59,7 +59,7 @@ def check_chunks(corpus, chunking, queries, *extra_graphs):
             syms = query_symbols(query)
             hits = query_hits(table, names, syms)
             assert hits.tolist() == oracle_query_hits(table, tokens, syms).tolist()
-            score = MockScorer().score([], ChunkTokens(names, never_made), query)
+            score = MockScorer().score([], ChunkTokens(names, never_made, never_made), query)
             assert score == oracle_mock_score(tokens, query)
     return len(graphs)
 

@@ -96,6 +96,12 @@ def test_source_lines_fit_in_100_columns():
     assert not long_lines, f"lines over 100 columns: {long_lines}"
 
 
+def test_package_does_not_import_requests():
+    """The HTTP backends speak through ``http.client``; ``requests`` is a
+    test and benchmark dependency only."""
+    assert "requests" not in imported_top_level_modules()
+
+
 def test_json_is_decoded_in_one_place():
     """Every JSON input goes through ``plan.decode_json``: no module but
     ``plan.py`` imports ``orjson``, and none calls ``json.loads``."""

@@ -43,39 +43,18 @@ from structkv.pipeline import (
     query_position,
     run_pipeline,
 )
-from plan_helpers import check_plan_invariants
+from plan_helpers import (
+    GOLDEN_FILES,
+    GOLDEN_QUERY,
+    check_plan_invariants,
+    golden_config,
+    sans_fingerprint,
+    stub_config,
+)
 from synth import synth_corpus, synth_query
 
-GOLDEN_FILES = [
-    SourceFile(
-        "alpha.py",
-        "def read_config(path):\n    raw = load(path)\n    cfg = parse(raw)\n"
-        "    if cfg:\n        return cfg\n    return None\n",
-    ),
-    SourceFile(
-        "beta.py",
-        "def transform(data):\n    out = init()\n    for item in data:\n"
-        "        out = push(out, item)\n    return out\n",
-    ),
-    SourceFile(
-        "gamma.py",
-        "def unrelated(n):\n    t = n * 2\n    while t > 0:\n"
-        "        t = t - 3\n    return t\n",
-    ),
-]
-GOLDEN_QUERY = "why does parse of raw config fail"
 # sorts before every golden file, so it shifts their chunk ids by one
 FIRST_FILE = SourceFile("aaa.py", "def first(x):\n    y = x + 1\n    return y\n")
-
-
-def golden_config(**overrides):
-    cfg = PipelineConfig(
-        chunking=ChunkConfig(min_chunk_tokens=4, target_chunk_tokens=512, max_chunk_tokens=4096),
-        allocation=AllocationConfig(capacity_ratio=0.4),
-        selection=SelectionConfig(k=2, layers=2),
-        seed=7,
-    )
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def test_index_cuts_each_chunks_own_tokens():
@@ -927,14 +906,18 @@ class TestWarmPath:
         monkeypatch.setattr(pipeline, "build_cpg", build_counted)
         return calls
 
-    @pytest.mark.parametrize("corpus", ["golden", "asyncio"])
-    def test_third_plan_makes_no_tokens_and_no_graphs(self, calls, corpus):
-        if corpus == "golden":
+    @pytest.mark.parametrize("corpus", ["golden", "asyncio", "golden-http"])
+    def test_third_plan_makes_no_tokens_and_no_graphs(self, calls, corpus, request):
+        if corpus.startswith("golden"):
             files, query, cfg = GOLDEN_FILES, GOLDEN_QUERY, golden_config()
         else:
             files = load_corpus(Path(sysconfig.get_paths()["stdlib"]) / "asyncio")
             query = "why is a task cancelled when the loop is closed"
             cfg = PipelineConfig(selection=SelectionConfig(k=1000, layers=2))
+        if corpus == "golden-http":
+            # the HTTP scorer sends each chunk's token texts, sliced from the
+            # file content by the kept starts and lengths
+            cfg = stub_config(request.getfixturevalue("stub"), files, cfg)
         cold = cold_plan(files, query, cfg)
         warmed(files, query, cfg)
         calls.clear()
@@ -942,9 +925,10 @@ class TestWarmPath:
         assert calls == [("tokenize", "<query>")]
         assert third[0] == cold[0]
         assert canonical_json(third[1].to_dict()) == canonical_json(cold[1].to_dict())
-        if corpus == "golden":
+        if corpus.startswith("golden"):
             expected = (Path(__file__).parent / "data" / "golden_plan.json").read_text("utf-8")
-            assert third[0] + "\n" == expected
+            assert sans_fingerprint(third[0]) == sans_fingerprint(expected)
+            assert (third[0] + "\n" == expected) is (corpus == "golden")
         else:
             assert len(json.loads(third[0])["chunks"]) == 163
         assert not hasattr(pipeline, "pickle")
