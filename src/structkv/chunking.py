@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ConfigError
 from .lexer import SourceFile, Token, TokenKind, logical_lines
@@ -110,20 +110,20 @@ def partition_chunks(
         else:
             i += 1
 
-    return chunks_between(file.path, lambda i: tokens[i].line, cuts, start_id)
+    return chunks_between(file.path, tokens, cuts, start_id)
 
 
 def chunks_between(
-    path: str, line_of: Callable[[int], int], cuts: Sequence[int], start_id: int = 0
+    path: str, tokens: Sequence[Token], cuts: Sequence[int], start_id: int = 0
 ) -> list[Chunk]:
-    """The chunks between consecutive entries of ascending token ``cuts``,
-    numbered from ``start_id``; ``line_of(i)`` is the line of token i."""
+    """The chunks of a file's ``tokens`` between consecutive entries of
+    ascending token ``cuts``, numbered from ``start_id``."""
     return [
         Chunk(
             id=start_id + offset,
             file=path,
             token_range=(s, e),
-            line_range=(line_of(s), line_of(e - 1)),
+            line_range=(tokens[s].line, tokens[e - 1].line),
             length=e - s,
         )
         for offset, (s, e) in enumerate(zip(cuts, cuts[1:]))

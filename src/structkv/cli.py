@@ -133,7 +133,7 @@ def _corpus_dir(args: argparse.Namespace, cfg: PipelineConfig) -> str:
 
 def _cmd_chunk(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
-    index = index_corpus(load_corpus(args.dir, cfg.include), cfg.chunking)
+    index = index_corpus(load_corpus(args.dir, cfg.include), cfg.chunking, cfg.span)
     print(_write(args.out, "chunks.json", {"chunks": index.chunks}))
 
 
@@ -147,7 +147,7 @@ def _cmd_cpg(args: argparse.Namespace) -> None:
     else:
         corpus = [load_source(args.file)]
         wanted = {corpus[0].path}
-    index = index_corpus(corpus, cfg.chunking)
+    index = index_corpus(corpus, cfg.chunking, cfg.span)
     graphs = [
         chunk_graph(chunk, index.tokens(chunk.id)) for chunk in index.chunks if chunk.file in wanted
     ]
@@ -158,7 +158,7 @@ def _cmd_cpg(args: argparse.Namespace) -> None:
 
 def _cmd_score(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
-    index = index_corpus(load_corpus(_corpus_dir(args, cfg), cfg.include), cfg.chunking)
+    index = index_corpus(load_corpus(_corpus_dir(args, cfg), cfg.include), cfg.chunking, cfg.span)
     query_tokens, prefix_tokens = context_tokens(args.query, cfg)
     scores, selected = score_chunks(index, query_tokens, prefix_tokens, cfg)
     doc = {
@@ -207,9 +207,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
                 f"{chunk_plan.file}: token range {chunk_plan.token_range} exceeds "
                 f"current file ({len(toks)} tokens); source changed since planning?"
             )
-        (chunk,) = chunks_between(
-            chunk_plan.file, lambda i: toks[i].line, (start, end), chunk_plan.chunk_id
-        )
+        (chunk,) = chunks_between(chunk_plan.file, toks, (start, end), chunk_plan.chunk_id)
         cpg = chunk_graph(chunk, toks[start:end], external.get(chunk.id))
         kinds[chunk.id] = kind_mask(cpg, chunk.length)
         sigma = structural_score(extract_features(cpg))

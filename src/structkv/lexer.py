@@ -183,21 +183,13 @@ def tokenize(source: SourceFile) -> list[Token]:
     return tokens
 
 
-class PackedTokens(NamedTuple):
-    """A file's tokens as typed arrays, without their texts: each text is
-    sliced from the file's content again when the tokens are unpacked.
-    Each array has the smallest unsigned type that holds its values."""
+class TokenTexts(NamedTuple):
+    """Where a file's tokens sit in its content, so that their texts can be
+    sliced from it again instead of kept. Each array has the smallest
+    unsigned type that holds its values."""
 
     starts: array  # character index of each token in the content
     lengths: array  # in characters
-    byte_offsets: array | None  # None: an ASCII file, where they are ``starts``
-    lines: array
-    columns: array
-    kinds: bytes  # index into ``_KIND_ORDER``
-
-
-_KIND_ORDER = tuple(TokenKind)
-_KIND_CODES = {kind: code for code, kind in enumerate(_KIND_ORDER)}
 
 
 def _column(values: Sequence[int]) -> array:
@@ -210,44 +202,20 @@ def _extra_bytes(text: str) -> int:
     return len(text.encode("utf-8")) - len(text)
 
 
-def pack_tokens(text: str, tokens: list[Token]) -> PackedTokens:
-    """``tokenize``'s tokens of ``text`` as arrays; see ``unpack_tokens``."""
-    texts, offsets, lines, columns, kinds = zip(*tokens) if tokens else [()] * 5
-    starts = byte_offsets = _column(offsets)
+def pack_texts(text: str, tokens: list[Token]) -> TokenTexts:
+    """Where ``tokenize``'s tokens of ``text`` sit in it; see ``token_texts``."""
+    texts = [*map(attrgetter("text"), tokens)]
+    starts = [*map(attrgetter("byte_offset"), tokens)]
     if not text.isascii():
         # a token starts after the extra UTF-8 bytes of the tokens before it
-        starts = _column([*map(sub, offsets, accumulate(map(_extra_bytes, texts), initial=0))])
-    return PackedTokens(
-        starts,
-        _column([*map(len, texts)]),
-        None if starts is byte_offsets else byte_offsets,
-        _column(lines),
-        _column(columns),
-        bytes(map(_KIND_CODES.__getitem__, kinds)),
-    )
+        starts = [*map(sub, starts, accumulate(map(_extra_bytes, texts), initial=0))]
+    return TokenTexts(_column(starts), _column([*map(len, texts)]))
 
 
-def token_texts(text: str, packed: PackedTokens, lo: int = 0, hi: int | None = None) -> list[str]:
+def token_texts(text: str, packed: TokenTexts, lo: int = 0, hi: int | None = None) -> list[str]:
     """The texts of tokens ``lo`` to ``hi`` (exclusive) of ``packed``,
     sliced from ``text``, without making their tokens."""
     return [text[i : i + n] for i, n in zip(packed.starts[lo:hi], packed.lengths[lo:hi])]
-
-
-def unpack_tokens(text: str, packed: PackedTokens) -> list[Token]:
-    """The tokens ``packed`` holds, their texts sliced from ``text``: equal
-    to ``tokenize`` of ``text`` when ``packed`` came from those tokens."""
-    starts = packed.starts
-    # the tokens of a line share one int, as tokenize's do: an int per token
-    # would add 32 bytes to each token past line 256
-    line_ints = list(range(max(packed.lines, default=0) + 1))
-    fields = zip(
-        token_texts(text, packed),
-        starts if packed.byte_offsets is None else packed.byte_offsets,
-        map(line_ints.__getitem__, packed.lines),
-        packed.columns,
-        map(_KIND_ORDER.__getitem__, packed.kinds),
-    )
-    return list(map(tuple.__new__, repeat(Token), fields))
 
 
 class Names(NamedTuple):

@@ -10,29 +10,25 @@ its connections alive for one plan, one per thread posting at a time (at
 most ``workers`` for scoring, one for attention), and closes them when its
 stage ends, whether the plan returns or raises.
 
-Lexing, chunking and everything a plan reads of a chunk's built-in graph
+Lexing, chunking and everything a plan reads of a chunk besides its score
 are reused across plans in one process. One module-level memo, keyed by
-(sha256 of a file's UTF-8 text, chunking config), holds every file of the
-last indexed corpus of each chunking config; only ``index_corpus`` reads or
-replaces it. A file new to that corpus maps to None, so a file indexed once
-costs one digest. A file in two corpora in a row maps to an entry: its
-tokens as typed arrays without their texts (each text is sliced again from
-the current content, which has the same digest), its chunk cuts, each
-chunk's identifier names (``lexer.Names``: its sorted identifier texts, as
-a tuple and a set, and per token an index into them), and for every chunk
-selected since the entry was made its graph facts (the six feature counts
-and a per-token bitmask of the node kinds covering it), by token range,
-and its span candidates as a ``spans.SpanTable`` of numpy arrays, by token
-range, ``min_span_tokens`` and ``merge_gap_lines``. A later plan reads all
-of them from the entry, so it builds no token list and no graph: query
-hits, scores, span packing and the structure score run on these arrays,
-and the HTTP scorer's token texts are sliced from the content by the kept
-starts and lengths. Tokens are unpacked only for a memo miss. For all
-163 ``asyncio`` chunks an entry set holds about 0.54 MB of tokens, 1.0 MB
-of names, 0.09 MB of graph facts and 0.07 MB of span arrays. An entry
-lives while its text stays in consecutive corpora of its chunking config;
-nothing is written to disk. Chunks with an external graph document neither
-read nor fill graph facts or span candidates.
+(sha256 of a file's UTF-8 text, chunking config, ``min_span_tokens``,
+``merge_gap_lines``), holds every file of the last indexed corpus of each
+chunking config and span shape (the last two key fields); only
+``index_corpus`` reads or replaces it. A file new to that
+corpus maps to None, so a file indexed once costs one digest. A file in two
+corpora in a row maps to an entry, made whole from the tokens the second
+plan lexed and never changed: where each token sits in the content
+(``lexer.TokenTexts``), and each chunk's token and line ranges and facts
+(``_Facts``: identifier names, built-in graph facts and span candidates,
+the last built whether or not spans are on). A later plan reads them all
+from the entry, so it builds no token list and no graph; the HTTP scorer's
+texts are sliced from the current content, which has the same digest. A
+kept file is lexed again only for a chunk with an external graph document,
+which never reads its entry, or for a scorer that reads a chunk's tokens.
+For all 163 ``asyncio`` chunks the entries hold about 0.28 MB of token
+positions, 1.0 MB of names, 0.09 MB of graph facts and 0.07 MB of span
+arrays. Nothing is written to disk.
 
 Planning runs with the cyclic garbage collector paused. A plan makes no
 reference cycles (a test holds this), so reference counting frees all of
@@ -61,21 +57,20 @@ from . import attention as attn
 from . import metrics as metrics_mod
 from . import scoring
 from . import spans as spans_mod
-from .chunking import Chunk, ChunkConfig, chunks_between, partition_chunks
+from .chunking import Chunk, ChunkConfig, partition_chunks
 from .config import PipelineConfig
 from .cpg import Cpg, build_cpg, import_cpg_json
 from .errors import ConfigError, ParameterError, SchemaError
 from .lexer import (
     Names,
-    PackedTokens,
     SourceFile,
     Token,
+    TokenTexts,
     identifier_names,
     load_source,
-    pack_tokens,
+    pack_texts,
     token_texts,
     tokenize,
-    unpack_tokens,
 )
 from .metrics import RetentionReport
 from .parsing import parse_subset
@@ -109,120 +104,116 @@ def load_corpus(directory: str | Path, include: Sequence[str] = ("**/*.py",)) ->
     return sorted(files, key=lambda f: f.path)
 
 
-# (token range, min_span_tokens, merge_gap_lines): what shapes a chunk's span
-# candidates besides its file text
-_SpanKey = tuple[tuple[int, int], int, int]
+class _Facts(NamedTuple):
+    """What a plan reads of one chunk besides its score, none of it shaped
+    by the query: its identifier names, its graph's feature counts, per
+    token the node kinds that cover it (``metrics.kind_mask``), and its
+    span candidates."""
 
-
-class _Graph(NamedTuple):
-    """What a plan reads of a chunk's graph: its feature counts, and per
-    token the node kinds that cover it (``metrics.kind_mask``)."""
-
+    names: Names
     features: scoring.StructuralFeatures
     kinds: np.ndarray
+    spans: spans_mod.SpanTable
 
 
 class _Entry(NamedTuple):
-    """What the memo keeps of one file text under one chunking config:
-    tokens and graphs only as arrays and counts, since the many live token
-    and graph objects kept between plans would pin heap arenas and raise
-    peak RSS. ``graphs`` and ``spans`` only gain keys, each in one dict
-    store, so plans running at once share an entry safely."""
+    """What the memo keeps of one file text: arrays, counts and tuples
+    only, since the many live token and graph objects kept between plans
+    would pin heap arenas and raise peak RSS. It is made whole once and
+    never changed, so plans running at once share it."""
 
-    tokens: PackedTokens
-    cuts: tuple[int, ...]  # chunks run between consecutive cuts
-    names: dict[tuple[int, int], Names]  # every chunk's, by token range
-    graphs: dict[tuple[int, int], _Graph]  # by token range, from the built-in graph
-    spans: dict[_SpanKey, spans_mod.SpanTable]  # candidates from the built-in graph
+    texts: TokenTexts
+    # per chunk of the file, in order: (token range, line range, facts)
+    chunks: tuple[tuple[tuple[int, int], tuple[int, int], _Facts], ...]
 
 
-_Key = tuple[bytes, ChunkConfig]  # (sha256 of a file's UTF-8 text, chunking config)
+# (sha256 of a file's UTF-8 text, chunking config, min_span_tokens, merge_gap_lines)
+_Key = tuple[bytes, ChunkConfig, int, int]
 
-# The files of the last indexed corpus of each chunking config (see the
-# module docstring); only index_corpus reads or replaces it.
+# The files of the last indexed corpus of each chunking config and span
+# shape (see the module docstring); only index_corpus reads or replaces it.
 _MEMO: dict[_Key, _Entry | None] = {}
 
 
 @dataclass(frozen=True)
 class CorpusIndex:
     """The query-independent view of a corpus: chunks numbered from 0 in the
-    order of the files' path strings, and each file's memo entry (None: not
-    kept), shared with the published memo. A chunk's tokens and identifier
-    names are made or read only when a plan asks for them."""
+    order of the files' path strings, each chunk's facts from its file's
+    memo entry (None: not kept), and each file's entry, shared with the
+    published memo. A kept file's tokens are made only when asked for."""
 
     chunks: tuple[Chunk, ...]  # chunks[i].id == i
+    facts: tuple[_Facts | None, ...]  # facts[i] is chunks[i]'s
     entries: dict[str, _Entry | None]  # by file path
     contents: dict[str, str]  # by file path
-    lexed: dict[str, list[Token]]  # by file path: tokens lexed, or unpacked when first asked for
+    lexed: dict[str, list[Token]]  # by file path: lexed when indexed, or when first asked for
 
     def tokens(self, chunk_id: int) -> list[Token]:
-        """The tokens of one chunk; a kept file's are unpacked from its
-        entry on first use."""
+        """The tokens of one chunk; a kept file is lexed again on first use."""
         chunk = self.chunks[chunk_id]
         toks = self.lexed.get(chunk.file)
         if toks is None:
-            entry = self.entries[chunk.file]
-            toks = self.lexed[chunk.file] = unpack_tokens(self.contents[chunk.file], entry.tokens)
+            source = SourceFile(chunk.file, self.contents[chunk.file])
+            toks = self.lexed[chunk.file] = tokenize(source)
         return toks[slice(*chunk.token_range)]
 
     def scored_tokens(self, chunk_id: int) -> Sequence[Token]:
         """The tokens of one chunk as a scorer reads them: those lexed by
         this index, else a view that holds the kept names (all the mock
         scorer reads), slices the texts (all the HTTP scorer reads) from the
-        content by the kept starts and lengths, and unpacks the tokens only
-        when read."""
-        chunk = self.chunks[chunk_id]
-        entry = self.entries[chunk.file]
-        if entry is None:
+        content by the kept starts and lengths, and lexes the file again
+        only when its tokens are read."""
+        chunk, facts = self.chunks[chunk_id], self.facts[chunk_id]
+        if facts is None:
             return self.tokens(chunk_id)
-        texts = partial(token_texts, self.contents[chunk.file], entry.tokens, *chunk.token_range)
+        content, texts = self.contents[chunk.file], self.entries[chunk.file].texts
         return scoring.ChunkTokens(
-            entry.names[chunk.token_range], partial(self.tokens, chunk_id), texts
+            facts.names,
+            partial(self.tokens, chunk_id),
+            partial(token_texts, content, texts, *chunk.token_range),
         )
 
-    def names(self, chunk_id: int) -> Names:
-        """The identifier names of one chunk: its file's entry's, else made
-        from its tokens and not kept."""
-        chunk = self.chunks[chunk_id]
-        entry = self.entries[chunk.file]
-        if entry is None:
-            return identifier_names(self.tokens(chunk_id))
-        return entry.names[chunk.token_range]
 
-
-def index_corpus(files: Sequence[SourceFile], chunking: ChunkConfig) -> CorpusIndex:
+def index_corpus(
+    files: Sequence[SourceFile], chunking: ChunkConfig, span: spans_mod.SpanConfig
+) -> CorpusIndex:
     """Lex and chunk every file, or read both from the memo, then publish
-    the memo with these files as its corpus for ``chunking``; the one place
-    chunk ids are assigned and the memo replaced."""
+    the memo with these files as its corpus for ``chunking`` and ``span``'s
+    two shaping fields; the one place chunk ids are assigned and the memo
+    replaced."""
     global _MEMO
     previous = _MEMO
-    memo = {key: entry for key, entry in previous.items() if key[1] != chunking}
+    tail = (chunking, span.min_span_tokens, span.merge_gap_lines)
+    memo = {key: entry for key, entry in previous.items() if key[1:] != tail}
     chunks: list[Chunk] = []
+    facts: list[_Facts | None] = []
     entries: dict[str, _Entry | None] = {}
     lexed: dict[str, list[Token]] = {}
     for f in sorted(files, key=lambda f: f.path):
         if f.path in entries:
             raise ParameterError(f"duplicate path in corpus: {f.path}")
-        key = (hashlib.sha256(f.content.encode("utf-8", "surrogatepass")).digest(), chunking)
+        key = (hashlib.sha256(f.content.encode("utf-8", "surrogatepass")).digest(), *tail)
         entry = memo.get(key) or previous.get(key)
         if entry is None:
             toks = lexed[f.path] = tokenize(f)
             file_chunks = partition_chunks(f, toks, chunking, start_id=len(chunks))
             if key in previous:
-                cuts = (0, *(c.token_range[1] for c in file_chunks))
-                names = {
-                    c.token_range: identifier_names(toks[slice(*c.token_range)])
-                    for c in file_chunks
-                }
-                entry = _Entry(pack_tokens(f.content, toks), cuts, names, {}, {})
+                kept = (chunk_facts(c, toks[slice(*c.token_range)], span) for c in file_chunks)
+                entry = _Entry(
+                    pack_texts(f.content, toks),
+                    tuple((c.token_range, c.line_range, k) for c, k in zip(file_chunks, kept)),
+                )
         else:
-            lines = entry.tokens.lines
-            file_chunks = chunks_between(f.path, lines.__getitem__, entry.cuts, len(chunks))
+            file_chunks = [
+                Chunk(len(chunks) + i, f.path, (start, end), lines, end - start)
+                for i, ((start, end), lines, _) in enumerate(entry.chunks)
+            ]
         memo[key] = entries[f.path] = entry
         chunks.extend(file_chunks)
+        facts.extend([None] * len(file_chunks) if entry is None else [k for *_, k in entry.chunks])
     _MEMO = memo
     contents = {f.path: f.content for f in files}
-    return CorpusIndex(tuple(chunks), entries, contents, lexed)
+    return CorpusIndex(tuple(chunks), tuple(facts), entries, contents, lexed)
 
 
 def chunk_graph(chunk: Chunk, tokens: list[Token], document: Cpg | None = None) -> Cpg:
@@ -234,44 +225,37 @@ def chunk_graph(chunk: Chunk, tokens: list[Token], document: Cpg | None = None) 
     return build_cpg(parse_subset(tokens), chunk, tokens)
 
 
-def _graph_facts(cpg: Cpg, length: int) -> _Graph:
-    kinds = metrics_mod.kind_mask(cpg, length)
+def chunk_facts(
+    chunk: Chunk, tokens: list[Token], span_cfg: spans_mod.SpanConfig, cpg: Cpg | None = None
+) -> _Facts:
+    """The facts of a chunk from its own tokens and its graph: ``cpg`` when
+    given (an imported document), else the built-in analyzer's."""
+    if cpg is None:
+        cpg = chunk_graph(chunk, tokens)
+    kinds = metrics_mod.kind_mask(cpg, chunk.length)
     kinds.flags.writeable = False
-    return _Graph(scoring.extract_features(cpg), kinds)
+    return _Facts(
+        identifier_names(tokens),
+        scoring.extract_features(cpg),
+        kinds,
+        spans_mod.build_spans(cpg, span_cfg, tokens),
+    )
 
 
 def _selected_facts(
     selected: Sequence[Chunk],
     index: CorpusIndex,
     imported: dict[int, Cpg],
-    cfg: spans_mod.SpanConfig,
-) -> tuple[dict[int, _Graph], dict[int, spans_mod.SpanTable]]:
-    """Each selected chunk's graph facts and span candidates (none when
-    spans are off) by id. A chunk with an imported graph has them from that
-    graph and neither reads nor fills entries. Any other reads them from
-    its file's memo entry; what the entry lacks comes from a new built-in
-    graph and is kept in it when the file has one."""
-    graphs: dict[int, _Graph] = {}
-    tables: dict[int, spans_mod.SpanTable] = {}
+    span_cfg: spans_mod.SpanConfig,
+) -> dict[int, _Facts]:
+    """Each selected chunk's facts by id: those of its file's memo entry,
+    else built from its tokens. A chunk with an imported graph never reads
+    its entry: its facts come from that graph."""
+    out: dict[int, _Facts] = {}
     for c in selected:
-        entry = None if c.id in imported else index.entries[c.file]
-        key = (c.token_range, cfg.min_span_tokens, cfg.merge_gap_lines)
-        graph = None if entry is None else entry.graphs.get(c.token_range)
-        table = None if entry is None else entry.spans.get(key)
-        if graph is None or (cfg.enabled and table is None):
-            cpg = imported[c.id] if c.id in imported else chunk_graph(c, index.tokens(c.id))
-            if graph is None:
-                graph = _graph_facts(cpg, c.length)
-                if entry is not None:
-                    entry.graphs[c.token_range] = graph
-            if cfg.enabled and table is None:
-                table = spans_mod.build_spans(cpg, cfg, index.tokens(c.id))
-                if entry is not None:
-                    entry.spans[key] = table
-        graphs[c.id] = graph
-        if cfg.enabled:
-            tables[c.id] = table
-    return graphs, tables
+        kept = None if c.id in imported else index.facts[c.id]
+        out[c.id] = kept or chunk_facts(c, index.tokens(c.id), span_cfg, imported.get(c.id))
+    return out
 
 
 def context_tokens(
@@ -339,7 +323,7 @@ def _plan(
 ) -> tuple[CompressionPlan, RetentionReport]:
     query_tokens, prefix_tokens = context_tokens(query, cfg)
     prefix_len = len(prefix_tokens)
-    index = index_corpus(corpus, cfg.chunking)
+    index = index_corpus(corpus, cfg.chunking, cfg.span)
     docs = external_cpgs or {}
     if unknown := sorted(set(docs) - set(range(len(index.chunks)))):
         raise SchemaError(f"graph documents for chunk ids the corpus lacks: {unknown}")
@@ -348,9 +332,9 @@ def _plan(
     ppl_by_id = dict(scores)
     selected = [index.chunks[cid] for cid in selected_ids]
 
-    graphs, tables = _selected_facts(selected, index, imported, cfg.span)
+    facts = _selected_facts(selected, index, imported, cfg.span)
 
-    sigmas = [scoring.structural_score(graphs[c.id].features) for c in selected]
+    sigmas = [scoring.structural_score(facts[c.id].features) for c in selected]
     normalized = alloc.normalize_scores(sigmas, cfg.allocation)
     multipliers = [alloc.multiplier(s, cfg.allocation) for s in normalized]
     budgets = [alloc.budget(c.length, m, cfg.allocation) for c, m in zip(selected, multipliers)]
@@ -360,8 +344,9 @@ def _plan(
     for chunk, sigma, norm, mult, chunk_budget in zip(
         selected, sigmas, normalized, multipliers, budgets
     ):
+        own = facts[chunk.id]
         protected, span_records, b_span = spans_mod.protect_chunk(
-            tables.get(chunk.id), chunk_budget, cfg.span, index.names(chunk.id), query_syms
+            own.spans, chunk_budget, cfg.span, own.names, query_syms
         )
         # each chunk sits alone after the prefix, so a kept token's position
         # is prefix_len plus its chunk-local index (chunks' ranges overlap)
@@ -405,7 +390,7 @@ def _plan(
         seed=cfg.seed,
         config_fingerprint=cfg.fingerprint(),
     )
-    report = metrics_mod.structure_score(plan, {cid: g.kinds for cid, g in graphs.items()})
+    report = metrics_mod.structure_score(plan, {cid: f.kinds for cid, f in facts.items()})
     return plan, report
 
 

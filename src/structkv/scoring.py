@@ -107,11 +107,11 @@ class ChunkScorer(Protocol):
 
 
 class ChunkTokens(Sequence[Token]):
-    """One chunk's tokens as the pipeline hands them to a scorer: its
-    identifier names at hand, its token texts made by ``texts()`` and its
-    token list by ``make`` when first read. The mock scorer reads only the
-    names and the HTTP scorer only the texts, so a plan that keeps them
-    builds no tokens to score."""
+    """One chunk's tokens as the pipeline hands a kept chunk to a scorer:
+    its identifier names at hand, its token texts sliced by ``texts()`` and
+    its token list made by ``make`` (a new lexing) when first read. The mock
+    scorer reads only the names and the HTTP scorer only the texts, so a
+    plan that keeps them builds no tokens to score."""
 
     def __init__(
         self,

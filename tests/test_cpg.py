@@ -18,6 +18,7 @@ from structkv.cpg import (
 from structkv.errors import SchemaError, TokenRangeError, UnsupportedKindError
 from structkv.parsing import parse_subset
 from structkv.pipeline import index_corpus, load_corpus
+from structkv.spans import SpanConfig
 
 
 def graph(code):
@@ -168,7 +169,7 @@ def test_builtin_graphs_round_trip_on_stdlib(package):
     """Every chunk of real code parses, and its graph passes the interchange
     checks: dense node ids, ranges inside the chunk, no PDG self-loops."""
     corpus = load_corpus(Path(sysconfig.get_paths()["stdlib"]) / package)
-    index = index_corpus(corpus, ChunkConfig())
+    index = index_corpus(corpus, ChunkConfig(), SpanConfig())
     assert len(index.chunks) > 10
     for chunk in index.chunks:
         toks = index.tokens(chunk.id)

@@ -13,12 +13,13 @@ from structkv.lexer import (
     TokenKind,
     load_source,
     logical_lines,
-    pack_tokens,
+    pack_texts,
     reconstruct,
+    token_texts,
     tokenize,
-    unpack_tokens,
 )
 from structkv.pipeline import index_corpus, load_corpus
+from structkv.spans import SpanConfig
 
 
 def lex(text):
@@ -290,39 +291,48 @@ PIECES = ["\r\n", "\r", "\n", "\\", "é", "€", "\U0001d518", "'", '"', "#", "(
 
 
 def round_trip(src):
-    """The tokens of ``src`` after packing them into columns and back."""
-    return unpack_tokens(src.content, pack_tokens(src.content, tokenize(src)))
+    """The texts of ``src``'s tokens, sliced from its content by their
+    packed starts and lengths."""
+    return token_texts(src.content, pack_texts(src.content, tokenize(src)))
+
+
+def texts(tokens):
+    return [t.text for t in tokens]
 
 
 class TestPackedTokens:
-    """Packed tokens unpack to exactly the tokens ``tokenize`` made."""
+    """Packed starts and lengths slice exactly the texts of the tokens
+    ``tokenize`` made, from the whole file or from any token range."""
 
     @pytest.mark.parametrize("package", ["json", "asyncio", "pydoc_data"])
     def test_round_trip_on_stdlib(self, package):
         corpus = load_corpus(STDLIB / package)
         assert corpus
         for src in corpus:
-            assert round_trip(src) == tokenize(src), src.path
+            tokens = tokenize(src)
+            packed = pack_texts(src.content, tokens)
+            assert token_texts(src.content, packed) == texts(tokens), src.path
+            mid = len(tokens) // 2
+            assert token_texts(src.content, packed, mid, mid + 7) == texts(tokens[mid : mid + 7])
         if package == "pydoc_data":
             # an empty __init__.py, and topics.py, which is not ASCII
             assert [len(src.content) == 0 for src in corpus] == [True, False]
             assert not corpus[1].content.isascii()
 
     def test_empty_file(self):
-        packed = pack_tokens("", [])
-        assert unpack_tokens("", packed) == []
-        assert packed.byte_offsets is None
-        assert [len(col) for col in packed if col is not None] == [0] * 5
+        packed = pack_texts("", [])
+        assert token_texts("", packed) == []
+        assert [len(col) for col in packed] == [0, 0]
 
     def test_columns_take_the_smallest_type(self):
         text = "x = 1\n" * 20 + "y = '" + "é" * 300 + "'\n"
-        packed = pack_tokens(text, lex(text))
-        # the final newline: 426 characters and 726 bytes in, at column 307
-        assert (packed.starts[-1], packed.byte_offsets[-1], packed.columns[-1]) == (426, 726, 307)
-        assert [col.typecode for col in packed[:-1]] == ["H", "H", "H", "B", "H"]
-        assert type(packed.kinds) is bytes
-        ascii_text = text.replace("é", "e")
-        assert pack_tokens(ascii_text, lex(ascii_text)).byte_offsets is None
+        packed = pack_texts(text, lex(text))
+        # the final newline is 426 characters (726 bytes) in; the string is
+        # 302 characters long
+        assert (packed.starts[-1], packed.lengths[-2]) == (426, 302)
+        assert [col.typecode for col in packed] == ["H", "H"]
+        short = pack_texts("x = 1\n", lex("x = 1\n"))
+        assert [col.typecode for col in short] == ["B", "B"]
 
     @given(
         st.lists(st.sampled_from(PIECES), max_size=80).map("".join),
@@ -340,6 +350,6 @@ class TestPackedTokens:
             # indexing fails the same way, naming the file
             assert surrogate_at is not None and str(exc).startswith("t.py: line ")
             with pytest.raises(EncodingError, match=r"^t\.py: line \d+: surrogates not allowed$"):
-                index_corpus([src], ChunkConfig())
+                index_corpus([src], ChunkConfig(), SpanConfig())
             return
-        assert round_trip(src) == expected
+        assert round_trip(src) == texts(expected)

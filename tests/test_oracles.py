@@ -15,10 +15,10 @@ from structkv.config import PipelineConfig, SelectionConfig
 from structkv.cpg import Cpg, CpgNode, NodeKind
 from structkv.lexer import SourceFile, tokenize
 from structkv.metrics import kind_mask, structure_score
-from structkv.pipeline import chunk_graph, index_corpus, load_corpus, run_pipeline
+from structkv.pipeline import chunk_facts, chunk_graph, index_corpus, load_corpus, run_pipeline
 from structkv.plan import canonical_json
 from structkv.scoring import ChunkTokens, MockScorer, query_symbols
-from structkv.spans import SpanConfig, build_spans, query_hits
+from structkv.spans import SpanConfig, query_hits
 from plan_helpers import (
     oracle_mock_score,
     oracle_query_hits,
@@ -49,12 +49,13 @@ def never_made():
 def check_chunks(corpus, chunking, queries, *extra_graphs):
     """Hits and mock scores of every chunk of ``corpus`` (and of each extra
     (chunk id, graph) pair), for every query, against the oracles."""
-    index = index_corpus(corpus, chunking)
+    index = index_corpus(corpus, chunking, SpanConfig())
     graphs = [(c.id, chunk_graph(c, index.tokens(c.id))) for c in index.chunks]
     asks = [tokenize(SourceFile("<query>", q)) for q in queries]
     for cid, cpg in [*graphs, *extra_graphs]:
-        tokens, names = index.tokens(cid), index.names(cid)
-        table = build_spans(cpg, SpanConfig(), tokens)
+        tokens = index.tokens(cid)
+        facts = chunk_facts(index.chunks[cid], tokens, SpanConfig(), cpg)
+        names, table = facts.names, facts.spans
         for query in asks:
             syms = query_symbols(query)
             hits = query_hits(table, names, syms)
@@ -66,7 +67,7 @@ def check_chunks(corpus, chunking, queries, *extra_graphs):
 
 def check_plans(corpus, cfg, queries):
     """Each plan's report against the oracle's over freshly built graphs."""
-    index = index_corpus(corpus, cfg.chunking)
+    index = index_corpus(corpus, cfg.chunking, cfg.span)
     for query in queries:
         plan, report = run_pipeline(corpus, query, cfg)
         cpgs = {c.chunk_id: chunk_graph(index.chunks[c.chunk_id], index.tokens(c.chunk_id))
@@ -100,11 +101,10 @@ def test_the_synth_battery():
 def test_a_non_ascii_file():
     chunking = ChunkConfig(min_chunk_tokens=1, target_chunk_tokens=512)
     assert check_chunks([NON_ASCII], chunking, NON_ASCII_QUERIES) == 1
-    index = index_corpus([NON_ASCII], chunking)
-    names, tokens = index.names(0), index.tokens(0)
-    assert {"café", "naïve", "变量", "ï"} <= names.set and "½" not in names.set
-    table = build_spans(chunk_graph(index.chunks[0], tokens), SpanConfig(), tokens)
-    assert query_hits(table, names, frozenset({"变量"})).any()
+    index = index_corpus([NON_ASCII], chunking, SpanConfig())
+    facts = chunk_facts(index.chunks[0], index.tokens(0), SpanConfig())
+    assert {"café", "naïve", "变量", "ï"} <= facts.names.set and "½" not in facts.names.set
+    assert query_hits(facts.spans, facts.names, frozenset({"变量"})).any()
     cfg = PipelineConfig(chunking=chunking, selection=SelectionConfig(k=1, layers=2))
     check_plans([NON_ASCII], cfg, NON_ASCII_QUERIES)
 
@@ -114,7 +114,7 @@ def test_nodes_with_empty_token_ranges():
     # nodes is absent from the report, as it was from the sets
     code = "def f(a):\n    b = g(a)\n    return b\n"
     chunking = ChunkConfig(min_chunk_tokens=1, target_chunk_tokens=512)
-    index = index_corpus([SourceFile("e.py", code)], chunking)
+    index = index_corpus([SourceFile("e.py", code)], chunking, SpanConfig())
     n = index.chunks[0].length
     cpg = Cpg(
         (

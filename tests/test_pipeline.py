@@ -59,7 +59,8 @@ FIRST_FILE = SourceFile("aaa.py", "def first(x):\n    y = x + 1\n    return y\n"
 
 def test_index_cuts_each_chunks_own_tokens():
     files = synth_corpus(3, n_files=4)
-    index = index_corpus(files, ChunkConfig(min_chunk_tokens=8, target_chunk_tokens=40))
+    chunking = ChunkConfig(min_chunk_tokens=8, target_chunk_tokens=40)
+    index = index_corpus(files, chunking, SpanConfig())
     assert len(index.chunks) > len(files)
     by_file = {f.path: tokenize(f) for f in files}
     for chunk in index.chunks:
@@ -106,8 +107,8 @@ def test_plans_do_not_depend_on_the_hash_seed():
         "files, query, cfg = json.load(sys.stdin)\n"
         "corpus, cfg = [SourceFile(*f) for f in files], PipelineConfig.from_dict(cfg)\n"
         "plans = [run_pipeline(corpus, query, cfg)[0].to_json() for _ in range(3)]\n"
-        "index = index_corpus(corpus, cfg.chunking)\n"
-        "names = [index.names(c.id).texts for c in index.chunks]\n"
+        "index = index_corpus(corpus, cfg.chunking, cfg.span)\n"
+        "names = [index.facts[c.id].names.texts for c in index.chunks]\n"
         "json.dump([plans, names], sys.stdout)\n"
     )
     corpus = [*GOLDEN_FILES, *synth_corpus(seed=9, n_files=3)]
@@ -393,35 +394,29 @@ def digest(text: str) -> bytes:
     return hashlib.sha256(text.encode("utf-8")).digest()
 
 
-def kept_graphs() -> dict[tuple[bytes, tuple[int, int]], pipeline._Graph]:
-    """The memo's graph facts by (file digest, token range)."""
+def memo_key(text: str, cfg: PipelineConfig) -> tuple:
+    return (digest(text), cfg.chunking, cfg.span.min_span_tokens, cfg.span.merge_gap_lines)
+
+
+def kept_facts() -> dict[tuple, pipeline._Facts]:
+    """The memo's chunk facts by (memo key, token range)."""
     return {
-        (key[0], token_range): graph
+        (key, token_range): facts
         for key, entry in pipeline._MEMO.items()
         if entry is not None
-        for token_range, graph in entry.graphs.items()
+        for token_range, _, facts in entry.chunks
     }
 
 
-def kept_tables() -> dict[tuple[bytes, tuple], spans.SpanTable]:
-    """The memo's span tables by (file digest, (token range, min_span_tokens,
-    merge_gap_lines))."""
-    return {
-        (key[0], span_key): table
-        for key, entry in pipeline._MEMO.items()
-        if entry is not None
-        for span_key, table in entry.spans.items()
-    }
-
-
-def span_key(token_range, cfg):
-    return (tuple(token_range), cfg.span.min_span_tokens, cfg.span.merge_gap_lines)
+def same(a: dict, b: dict) -> bool:
+    """Whether two dicts hold the very same objects under the same keys."""
+    return a.keys() == b.keys() and all(a[key] is b[key] for key in a)
 
 
 class TestGraphMemo:
-    """Built-in graphs are reused across plans in one process, kept in the
-    memo entry of the chunk's file text under the chunk's token range; a
-    warm plan equals a cold one."""
+    """Built-in graphs are reused across plans in one process: the memo
+    entry of a chunk's file text holds what a plan reads of every chunk's
+    graph from the file's second sight on; a warm plan equals a cold one."""
 
     @pytest.fixture(autouse=True)
     def builds(self, monkeypatch):
@@ -452,12 +447,11 @@ class TestGraphMemo:
     def test_warm_memo_plans_the_golden_fixture(self, builds):
         expected = (Path(__file__).parent / "data" / "golden_plan.json").read_text(encoding="utf-8")
         first, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
-        assert builds
+        assert self.built(builds) == [(0, "alpha.py"), (1, "beta.py")]  # the selected chunks
         builds.clear()
-        # the second sight of a file fills its entry, so its graphs are built
-        # once more and kept
+        # the second sight of a file makes its entry from every chunk's graph
         second, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
-        assert builds
+        assert self.built(builds) == [(0, "alpha.py"), (1, "beta.py"), (2, "gamma.py")]
         builds.clear()
         third, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
         assert first + "\n" == expected and second == third == first
@@ -465,7 +459,6 @@ class TestGraphMemo:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_warm_memo_on_a_synth_corpus(self, builds, workers):
-        # every chunk is selected, so another question warms the memo for all
         corpus = synth_corpus(seed=11, n_files=6)
         query = synth_query(11, corpus)
         cfg = golden_config(selection=SelectionConfig(k=1000, layers=2), workers=workers)
@@ -487,8 +480,11 @@ class TestGraphMemo:
             SourceFile("beta.py", GOLDEN_FILES[1].content.replace("push(", "pull(")),
             GOLDEN_FILES[2],
         ]
-        ranges = [(c.file, c.token_range) for c in index_corpus(GOLDEN_FILES, cfg.chunking).chunks]
-        assert [(c.file, c.token_range) for c in index_corpus(edited, cfg.chunking).chunks] == ranges
+        ranges = [
+            [(c.file, c.token_range) for c in index_corpus(files, cfg.chunking, cfg.span).chunks]
+            for files in (GOLDEN_FILES, edited)
+        ]
+        assert ranges[0] == ranges[1]
         cold = cold_plan(edited, GOLDEN_QUERY, cfg)
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         builds.clear()
@@ -500,12 +496,12 @@ class TestGraphMemo:
         shifted = [FIRST_FILE, *GOLDEN_FILES]
         cold = cold_plan(shifted, GOLDEN_QUERY, cfg)
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
-        graphs = {}
+        facts = {}
         select = pipeline._selected_facts
 
         def recording(*args):
             result = select(*args)
-            graphs.update(result[0])
+            facts.update(result)
             return result
 
         monkeypatch.setattr(pipeline, "_selected_facts", recording)
@@ -513,39 +509,52 @@ class TestGraphMemo:
         assert planned(shifted, GOLDEN_QUERY, cfg) == cold
         assert self.built(builds) == [(0, "aaa.py")]
         # the kept facts carry no chunk id: the plan files them under the new ids
-        assert sorted(graphs) == [0, 1, 2, 3]
-        kept = [*kept_graphs().values()]
-        assert all(any(graphs[cid] is g for g in kept) for cid in (1, 2, 3))
+        assert sorted(facts) == [0, 1, 2, 3]
+        kept = [*kept_facts().values()]
+        assert all(any(facts[cid] is f for f in kept) for cid in (1, 2, 3))
 
-    def test_sidecar_chunks_neither_read_nor_fill_the_memo(self, builds):
+    def test_a_sidecar_chunk_never_reads_its_entry(self, builds, monkeypatch):
         cfg = golden_config(selection=SelectionConfig(k=3, layers=2))
         docs = {1: json.dumps({"chunk_id": 1, "nodes": [], "edges": []})}
         builtin = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         sidecar = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
         assert sidecar != builtin
-        # entries made by sidecar plans keep no graph of the documented chunk
+        # entries made by sidecar plans still hold every chunk's facts from
+        # its built-in graph
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
-        assert len(kept_graphs()) == len(kept_tables()) == 2
+        kept = kept_facts()
+        assert len(kept) == 3
         builds.clear()
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
-        assert self.built(builds) == [(1, "beta.py")]
-        assert len(kept_graphs()) == len(kept_tables()) == 3
-        builds.clear()
-        kept, tables = kept_graphs(), kept_tables()
-        # the kept table of the built-in graph is not read either: the plan
-        # equals the cold one, whose chunk 1 has no candidates
+        assert builds == []
+        # the documented chunk's facts come from its document and its tokens,
+        # lexed again: the plan equals the cold one, whose chunk 1 has no
+        # candidates, and the kept facts are neither read nor replaced
+        lexed = []
+        lex = pipeline.tokenize
+
+        def lex_counted(source):
+            lexed.append(source.path)
+            return lex(source)
+
+        monkeypatch.setattr(pipeline, "tokenize", lex_counted)
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs) == sidecar
-        assert builds == [] and kept_graphs() == kept and kept_tables() == tables
-        # beta's graph is still in its entry
+        assert builds == [] and lexed == ["<query>", "beta.py"] and same(kept_facts(), kept)
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
         assert builds == []
 
-    def test_graphs_of_an_earlier_query_are_kept(self, builds, monkeypatch):
-        # at k=1 the golden query selects alpha's chunk and the other query beta's
+    def test_an_entry_holds_every_chunks_facts_from_the_second_sight_on(
+        self, builds, monkeypatch
+    ):
+        # at k=1 the golden query selects alpha's chunk and the other query
+        # beta's, which no plan has selected yet
         cfg = golden_config(selection=SelectionConfig(k=1, layers=2))
         other = "how does transform push each item"
         cold = {q: cold_plan(GOLDEN_FILES, q, cfg) for q in (GOLDEN_QUERY, other)}
+        assert cold[GOLDEN_QUERY][0] != cold[other][0]
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        kept = kept_facts()
+        assert len(kept) == 3
         published = []
         index, select = pipeline.index_corpus, pipeline._selected_facts
 
@@ -565,10 +574,8 @@ class TestGraphMemo:
         monkeypatch.setattr(pipeline, "_selected_facts", selecting)
         builds.clear()
         assert planned(GOLDEN_FILES, other, cfg) == cold[other]
-        assert self.built(builds) == [(1, "beta.py")]
-        builds.clear()
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == cold[GOLDEN_QUERY]
-        assert builds == [] and len(published) == 2
+        assert builds == [] and len(published) == 2 and same(kept_facts(), kept)
 
     def test_concurrent_plans_each_equal_their_cold_plan(self):
         # small chunks, and threads whose queries or k select different
@@ -592,9 +599,10 @@ class TestGraphMemo:
         }
         # beta is in every corpus, so its entry, made here, is shared by all plans
         for corpus in corpora[:2]:
-            index_corpus(corpus, chunking)
-        beta = pipeline._MEMO[(digest(GOLDEN_FILES[1].content), chunking)]
-        assert beta is not None and beta.graphs == beta.spans == {}
+            index_corpus(corpus, chunking, cfgs[0].span)
+        key = memo_key(GOLDEN_FILES[1].content, cfgs[0])
+        beta = pipeline._MEMO[key]
+        assert beta is not None
         matched = []
 
         def plan_in_turn(t):
@@ -620,11 +628,10 @@ class TestGraphMemo:
             for c in json.loads(text)["chunks"]
             if c["file"] == "beta.py"
         }
-        assert len(selected) == 4 and set(beta.graphs) == selected
-        assert set(beta.spans) == {span_key(r, cfgs[0]) for r in selected}
-        assert pipeline._MEMO[(digest(GOLDEN_FILES[1].content), chunking)] is beta
+        assert len(selected) == 4 and selected == {r for r, _, _ in beta.chunks}
+        assert pipeline._MEMO[key] is beta
 
-    def test_entries_keep_every_graph_selected_since_they_were_made(self):
+    def test_entries_are_made_whole_and_never_change(self):
         cfg = golden_config(selection=SelectionConfig(k=3, layers=2))
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         corpus = synth_corpus(seed=4, n_files=5)
@@ -632,38 +639,40 @@ class TestGraphMemo:
         query = synth_query(4, corpus)
         planned(corpus, query, cfg)
         # the memo holds the files of the last indexed corpus; a first sight keeps none
-        assert set(pipeline._MEMO) == {(digest(text), cfg.chunking) for text in texts.values()}
-        assert kept_graphs() == {}
-        selected = set()
-        for q in (query, "what does the first helper return", "where is the last value stored"):
-            plan, _ = run_pipeline(corpus, q, cfg)
-            selected |= {(digest(texts[c.file]), c.token_range) for c in plan.chunks}
-            assert set(kept_graphs()) == selected
-            assert set(kept_tables()) == {(d, span_key(r, cfg)) for d, r in selected}
-        assert len(selected) > len(plan.chunks) == 3
-        assert all(type(g.kinds) is np.ndarray for g in kept_graphs().values())
-        # an edited file is a new key: the entry its second sight makes starts empty
-        old = digest(corpus[0].content)
+        assert set(pipeline._MEMO) == {memo_key(text, cfg) for text in texts.values()}
+        assert kept_facts() == {}
+        plan, _ = run_pipeline(corpus, query, cfg)
+        # the second sight keeps the facts of every chunk, selected or not
+        index = index_corpus(corpus, cfg.chunking, cfg.span)
+        kept = kept_facts()
+        chunks = {(memo_key(texts[c.file], cfg), c.token_range) for c in index.chunks}
+        assert set(kept) == chunks and len(chunks) > len(plan.chunks) == 3
+        assert all(type(f.kinds) is np.ndarray for f in kept.values())
+        for q in ("what does the first helper return", "where is the last value stored"):
+            run_pipeline(corpus, q, cfg)
+            assert same(kept_facts(), kept)
+        # an edited file is a new key: its second sight makes a whole entry,
+        # and the other entries stay as they were
+        old = memo_key(corpus[0].content, cfg)
         edited = [SourceFile(corpus[0].path, corpus[0].content + "z = 1\n"), *corpus[1:]]
-        kept = {key: graph for key, graph in kept_graphs().items() if key[0] != old}
-        tables = {key: table for key, table in kept_tables().items() if key[0] != old}
         for _ in range(2):
-            index_corpus(edited, cfg.chunking)
-        assert set(pipeline._MEMO) == {(digest(f.content), cfg.chunking) for f in edited}
-        entry = pipeline._MEMO[(digest(edited[0].content), cfg.chunking)]
-        assert entry.graphs == entry.spans == {}
-        assert kept_graphs() == kept and kept_tables() == tables
+            index_corpus(edited, cfg.chunking, cfg.span)
+        new = memo_key(edited[0].content, cfg)
+        assert set(pipeline._MEMO) == {memo_key(f.content, cfg) for f in edited}
+        assert pipeline._MEMO[new].chunks
+        now = {k: f for k, f in kept_facts().items() if k[0] != new}
+        assert same(now, {k: f for k, f in kept.items() if k[0] != old})
 
 
 class TestSpanMemo:
     """A chunk's span candidates are kept in its file's memo entry beside its
-    graph, by token range and the span fields that shape them, and a warm
-    plan equals a cold one."""
+    graph facts. The span fields that shape them are part of the memo key,
+    so each shape has its own entries, and a warm plan equals a cold one."""
 
     @pytest.fixture(autouse=True)
     def built(self, monkeypatch):
-        """An empty memo, and the (file, token range) of every chunk whose
-        span candidates get built."""
+        """An empty memo, and the chunk id of every chunk whose span
+        candidates get built."""
         monkeypatch.setattr(pipeline, "_MEMO", {})
         calls = []
         build = spans.build_spans
@@ -687,64 +696,70 @@ class TestSpanMemo:
         cold = {q: cold_plan(corpus, q, cfg) for q in asks}
         picks = {tuple(c["chunk_id"] for c in json.loads(cold[q][0])["chunks"]) for q in asks}
         assert len(picks) > 1  # the asks select different chunks
-        kept: set[tuple[str, tuple[int, ...]]] = set()  # chunks selected since the second plan
+        chunks = sum(len(partition_chunks(f, tokenize(f), cfg.chunking)) for f in corpus)
         for i, q in enumerate([*asks, *asks]):
             built.clear()
             assert planned(corpus, q, cfg) == cold[q]
-            chunks = json.loads(cold[q][0])["chunks"]
-            new = {(c["file"], tuple(c["token_range"])) for c in chunks} - kept
-            ids = {(c["file"], tuple(c["token_range"])): c["chunk_id"] for c in chunks}
-            if i >= 2:
-                # from the third plan on only chunks not selected since the
-                # second are built
-                assert sorted(built) == sorted(ids[c] for c in new)
-            if i >= 1:
-                kept |= new
-        assert built == [] and len(kept_tables()) == len(kept)
+            if i == 0:  # a first sight builds the selected chunks' candidates only
+                assert built == [c["chunk_id"] for c in json.loads(cold[q][0])["chunks"]]
+            else:  # the second builds every chunk's, and later plans none
+                assert len(built) == (chunks if i == 1 else 0)
+        assert len(kept_facts()) == chunks > k
 
     def test_other_span_fields_build_again(self, built):
         cfg = golden_config()
         other = golden_config(span=SpanConfig(min_span_tokens=4, merge_gap_lines=0))
-        cold = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, other)
+        cfgs = [cfg, other]
+        cold = [cold_plan(GOLDEN_FILES, GOLDEN_QUERY, c) for c in cfgs]
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
-        built.clear()
-        assert planned(GOLDEN_FILES, GOLDEN_QUERY, other) == cold
-        assert len(built) == 2 and len(kept_tables()) == 4
-        # the weights and rho_span shape no table
+        kept = kept_facts()
+        # a new shape is a new memo slot, whose first plan keeps nothing and
+        # whose second makes whole entries; alternating the two shapes evicts
+        # neither
+        for i, builds in [(1, 2), (0, 0), (1, 3), (0, 0), (1, 0)]:
+            built.clear()
+            assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfgs[i]) == cold[i]
+            assert len(built) == builds
+        assert len(kept_facts()) == 6
+        assert same({k: f for k, f in kept_facts().items() if k in kept}, kept)
+        # the weights, rho_span and whether spans are on shape no table
         weights = {**DEFAULT_SPAN_WEIGHTS, "call": 0.5}
-        heavier = golden_config(span=SpanConfig(weights=weights, rho_span=0.9))
-        cold = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, heavier)
-        built.clear()
-        assert planned(GOLDEN_FILES, GOLDEN_QUERY, heavier) == cold
-        assert built == []
+        for span in (SpanConfig(weights=weights, rho_span=0.9), SpanConfig(enabled=False)):
+            c = golden_config(span=span)
+            expected = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, c)
+            built.clear()
+            assert planned(GOLDEN_FILES, GOLDEN_QUERY, c) == expected
+            assert built == [] and len(kept_facts()) == 6
 
     def test_tables_stay_packed(self):
-        """Three plans of every asyncio chunk keep one table per chunk, in
-        numpy arrays only, under 0.25 MB in all; no entry holds a token or a
-        graph object, and each chunk's names and graph facts together stay
-        near the 1.08 MB measured for all 163 chunks (CPython 3.11)."""
+        """Three plans of 30 asyncio chunks keep the facts of all 163, made
+        whole at the second plan: one table per chunk, in numpy arrays only,
+        under 0.25 MB in all. No entry holds a token or a graph object, nor a
+        dict, list or set that a plan could change; the token positions stay
+        near the 0.28 MB, and each chunk's names and graph facts together
+        near the 1.08 MB measured (CPython 3.11)."""
         corpus = load_corpus(Path(sysconfig.get_paths()["stdlib"]) / "asyncio")
-        cfg = PipelineConfig(selection=SelectionConfig(k=1000, layers=1))
+        cfg = PipelineConfig(selection=SelectionConfig(k=30, layers=1))
         for q in ("where is the event loop closed", "why is a task cancelled", "close the pipe"):
             plan, _ = run_pipeline(corpus, q, cfg)
-        tables = kept_tables().values()
-        assert len(tables) == len(plan.chunks) > 100
-        arrays = [a for t in tables for a in vars(t).values()]
+        facts = kept_facts().values()
+        assert len(facts) == 163 > len(plan.chunks) == 30
+        arrays = [a for f in facts for a in vars(f.spans).values()]
         assert all(type(a) is np.ndarray for a in arrays)
         assert sum(a.nbytes for a in arrays) < 250_000
         entries = [e for e in pipeline._MEMO.values() if e is not None]
         assert len(entries) == len(corpus) == 33
         held = {type(o) for o in reachable(tuple(entries))}
-        assert not held & {Token, Cpg, CpgNode, CpgEdge, list}, held
-        names = [n for e in entries for n in e.names.values()]
-        graphs = [g for e in entries for g in e.graphs.values()]
-        assert len(names) == len(graphs) == len(plan.chunks)
-        facts = sum(
+        assert not held & {Token, Cpg, CpgNode, CpgEdge, list, dict, set}, held
+        positions = sum(a.itemsize * len(a) for e in entries for a in e.texts)
+        assert positions < 300_000, positions
+        names = [f.names for f in facts]
+        sizes = sum(
             n.ids.nbytes + sys.getsizeof(n.texts) + sys.getsizeof(n.set)
             + sum(map(sys.getsizeof, n.texts))
             for n in names
-        ) + sum(g.kinds.nbytes + sys.getsizeof(g) + sys.getsizeof(g.features) for g in graphs)
-        assert facts < 1_150_000, facts
+        ) + sum(f.kinds.nbytes + sys.getsizeof(f) + sys.getsizeof(f.features) for f in facts)
+        assert sizes < 1_150_000, sizes
 
 
 def reachable(root):
@@ -765,9 +780,9 @@ def reachable(root):
 
 
 class TestFileMemo:
-    """A file's tokens and chunk cuts are kept, by its text and chunking
-    config, once two plans in a row have seen it; later plans neither lex
-    nor chunk it."""
+    """A file's token positions and chunks are kept, by its text, chunking
+    config and span shape, once two plans in a row have seen it; later plans
+    neither lex nor chunk it."""
 
     @pytest.fixture(autouse=True)
     def lexed(self, monkeypatch):
@@ -805,7 +820,7 @@ class TestFileMemo:
 
     def test_first_sight_fills_no_entry(self, lexed):
         planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
-        keys = {(digest(f.content), golden_config().chunking) for f in GOLDEN_FILES}
+        keys = {memo_key(f.content, golden_config()) for f in GOLDEN_FILES}
         assert pipeline._MEMO == dict.fromkeys(keys)
         planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
         assert set(pipeline._MEMO) == keys and None not in pipeline._MEMO.values()
@@ -834,17 +849,27 @@ class TestFileMemo:
             (synth_corpus(seed=8, n_files=5), golden_config().chunking),
         ]:
             cfg = dataclasses.replace(golden_config(), chunking=chunking)
-            fresh = index_corpus(corpus, chunking)
+            fresh = index_corpus(corpus, chunking, cfg.span)
+            assert set(fresh.facts) == {None}
             warmed(corpus, "where is the event loop closed", cfg)
             lexed.clear()
-            memo = index_corpus(corpus, chunking)
+            memo = index_corpus(corpus, chunking, cfg.span)
             assert lexed == []  # index_corpus lexes no query
             assert memo.chunks == fresh.chunks
             for chunk in fresh.chunks:
-                assert memo.tokens(chunk.id) == fresh.tokens(chunk.id)
-                a, b = memo.names(chunk.id), fresh.names(chunk.id)
-                assert a.texts == b.texts and a.set == b.set
-                assert a.ids.tolist() == b.ids.tolist() and a.ids.dtype == b.ids.dtype
+                tokens = fresh.tokens(chunk.id)
+                assert memo.tokens(chunk.id) == tokens
+                kept = memo.facts[chunk.id]
+                made = pipeline.chunk_facts(chunk, tokens, cfg.span)
+                assert kept.names.texts == made.names.texts and kept.names.set == made.names.set
+                assert kept.names.ids.tolist() == made.names.ids.tolist()
+                assert kept.names.ids.dtype == made.names.ids.dtype
+                assert kept.features == made.features
+                assert kept.kinds.tolist() == made.kinds.tolist()
+                for name, column in vars(made.spans).items():
+                    assert getattr(kept.spans, name).tolist() == column.tolist(), name
+            # the memo's chunks are lexed again only when their tokens are asked for
+            assert sorted(set(lexed)) == sorted(("lex", f.path) for f in corpus)
 
     def test_identical_files_at_two_paths(self, lexed):
         twin = SourceFile("alpha_copy.py", GOLDEN_FILES[0].content)
@@ -871,39 +896,40 @@ class TestFileMemo:
             assert planned(corpus, GOLDEN_QUERY, golden_config()) == cold
         # the third plan reads the empty file from the entry the second filled
         assert lexed == self.lexes(corpora[2][1:])
-        entry = pipeline._MEMO[(digest(""), golden_config().chunking)]
-        assert entry.cuts == (0,) and entry.graphs == {}
-        assert index_corpus([empty], golden_config().chunking).chunks == ()
+        entry = pipeline._MEMO[memo_key("", golden_config())]
+        assert entry.chunks == () and [len(col) for col in entry.texts] == [0, 0]
+        assert index_corpus([empty], golden_config().chunking, golden_config().span).chunks == ()
 
 
 class TestWarmPath:
     """From the third plan of an unchanged corpus on, a plan reads every
-    chunk's query-independent facts from the memo: it lexes only the query,
-    unpacks no tokens and builds no graph."""
+    chunk's query-independent facts from the memo, whichever chunks it
+    selects: it lexes only the query and builds no graph and no span
+    candidates."""
 
     @pytest.fixture(autouse=True)
     def calls(self, monkeypatch):
-        """An empty memo, and every call that makes tokens or graphs, by
-        (function, file path or chunk id)."""
+        """An empty memo, and every call that makes tokens, graphs or span
+        candidates, by (function, file path or chunk id)."""
         monkeypatch.setattr(pipeline, "_MEMO", {})
         calls = []
-        lex, unpack, build = pipeline.tokenize, pipeline.unpack_tokens, pipeline.build_cpg
+        lex, build, build_spans = pipeline.tokenize, pipeline.build_cpg, spans.build_spans
 
         def lex_counted(source):
             calls.append(("tokenize", source.path))
             return lex(source)
 
-        def unpack_counted(text, packed):
-            calls.append(("unpack_tokens", len(text)))
-            return unpack(text, packed)
-
         def build_counted(ast, chunk, tokens):
             calls.append(("build_cpg", chunk.id))
             return build(ast, chunk, tokens)
 
+        def build_spans_counted(cpg, cfg, tokens):
+            calls.append(("build_spans", cpg.chunk_id))
+            return build_spans(cpg, cfg, tokens)
+
         monkeypatch.setattr(pipeline, "tokenize", lex_counted)
-        monkeypatch.setattr(pipeline, "unpack_tokens", unpack_counted)
         monkeypatch.setattr(pipeline, "build_cpg", build_counted)
+        monkeypatch.setattr(spans, "build_spans", build_spans_counted)
         return calls
 
     @pytest.mark.parametrize("corpus", ["golden", "asyncio", "golden-http"])
@@ -931,7 +957,20 @@ class TestWarmPath:
             assert (third[0] + "\n" == expected) is (corpus == "golden")
         else:
             assert len(json.loads(third[0])["chunks"]) == 163
-        assert not hasattr(pipeline, "pickle")
+        assert not hasattr(pipeline, "pickle") and not hasattr(pipeline, "unpack_tokens")
+
+    def test_a_chunk_no_plan_has_selected_is_read_from_its_entry(self, calls):
+        # at k=1 the golden query selects alpha's chunk and the other query
+        # beta's, which the two plans before it never selected
+        cfg = golden_config(selection=SelectionConfig(k=1, layers=2))
+        other = "how does transform push each item"
+        cold = cold_plan(GOLDEN_FILES, other, cfg)
+        warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        calls.clear()
+        third = planned(GOLDEN_FILES, other, cfg)
+        assert calls == [("tokenize", "<query>")]
+        assert third[0] == cold[0] and json.loads(third[0])["chunks"][0]["file"] == "beta.py"
+        assert canonical_json(third[1].to_dict()) == canonical_json(cold[1].to_dict())
 
     def test_two_chunking_configs_keep_their_entries(self, calls):
         # the memo holds the last corpus of each chunking config, so plans
