@@ -16,16 +16,17 @@ import numpy as np
 
 from .chunking import chunks_between
 from .config import PipelineConfig
+from .cpg import import_cpg_json
 from .errors import ConfigError, ParameterError, StructKVError
 from .lexer import load_source, tokenize
 from .metrics import (
-    kind_mask,
     normalized_edit_distance,
     set_metrics,
     structure_score,
     topk_overlap_jaccard,
 )
 from .pipeline import (
+    chunk_facts,
     chunk_graph,
     context_tokens,
     index_corpus,
@@ -35,7 +36,7 @@ from .pipeline import (
     score_chunks,
 )
 from .plan import CompressionPlan, canonical_json, decode_json, read_record
-from .scoring import extract_features, structural_score
+from .scoring import structural_score
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -208,9 +209,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
                 f"current file ({len(toks)} tokens); source changed since planning?"
             )
         (chunk,) = chunks_between(chunk_plan.file, toks, (start, end), chunk_plan.chunk_id)
-        cpg = chunk_graph(chunk, toks[start:end], external.get(chunk.id))
-        kinds[chunk.id] = kind_mask(cpg, chunk.length)
-        sigma = structural_score(extract_features(cpg))
+        document = external.get(chunk.id)
+        cpg = None if document is None else import_cpg_json(document, chunk)
+        facts = chunk_facts(chunk, toks[start:end], cfg.span, cpg)
+        kinds[chunk.id] = facts.kinds
+        sigma = structural_score(facts.features)
         if sigma != chunk_plan.sigma:
             raise ParameterError(
                 f"chunk {chunk.id} ({chunk.file}): its graph gives sigma {sigma!r}, the plan "

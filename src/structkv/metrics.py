@@ -65,8 +65,9 @@ def kind_mask(cpg: Cpg, length: int) -> np.ndarray:
 def structure_score(plan: CompressionPlan, kinds: dict[int, np.ndarray]) -> RetentionReport:
     """Retention of the critical tokens over every (layer, chunk) pair that
     has any, in one walk: overall, per layer, and per node kind over the
-    pairs whose chunk has tokens of that kind. ``kinds`` holds each graphed
-    chunk's :func:`kind_mask` by chunk id, and each layer's ``kept`` must
+    pairs whose chunk has tokens of that kind. ``kinds`` holds every plan
+    chunk's :func:`kind_mask` by chunk id (all zeros where its graph has no
+    node, so the chunk counts in no pair), and each layer's ``kept`` must
     ascend within its chunk, as ``CompressionPlan.from_dict`` checks. Every
     list follows plan order and every retention is a quotient of two token
     counts, so the sums do not depend on how the counts were made."""
@@ -74,9 +75,7 @@ def structure_score(plan: CompressionPlan, kinds: dict[int, np.ndarray]) -> Rete
     by_layer: dict[int, list[float]] = {}
     by_category: dict[str, list[float]] = {c: [] for c in CATEGORIES}
     for chunk in plan.chunks:
-        mask = kinds.get(chunk.chunk_id)
-        if mask is None:
-            continue
+        mask = kinds[chunk.chunk_id]
         total = np.bincount(mask, minlength=_MASKS)  # tokens by kind mask
         critical = len(mask) - int(total[0])
         if not critical:

@@ -25,7 +25,7 @@ the last built whether or not spans are on). A later plan reads them all
 from the entry, so it builds no token list and no graph; the HTTP scorer's
 texts are sliced from the current content, which has the same digest. A
 kept file is lexed again only for a chunk with an external graph document,
-which never reads its entry, or for a scorer that reads a chunk's tokens.
+which never reads its entry.
 For all 163 ``asyncio`` chunks the entries hold about 0.28 MB of token
 positions, 1.0 MB of names, 0.09 MB of graph facts and 0.07 MB of span
 arrays. Nothing is written to disk.
@@ -157,20 +157,16 @@ class CorpusIndex:
             toks = self.lexed[chunk.file] = tokenize(source)
         return toks[slice(*chunk.token_range)]
 
-    def scored_tokens(self, chunk_id: int) -> Sequence[Token]:
-        """The tokens of one chunk as a scorer reads them: those lexed by
-        this index, else a view that holds the kept names (all the mock
-        scorer reads), slices the texts (all the HTTP scorer reads) from the
-        content by the kept starts and lengths, and lexes the file again
-        only when its tokens are read."""
+    def scored_tokens(self, chunk_id: int) -> Sequence[Token] | scoring.KeptChunk:
+        """One chunk as a scorer reads it: the tokens lexed by this index,
+        else its kept names and a slicer of its texts from the content by
+        the kept starts and lengths."""
         chunk, facts = self.chunks[chunk_id], self.facts[chunk_id]
         if facts is None:
             return self.tokens(chunk_id)
         content, texts = self.contents[chunk.file], self.entries[chunk.file].texts
-        return scoring.ChunkTokens(
-            facts.names,
-            partial(self.tokens, chunk_id),
-            partial(token_texts, content, texts, *chunk.token_range),
+        return scoring.KeptChunk(
+            facts.names, partial(token_texts, content, texts, *chunk.token_range)
         )
 
 
@@ -216,12 +212,8 @@ def index_corpus(
     return CorpusIndex(tuple(chunks), tuple(facts), entries, contents, lexed)
 
 
-def chunk_graph(chunk: Chunk, tokens: list[Token], document: Cpg | None = None) -> Cpg:
-    """A chunk's property graph: the external document when there is one,
-    else the built-in analyzer's over the chunk's tokens. A document with no
-    nodes asks for attention-only treatment."""
-    if document is not None:
-        return import_cpg_json(document, chunk)
+def chunk_graph(chunk: Chunk, tokens: list[Token]) -> Cpg:
+    """A chunk's property graph from the built-in analyzer over its tokens."""
     return build_cpg(parse_subset(tokens), chunk, tokens)
 
 

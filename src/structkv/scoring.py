@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 from ._http import HttpClient
 from .chunking import Chunk
@@ -91,52 +91,31 @@ def query_symbols(tokens: Sequence[Token]) -> frozenset[str]:
     return frozenset(t.text for t in tokens if t.kind is TokenKind.IDENTIFIER)
 
 
+class KeptChunk(NamedTuple):
+    """A chunk of a file the memo keeps, as the pipeline hands it to a
+    scorer: its identifier names, all the mock scorer reads, and its token
+    texts sliced from the file content by ``texts()``, all the HTTP scorer
+    reads. Neither needs the chunk's tokens made again."""
+
+    names: Names
+    texts: Callable[[], list[str]]
+
+
 class ChunkScorer(Protocol):
     """Backend estimating how badly the query reads without this chunk.
 
     Lower is better: the value is a mean negative log-likelihood of the
-    query tokens given [prefix; chunk; query-so-far].
+    query tokens given [prefix; chunk; query-so-far]. The chunk comes as
+    its tokens, or as a :class:`KeptChunk` when its file's memo entry holds
+    its facts.
     """
 
     def score(
         self,
         prefix: Sequence[Token],
-        chunk_tokens: Sequence[Token],
+        chunk_tokens: Sequence[Token] | KeptChunk,
         query: Sequence[Token],
     ) -> float: ...
-
-
-class ChunkTokens(Sequence[Token]):
-    """One chunk's tokens as the pipeline hands a kept chunk to a scorer:
-    its identifier names at hand, its token texts sliced by ``texts()`` and
-    its token list made by ``make`` (a new lexing) when first read. The mock
-    scorer reads only the names and the HTTP scorer only the texts, so a
-    plan that keeps them builds no tokens to score."""
-
-    def __init__(
-        self,
-        names: Names,
-        make: Callable[[], list[Token]],
-        texts: Callable[[], list[str]],
-    ) -> None:
-        self.names = names
-        self.texts = texts
-        self._make = make
-        self._tokens: list[Token] | None = None
-
-    def _list(self) -> list[Token]:
-        if self._tokens is None:
-            self._tokens = self._make()
-        return self._tokens
-
-    def __len__(self) -> int:
-        return len(self.names.ids)
-
-    def __getitem__(self, i):
-        return self._list()[i]
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self._list())
 
 
 class MockScorer:
@@ -146,11 +125,11 @@ class MockScorer:
     def score(
         self,
         prefix: Sequence[Token],
-        chunk_tokens: Sequence[Token],
+        chunk_tokens: Sequence[Token] | KeptChunk,
         query: Sequence[Token],
     ) -> float:
         q = query_symbols(query)
-        if isinstance(chunk_tokens, ChunkTokens):
+        if isinstance(chunk_tokens, KeptChunk):
             c = chunk_tokens.names.set
         else:  # tokens from elsewhere, as a server relexes them from the wire
             c = query_symbols(chunk_tokens)
@@ -163,10 +142,10 @@ class HttpScorer(HttpClient):
     def score(
         self,
         prefix: Sequence[Token],
-        chunk_tokens: Sequence[Token],
+        chunk_tokens: Sequence[Token] | KeptChunk,
         query: Sequence[Token],
     ) -> float:
-        if isinstance(chunk_tokens, ChunkTokens):
+        if isinstance(chunk_tokens, KeptChunk):
             chunk = chunk_tokens.texts()
         else:
             chunk = [t.text for t in chunk_tokens]
@@ -186,7 +165,7 @@ def score_chunk(
     prefix: Sequence[Token],
     chunk: Chunk,
     query: Sequence[Token],
-    tokens: Sequence[Token],
+    tokens: Sequence[Token] | KeptChunk,
 ) -> float:
     """Score one chunk's tokens, surfacing backend failures with the chunk id."""
     if not query:

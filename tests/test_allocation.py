@@ -23,6 +23,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg(capacity_ratio=0.9, capacity_ratio_max=0.8)
 
+    @pytest.mark.parametrize("cap", [0.0, 1.5])
+    def test_cap_outside_unit_interval_rejected(self, cap):
+        with pytest.raises(ConfigError, match="capacity_ratio_max must be in"):
+            cfg(capacity_ratio=0.1, capacity_ratio_max=cap)
+
     def test_bad_multipliers_rejected(self):
         with pytest.raises(ConfigError):
             cfg(multiplier_min=0.0)

@@ -95,6 +95,8 @@ class TestImportance:
             importance(AttentionWindow(np.ones((2, 3)), np.ones((4, 5)), 0))
         with pytest.raises(ParameterError):
             importance(AttentionWindow(np.ones((0, 3)), np.ones((4, 3)), 0))
+        with pytest.raises(ParameterError, match="2-D"):
+            importance(AttentionWindow(np.ones(3), np.ones((4, 3)), 0))
 
 
 class TestPool:
@@ -205,3 +207,8 @@ class TestMockBackend:
         w = b.attention_window(0, 0, 33)
         assert w.q_block.shape == (16, 8)
         assert w.k_block.shape == (33, 8)
+
+    @pytest.mark.parametrize(("window", "dim"), [(0, 8), (16, 0)])
+    def test_empty_blocks_rejected(self, window, dim):
+        with pytest.raises(ParameterError, match="window and dim must be positive"):
+            MockAttentionBackend(seed=0, window=window, dim=dim)

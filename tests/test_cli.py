@@ -138,6 +138,18 @@ class TestCpgCommand:
         assert rc == 0
         assert read_json(out / "cpg.json")[0]["chunk_id"] == 0
 
+    def test_file_outside_the_corpus_root(self, corpus_dir, tmp_path, capsys):
+        outside = tmp_path / "outside.py"
+        outside.write_text(ALPHA)
+        out = tmp_path / "out"
+        assert main(["cpg", str(outside), "--dir", str(corpus_dir), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {
+            "type": "ParameterError",
+            "message": f"{outside}: no chunks produced (is it under the corpus root?)",
+        }
+        assert not out.exists()
+
     def test_file_matched_after_resolving(self, corpus_dir, config_file, tmp_path, monkeypatch):
         monkeypatch.chdir(corpus_dir)
         out = tmp_path / "out"
@@ -434,6 +446,24 @@ class TestEvaluateCommand:
         assert "the plan 0.0;" in err["message"] and "external_cpg_file" in err["message"]
         assert not (other / "report.json").exists()
 
+    def test_file_shorter_than_its_plan_rejected(self, corpus_dir, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["compress", "--config", str(config_file), "--out", str(out)]) == 0
+        planned = read_json(out / "plan.json")["chunks"][0]
+        assert planned["file"] == "alpha.py" and planned["token_range"][1] > 4
+        (corpus_dir / "alpha.py").write_text("x = 1\n")  # 4 tokens
+        other = tmp_path / "other"
+        rc = main(["evaluate", "--plan", str(out / "plan.json"), "--config", str(config_file),
+                   "--out", str(other)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ParameterError"
+        assert err["message"] == (
+            f"alpha.py: token range {tuple(planned['token_range'])} exceeds current file "
+            "(4 tokens); source changed since planning?"
+        )
+        assert not (other / "report.json").exists()
+
 
 class TestPipelineCommand:
     """The whole pipeline from one config: ``compress --config`` alone."""
@@ -574,10 +604,18 @@ class TestErrorObjects:
             ({"include": ["/etc/*.conf"]}, "include pattern '/etc/*.conf' " + UNDER_ROOT),
             ({"include": ["**/*.py", ""]}, "include pattern '' " + UNDER_ROOT),
             ({"include": ["../*.py"]}, "include pattern '../*.py' " + UNDER_ROOT),
+            ({"scorer": {"backend": "grpc"}}, "unknown backend 'grpc' in 'scorer'"),
+            ({"attention": {"dim": 0}}, "attention window and dim must be positive in 'attention'"),
+            ({"attention": {"pool_window": 4}}, "pool_window must be odd, got 4 in 'attention'"),
+            ({"selection": {"k": 0}}, "k must be positive, got 0 in 'selection'"),
+            ({"selection": {"layers": 0}}, "layers must be positive, got 0 in 'selection'"),
+            ({"workers": 0}, "workers must be positive, got 0"),
         ],
         ids=[
             "epsilon", "b-min", "scorer-url", "url-no-scheme", "url-no-host", "url-bad-port",
             "url-credentials", "include-absolute", "include-empty", "include-up",
+            "unknown-backend", "attention-dim", "pool-window-even", "k-zero", "layers-zero",
+            "workers-zero",
         ],
     )
     def test_record_checks_name_their_section(self, corpus_dir, tmp_path, capsys, doc, message):
@@ -592,6 +630,40 @@ class TestErrorObjects:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"type": "ConfigError", "message": f"{cfg}: {message}"}
         assert not (out / "plan.json").exists()
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_config_file(self, corpus_dir, tmp_path, capsys, name):
+        cfg = tmp_path / name
+        rc = main(["chunk", str(corpus_dir), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError" and err["message"].startswith(f"{cfg}: [Errno ")
+
+    def test_unreadable_sidecar_file(self, corpus_dir, tmp_path, capsys):
+        sidecar = tmp_path / "missing.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"external_cpg_file": str(sidecar)}))
+        out = tmp_path / "o"
+        rc = main(["compress", "--dir", str(corpus_dir), "--query", "q",
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError" and err["message"].startswith(f"{sidecar}: [Errno ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["score", "--query", "q"], ["compress", "--query", "q"]],
+        ids=["score", "compress"],
+    )
+    def test_no_corpus_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert main([*command, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {
+            "type": "ConfigError",
+            "message": "no corpus directory: pass --dir or set corpus_dir in the config",
+        }
+        assert not out.exists()
 
     def test_null_url_accepted(self, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

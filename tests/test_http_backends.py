@@ -42,6 +42,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.requests.append((self.path, request))
         # close after the reply, without saying so in a Connection header
         self.close_connection = self.server.close_after_reply
+        if self.server.drop_next > 0:
+            self.server.drop_next -= 1
+            self.close_connection = True
+            return  # no reply: the client reads a closed connection
         if self.server.fail_next > 0:
             self.server.fail_next -= 1
             return self._reply(500)
@@ -76,6 +80,7 @@ def server():
     httpd.requests = []
     httpd.connections = []  # the client address of each accepted connection
     httpd.fail_next = 0
+    httpd.drop_next = 0  # requests whose connection closes without a reply
     httpd.ok_requests = float("inf")  # later requests get a 400
     httpd.close_after_reply = False
     httpd.key_rows = 6
@@ -312,6 +317,20 @@ class TestConnections:
                 backend.attention_window(chunk_id, layer=0, length=6)
         assert [request["chunk_id"] for _, request in server.requests] == list(range(10))
         assert len(server.connections) == 10
+
+    def test_a_reset_on_a_new_connection_uses_up_a_retry(self, server, sleeps):
+        # Only an idle connection the server closed is worth one more try at
+        # once; a request that a new connection loses is retried as any
+        # connection error is, after a backoff.
+        server.drop_next = 1
+        with HttpAttentionBackend(url(server), retries=0) as backend:
+            with pytest.raises(BackendError, match="RemoteDisconnected"):
+                backend.attention_window(0, 0, length=6)
+        assert len(server.requests) == 1 and sleeps == []
+        server.drop_next = 1
+        with HttpAttentionBackend(url(server), retries=1) as backend:
+            backend.attention_window(0, 0, length=6)
+        assert len(server.requests) == 3 and sleeps == pytest.approx([0.05])
 
     def test_close_closes_every_connection(self, server, opened):
         scorer = HttpScorer(url(server))

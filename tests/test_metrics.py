@@ -198,6 +198,11 @@ class TestSetMetrics:
         m = set_metrics({"a"}, set())
         assert m.recall == 0.0 and m.gold_empty
 
+    def test_both_empty_is_a_perfect_match(self):
+        m = set_metrics(set(), set())
+        assert (m.precision, m.recall, m.f1, m.jaccard) == (1.0, 1.0, 1.0, 1.0)
+        assert m.gold_empty
+
     def test_f1_harmonic_identity(self):
         m = set_metrics({"a", "b", "c", "d"}, {"c", "d", "e"})
         p, r = m.precision, m.recall

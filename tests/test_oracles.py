@@ -17,7 +17,7 @@ from structkv.lexer import SourceFile, tokenize
 from structkv.metrics import kind_mask, structure_score
 from structkv.pipeline import chunk_facts, chunk_graph, index_corpus, load_corpus, run_pipeline
 from structkv.plan import canonical_json
-from structkv.scoring import ChunkTokens, MockScorer, query_symbols
+from structkv.scoring import KeptChunk, MockScorer, query_symbols
 from structkv.spans import SpanConfig, query_hits
 from plan_helpers import (
     oracle_mock_score,
@@ -43,7 +43,7 @@ NON_ASCII_QUERIES = ["why does café add 变量", "naïve ï", "return zzz_not_i
 
 
 def never_made():
-    raise AssertionError("the mock scorer made the chunk's tokens")
+    raise AssertionError("the mock scorer sliced the chunk's texts")
 
 
 def check_chunks(corpus, chunking, queries, *extra_graphs):
@@ -60,7 +60,7 @@ def check_chunks(corpus, chunking, queries, *extra_graphs):
             syms = query_symbols(query)
             hits = query_hits(table, names, syms)
             assert hits.tolist() == oracle_query_hits(table, tokens, syms).tolist()
-            score = MockScorer().score([], ChunkTokens(names, never_made, never_made), query)
+            score = MockScorer().score([], KeptChunk(names, never_made), query)
             assert score == oracle_mock_score(tokens, query)
     return len(graphs)
 

@@ -84,6 +84,38 @@ def test_trace_targets_resolve(monkeypatch):
     assert len(TARGETS) > 20  # the tracer's table was read
 
 
+def test_traced_mock_plans_record_every_mock_span(monkeypatch):
+    """The tracer wraps functions by name, so a refactor that takes one off
+    the planning path turns its layer into null without failing a plan.
+    Cold, second-sight and warm plans of the golden fixture, traced, must
+    record every span of the mock path between them."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracing import TARGETS, Tracer
+    from plan_helpers import GOLDEN_FILES, GOLDEN_QUERY, golden_config
+    from structkv import pipeline
+
+    monkeypatch.setattr(pipeline, "_MEMO", {})
+    # the corpus is in memory, and the HTTP backends and sidecar are off
+    elsewhere = {
+        "pipeline.load_corpus", "scoring.backend.http", "attention.window.http",
+        "backend.post", "cpg.external",
+    }
+    tracer = Tracer()
+    tracer.install()
+    try:
+        plans = [
+            pipeline.run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, golden_config())[0].to_json()
+            for _ in range(3)
+        ]
+    finally:
+        tracer.uninstall()
+    assert plans[0] == plans[1] == plans[2]
+    assert tracer.missing == [] and tracer.observe_errors == {}
+    recorded = {span[1] for span in tracer.spans}
+    unrecorded = sorted(t.span for t in TARGETS if t.span not in elsewhere | recorded)
+    assert not unrecorded, f"traced plans recorded no span for {unrecorded}"
+
+
 def test_source_lines_fit_in_100_columns():
     """Net source lines measure simplicity, so no line is cut by cramming two
     into one: every line of the package stays within 100 columns."""

@@ -149,6 +149,10 @@ class TestQueryPosition:
         assert query_position(4, []) == 4
         assert query_position(0, []) == 0
 
+    def test_negative_prefix_rejected(self):
+        with pytest.raises(ParameterError, match="prefix length must be non-negative"):
+            query_position(-1, [7])
+
 
 class TestRunPipeline:
     def test_full_budget_is_identity(self):

@@ -71,6 +71,10 @@ class TestNormalize:
         with pytest.raises(ParameterError):
             normalize(1, -2)
 
+    def test_negative_feature_rejected(self):
+        with pytest.raises(ParameterError, match="non-negative"):
+            normalize(-1, 8)
+
     @given(
         st.floats(min_value=0, max_value=1e6),
         st.floats(min_value=0, max_value=1e6),

@@ -115,6 +115,8 @@ class TestConfig:
             SpanConfig(b_min=0)
         with pytest.raises(ConfigError):
             SpanConfig(weights={"call": 0.2})
+        with pytest.raises(ConfigError, match="merge_gap_lines"):
+            SpanConfig(merge_gap_lines=-1)
 
     def test_unknown_weight_name_rejected(self):
         weights = {**DEFAULT_SPAN_WEIGHTS, "cal": 0.5}
@@ -360,6 +362,10 @@ class TestSpanBudget:
 
     def test_zero_budget(self):
         assert span_budget(0, SpanConfig()) == 0
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ConfigError, match="budget must be non-negative"):
+            span_budget(-1, SpanConfig())
 
 
 class TestSelectSpans:
