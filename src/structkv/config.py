@@ -93,15 +93,15 @@ class PipelineConfig:
             if not pattern or Path(pattern).is_absolute() or ".." in Path(pattern).parts:
                 raise ConfigError(f"include pattern {pattern!r} must stay under the corpus root")
 
-    def fingerprint(self) -> str:
-        """Hash of every knob that shapes the plan (paths and workers excluded)."""
-        return fingerprint(
-            {
-                f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)
-                if f.name not in ("corpus_dir", "external_cpg_file", "workers")
-            }
-        )
+    def fingerprint(self, graphs: tuple = ()) -> str:
+        """Hash of every knob that shapes the plan (paths and workers
+        excluded), and of the imported graph records in chunk-id order."""
+        knobs = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name not in ("corpus_dir", "external_cpg_file", "workers")
+        }
+        return fingerprint({**knobs, "graphs": graphs} if graphs else knobs)
 
     @classmethod
     def from_dict(cls, doc: object, what: str = "config") -> "PipelineConfig":

@@ -15,17 +15,19 @@ are reused across plans in one process. One module-level memo, keyed by
 (sha256 of a file's UTF-8 text, chunking config, ``min_span_tokens``,
 ``merge_gap_lines``), holds every file of the last indexed corpus of each
 chunking config and span shape (the last two key fields); only
-``index_corpus`` reads or replaces it. A file new to that
-corpus maps to None, so a file indexed once costs one digest. A file in two
-corpora in a row maps to an entry, made whole from the tokens the second
-plan lexed and never changed: where each token sits in the content
-(``lexer.TokenTexts``), and each chunk's token and line ranges and facts
-(``_Facts``: identifier names, built-in graph facts and span candidates,
-the last built whether or not spans are on). A later plan reads them all
-from the entry, so it builds no token list and no graph; the HTTP scorer's
-texts are sliced from the current content, which has the same digest. A
-kept file is lexed again only for a chunk with an external graph document,
-which never reads its entry.
+``index_corpus`` reads or rebinds it. A file new to that corpus maps to
+None, so a file indexed once costs one digest, unless the plan selects all
+its chunks, none with an external graph document: the plan then makes its
+entry from the facts it built, in place of the None (no key is added and
+no entry replaced). A file in two corpora in a row maps to an entry, made
+whole from the tokens the second plan lexed and never changed: where each
+token sits in the content (``lexer.TokenTexts``), and each chunk's token
+and line ranges and facts (``_Facts``: identifier names, built-in graph
+facts and span candidates, the last built whether or not spans are on). A
+later plan reads them all from the entry, so it builds no token list and
+no graph; the HTTP scorer's texts are sliced from the current content,
+which has the same digest. A kept file is lexed again only for a chunk
+with an external graph document, which never reads its entry.
 For all 163 ``asyncio`` chunks the entries hold about 0.28 MB of token
 positions, 1.0 MB of names, 0.09 MB of graph facts and 0.07 MB of span
 arrays. Nothing is written to disk.
@@ -48,7 +50,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,7 +133,8 @@ class _Entry(NamedTuple):
 _Key = tuple[bytes, ChunkConfig, int, int]
 
 # The files of the last indexed corpus of each chunking config and span
-# shape (see the module docstring); only index_corpus reads or replaces it.
+# shape (see the module docstring); only index_corpus reads or rebinds it,
+# and a plan fills only the None of a file whose every chunk it selected.
 _MEMO: dict[_Key, _Entry | None] = {}
 
 
@@ -139,12 +142,13 @@ _MEMO: dict[_Key, _Entry | None] = {}
 class CorpusIndex:
     """The query-independent view of a corpus: chunks numbered from 0 in the
     order of the files' path strings, each chunk's facts from its file's
-    memo entry (None: not kept), and each file's entry, shared with the
-    published memo. A kept file's tokens are made only when asked for."""
+    memo entry (None: not kept), each file's memo key, and the memo they
+    were published in. A kept file's tokens are made only when asked for."""
 
     chunks: tuple[Chunk, ...]  # chunks[i].id == i
     facts: tuple[_Facts | None, ...]  # facts[i] is chunks[i]'s
-    entries: dict[str, _Entry | None]  # by file path
+    keys: dict[str, _Key]  # by file path
+    memo: dict[_Key, _Entry | None]
     contents: dict[str, str]  # by file path
     lexed: dict[str, list[Token]]  # by file path: lexed when indexed, or when first asked for
 
@@ -164,7 +168,7 @@ class CorpusIndex:
         chunk, facts = self.chunks[chunk_id], self.facts[chunk_id]
         if facts is None:
             return self.tokens(chunk_id)
-        content, texts = self.contents[chunk.file], self.entries[chunk.file].texts
+        content, texts = self.contents[chunk.file], self.memo[self.keys[chunk.file]].texts
         return scoring.KeptChunk(
             facts.names, partial(token_texts, content, texts, *chunk.token_range)
         )
@@ -183,33 +187,56 @@ def index_corpus(
     memo = {key: entry for key, entry in previous.items() if key[1:] != tail}
     chunks: list[Chunk] = []
     facts: list[_Facts | None] = []
-    entries: dict[str, _Entry | None] = {}
+    keys: dict[str, _Key] = {}
     lexed: dict[str, list[Token]] = {}
     for f in sorted(files, key=lambda f: f.path):
-        if f.path in entries:
+        if f.path in keys:
             raise ParameterError(f"duplicate path in corpus: {f.path}")
-        key = (hashlib.sha256(f.content.encode("utf-8", "surrogatepass")).digest(), *tail)
+        digest = hashlib.sha256(f.content.encode("utf-8", "surrogatepass")).digest()
+        key = keys[f.path] = (digest, *tail)
         entry = memo.get(key) or previous.get(key)
         if entry is None:
             toks = lexed[f.path] = tokenize(f)
             file_chunks = partition_chunks(f, toks, chunking, start_id=len(chunks))
             if key in previous:
                 kept = (chunk_facts(c, toks[slice(*c.token_range)], span) for c in file_chunks)
-                entry = _Entry(
-                    pack_texts(f.content, toks),
-                    tuple((c.token_range, c.line_range, k) for c, k in zip(file_chunks, kept)),
-                )
+                entry = _entry(f.content, toks, file_chunks, kept)
         else:
             file_chunks = [
                 Chunk(len(chunks) + i, f.path, (start, end), lines, end - start)
                 for i, ((start, end), lines, _) in enumerate(entry.chunks)
             ]
-        memo[key] = entries[f.path] = entry
+        memo[key] = entry
         chunks.extend(file_chunks)
         facts.extend([None] * len(file_chunks) if entry is None else [k for *_, k in entry.chunks])
     _MEMO = memo
     contents = {f.path: f.content for f in files}
-    return CorpusIndex(tuple(chunks), tuple(facts), entries, contents, lexed)
+    return CorpusIndex(tuple(chunks), tuple(facts), keys, memo, contents, lexed)
+
+
+def _entry(text: str, toks: list[Token], chunks: list[Chunk], facts: Iterable[_Facts]) -> _Entry:
+    """A file's memo entry from its tokens and its chunks with their facts, in order."""
+    ranges = tuple((c.token_range, c.line_range, k) for c, k in zip(chunks, facts))
+    return _Entry(pack_texts(text, toks), ranges)
+
+
+def _keep_whole(index: CorpusIndex, facts: dict[int, _Facts], imported: dict[int, Cpg]) -> None:
+    """Make the entry of each file of ``index`` still None whose every chunk
+    has built-in facts in ``facts``, in the memo ``index`` was published in.
+    Only this plan writes to that memo, and a value replacement never
+    changes the size of a dict that a concurrent ``index_corpus`` iterates."""
+    whole = {path: [] for path in index.lexed if index.memo[index.keys[path]] is None}
+    for c in index.chunks:
+        if c.file in whole:
+            if c.id in facts and c.id not in imported:
+                whole[c.file].append(c)
+            else:
+                del whole[c.file]
+    for path, chunks in whole.items():
+        key = index.keys[path]
+        if index.memo[key] is None:
+            kept = (facts[c.id] for c in chunks)
+            index.memo[key] = _entry(index.contents[path], index.lexed[path], chunks, kept)
 
 
 def chunk_graph(chunk: Chunk, tokens: list[Token]) -> Cpg:
@@ -325,6 +352,7 @@ def _plan(
     selected = [index.chunks[cid] for cid in selected_ids]
 
     facts = _selected_facts(selected, index, imported, cfg.span)
+    _keep_whole(index, facts, imported)
 
     sigmas = [scoring.structural_score(facts[c.id].features) for c in selected]
     normalized = alloc.normalize_scores(sigmas, cfg.allocation)
@@ -380,7 +408,7 @@ def _plan(
         query_start_position=query_position(prefix_len, [c.length for c in selected]),
         layer_count=cfg.selection.layers,
         seed=cfg.seed,
-        config_fingerprint=cfg.fingerprint(),
+        config_fingerprint=cfg.fingerprint(tuple(imported.values())),
     )
     report = metrics_mod.structure_score(plan, {cid: f.kinds for cid, f in facts.items()})
     return plan, report

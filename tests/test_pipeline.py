@@ -334,7 +334,27 @@ class TestRunPipeline:
                 docs[chunk.id] = export_cpg_json(build_cpg(parse_subset(own), chunk, own))
 
         plan, _ = run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
-        assert plan.to_json() == baseline.to_json()
+        # the fingerprint hashes the documents, so only it differs
+        assert sans_fingerprint(plan.to_json()) == sans_fingerprint(baseline.to_json())
+        assert plan.config_fingerprint != baseline.config_fingerprint
+
+    def test_sidecar_graphs_shape_the_fingerprint(self):
+        cfg = golden_config()
+        empty = {"chunk_id": 1, "nodes": [], "edges": []}
+        node = {"id": 0, "kind": "call", "token_range": [0, 2], "line": 1, "symbols": []}
+        docs = [
+            None,
+            {1: json.dumps(empty)},
+            {1: json.dumps(empty)},
+            {1: read_record(Cpg, empty, "graph")},  # the same graph as a record
+            {1: json.dumps({**empty, "nodes": [node]})},
+        ]
+        prints = [
+            run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=d)[0].config_fingerprint
+            for d in docs
+        ]
+        assert prints[0] == cfg.fingerprint() and len(set(prints)) == 3
+        assert prints[0] != prints[1] == prints[2] == prints[3] != prints[4] != prints[0]
 
     def test_external_file_without_document_degrades_to_attention_only(self):
         empty = {i: json.dumps({"chunk_id": i, "nodes": [], "edges": []}) for i in range(3)}
@@ -389,7 +409,7 @@ def planned(*args, **kwargs):
 
 def warmed(*args, **kwargs):
     """Plan twice: the first plan sees every file for the first time and
-    keeps nothing, the second fills the memo."""
+    keeps only the files it selected whole, the second fills the memo."""
     planned(*args, **kwargs)
     return planned(*args, **kwargs)
 
@@ -420,7 +440,8 @@ def same(a: dict, b: dict) -> bool:
 class TestGraphMemo:
     """Built-in graphs are reused across plans in one process: the memo
     entry of a chunk's file text holds what a plan reads of every chunk's
-    graph from the file's second sight on; a warm plan equals a cold one."""
+    graph from the file's second sight on, or from its first if that plan
+    selected all of its chunks; a warm plan equals a cold one."""
 
     @pytest.fixture(autouse=True)
     def builds(self, monkeypatch):
@@ -453,9 +474,10 @@ class TestGraphMemo:
         first, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
         assert self.built(builds) == [(0, "alpha.py"), (1, "beta.py")]  # the selected chunks
         builds.clear()
-        # the second sight of a file makes its entry from every chunk's graph
+        # alpha and beta were selected whole, so their entries are made; the
+        # second sight of gamma makes its entry from its chunk's graph
         second, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
-        assert self.built(builds) == [(0, "alpha.py"), (1, "beta.py"), (2, "gamma.py")]
+        assert self.built(builds) == [(2, "gamma.py")]
         builds.clear()
         third, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
         assert first + "\n" == expected and second == third == first
@@ -469,11 +491,13 @@ class TestGraphMemo:
         cold = cold_plan(corpus, query, cfg)
         # not index_corpus, which would count as the corpus's first sight
         chunks = len(json.loads(cold[0])["chunks"])
-        planned(corpus, "why is the second helper slow", cfg)
         builds.clear()
-        planned(corpus, "where is the first helper defined", cfg)
+        # the first plan selects every chunk and keeps every file's entry
+        planned(corpus, "why is the second helper slow", cfg)
         assert len(self.built(builds)) == chunks > 6
         builds.clear()
+        planned(corpus, "where is the first helper defined", cfg)
+        assert builds == []
         assert planned(corpus, query, cfg) == cold
         assert builds == []
 
@@ -544,6 +568,25 @@ class TestGraphMemo:
         monkeypatch.setattr(pipeline, "tokenize", lex_counted)
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs) == sidecar
         assert builds == [] and lexed == ["<query>", "beta.py"] and same(kept_facts(), kept)
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
+        assert builds == []
+
+    def test_a_file_with_a_sidecar_chunk_gets_no_first_sight_entry(self, builds):
+        cfg = golden_config(selection=SelectionConfig(k=1000, layers=2))
+        docs = {1: json.dumps({"chunk_id": 1, "nodes": [], "edges": []})}
+        builtin = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        sidecar = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
+        builds.clear()
+        # every chunk is selected, but beta.py's has a document: it keeps None
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs) == sidecar
+        assert self.built(builds) == [(0, "alpha.py"), (2, "gamma.py")]
+        unfilled = [key for key, entry in pipeline._MEMO.items() if entry is None]
+        assert unfilled == [memo_key(GOLDEN_FILES[1].content, cfg)]
+        builds.clear()
+        # without the sidecar, beta's second sight builds its graph
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
+        assert self.built(builds) == [(1, "beta.py")]
+        builds.clear()
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
         assert builds == []
 
@@ -635,6 +678,38 @@ class TestGraphMemo:
         assert len(selected) == 4 and selected == {r for r, _, _ in beta.chunks}
         assert pipeline._MEMO[key] is beta
 
+    def test_first_sight_entries_beside_concurrent_indexing(self):
+        # every plan selects every chunk and sees one file for the first
+        # time, so each fills an entry while other threads index the memo
+        # that holds it
+        cfg = golden_config(selection=SelectionConfig(k=1000, layers=2))
+
+        def corpus(t, i):
+            zeta = SourceFile("zeta.py", f"def z(v):\n    return v + {100 * t + i}\n")
+            return [*GOLDEN_FILES, zeta]
+
+        asks = [(t, i) for t in range(4) for i in range(8)]
+        cold = {ask: cold_plan(corpus(*ask), GOLDEN_QUERY, cfg) for ask in asks}
+        matched = []
+
+        def plan_in_turn(t):
+            for i in range(8):
+                matched.append(planned(corpus(t, i), GOLDEN_QUERY, cfg) == cold[t, i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=plan_in_turn, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert matched == [True] * 32
+        assert len(pipeline._MEMO) == 4 and None not in pipeline._MEMO.values()
+
     def test_entries_are_made_whole_and_never_change(self):
         cfg = golden_config(selection=SelectionConfig(k=3, layers=2))
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
@@ -642,7 +717,8 @@ class TestGraphMemo:
         texts = {f.path: f.content for f in corpus}
         query = synth_query(4, corpus)
         planned(corpus, query, cfg)
-        # the memo holds the files of the last indexed corpus; a first sight keeps none
+        # the memo holds the files of the last indexed corpus; this first
+        # sight selects no file whole, so it keeps none
         assert set(pipeline._MEMO) == {memo_key(text, cfg) for text in texts.values()}
         assert kept_facts() == {}
         plan, _ = run_pipeline(corpus, query, cfg)
@@ -700,14 +776,19 @@ class TestSpanMemo:
         cold = {q: cold_plan(corpus, q, cfg) for q in asks}
         picks = {tuple(c["chunk_id"] for c in json.loads(cold[q][0])["chunks"]) for q in asks}
         assert len(picks) > 1  # the asks select different chunks
-        chunks = sum(len(partition_chunks(f, tokenize(f), cfg.chunking)) for f in corpus)
+        per_file = [len(partition_chunks(f, tokenize(f), cfg.chunking)) for f in corpus]
+        chunks = sum(per_file)
+        first = [c["file"] for c in json.loads(cold[asks[0]][0])["chunks"]]
+        # the files the first plan selects whole: golden's one-chunk alpha.py
+        whole = sum(n for f, n in zip(corpus, per_file) if first.count(f.path) == n)
+        assert whole == (1 if corpus is GOLDEN_FILES else 0)
         for i, q in enumerate([*asks, *asks]):
             built.clear()
             assert planned(corpus, q, cfg) == cold[q]
             if i == 0:  # a first sight builds the selected chunks' candidates only
                 assert built == [c["chunk_id"] for c in json.loads(cold[q][0])["chunks"]]
-            else:  # the second builds every chunk's, and later plans none
-                assert len(built) == (chunks if i == 1 else 0)
+            else:  # the second builds those of every chunk not kept, later plans none
+                assert len(built) == (chunks - whole if i == 1 else 0)
         assert len(kept_facts()) == chunks > k
 
     def test_other_span_fields_build_again(self, built):
@@ -717,10 +798,10 @@ class TestSpanMemo:
         cold = [cold_plan(GOLDEN_FILES, GOLDEN_QUERY, c) for c in cfgs]
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         kept = kept_facts()
-        # a new shape is a new memo slot, whose first plan keeps nothing and
-        # whose second makes whole entries; alternating the two shapes evicts
-        # neither
-        for i, builds in [(1, 2), (0, 0), (1, 3), (0, 0), (1, 0)]:
+        # a new shape is a new memo slot, whose first plan keeps the files it
+        # selects whole (alpha and beta) and whose second makes the others'
+        # entries; alternating the two shapes evicts neither
+        for i, builds in [(1, 2), (0, 0), (1, 1), (0, 0), (1, 0)]:
             built.clear()
             assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfgs[i]) == cold[i]
             assert len(built) == builds
@@ -785,8 +866,9 @@ def reachable(root):
 
 class TestFileMemo:
     """A file's token positions and chunks are kept, by its text, chunking
-    config and span shape, once two plans in a row have seen it; later plans
-    neither lex nor chunk it."""
+    config and span shape, once two plans in a row have seen it, or once one
+    plan has selected all of its chunks; later plans neither lex nor chunk
+    it."""
 
     @pytest.fixture(autouse=True)
     def lexed(self, monkeypatch):
@@ -816,16 +898,20 @@ class TestFileMemo:
 
     def test_third_plan_of_an_unchanged_corpus_lexes_nothing(self, lexed):
         plans = set()
-        for expected in (self.lexes(GOLDEN_FILES), self.lexes(GOLDEN_FILES), self.lexes([])):
+        # the first plan selects alpha and beta whole, so the second lexes gamma only
+        for expected in (self.lexes(GOLDEN_FILES), self.lexes(GOLDEN_FILES[2:]), self.lexes([])):
             lexed.clear()
             plans.add(planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())[0])
             assert lexed == expected
         assert len(plans) == 1
 
-    def test_first_sight_fills_no_entry(self, lexed):
+    def test_first_sight_fills_only_wholly_selected_files(self, lexed):
         planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
         keys = {memo_key(f.content, golden_config()) for f in GOLDEN_FILES}
-        assert pipeline._MEMO == dict.fromkeys(keys)
+        assert set(pipeline._MEMO) == keys
+        # the plan selects the one chunk of alpha.py and of beta.py, not gamma.py's
+        unfilled = {key for key, entry in pipeline._MEMO.items() if entry is None}
+        assert unfilled == {memo_key(GOLDEN_FILES[2].content, golden_config())}
         planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
         assert set(pipeline._MEMO) == keys and None not in pipeline._MEMO.values()
 
@@ -846,20 +932,36 @@ class TestFileMemo:
         assert lexed == self.lexes(GOLDEN_FILES)
 
     def test_index_from_the_memo_equals_a_fresh_index(self, lexed):
-        # asyncio has 33 files; a synth corpus adds files with tiny chunks
+        # asyncio has 33 files; a synth corpus adds files with tiny chunks;
+        # one plan of every asyncio chunk makes all its entries at first sight
         stdlib = Path(sysconfig.get_paths()["stdlib"])
-        for corpus, chunking in [
-            (load_corpus(stdlib / "asyncio"), PipelineConfig().chunking),
-            (synth_corpus(seed=8, n_files=5), golden_config().chunking),
+        asyncio = load_corpus(stdlib / "asyncio")
+        for corpus, chunking, k in [
+            (asyncio, PipelineConfig().chunking, None),
+            (synth_corpus(seed=8, n_files=5), golden_config().chunking, None),
+            (asyncio, PipelineConfig().chunking, 1000),
         ]:
+            pipeline._MEMO = {}
             cfg = dataclasses.replace(golden_config(), chunking=chunking)
             fresh = index_corpus(corpus, chunking, cfg.span)
             assert set(fresh.facts) == {None}
-            warmed(corpus, "where is the event loop closed", cfg)
+            if k is None:
+                warmed(corpus, "where is the event loop closed", cfg)
+            else:
+                all_chunks = dataclasses.replace(cfg, selection=SelectionConfig(k=k, layers=1))
+                pipeline._MEMO = {}  # else the fresh index above makes this a second sight
+                plan, _ = run_pipeline(corpus, "where is the event loop closed", all_chunks)
+                assert len(plan.chunks) == len(fresh.chunks)
             lexed.clear()
             memo = index_corpus(corpus, chunking, cfg.span)
             assert lexed == []  # index_corpus lexes no query
             assert memo.chunks == fresh.chunks
+            for f in corpus:
+                packed = pipeline.pack_texts(f.content, fresh.lexed[f.path])
+                kept = pipeline._MEMO[memo_key(f.content, cfg)].texts
+                assert [(a.typecode, a.tolist()) for a in kept] == [
+                    (a.typecode, a.tolist()) for a in packed
+                ]
             for chunk in fresh.chunks:
                 tokens = fresh.tokens(chunk.id)
                 assert memo.tokens(chunk.id) == tokens
@@ -875,6 +977,35 @@ class TestFileMemo:
             # the memo's chunks are lexed again only when their tokens are asked for
             assert sorted(set(lexed)) == sorted(("lex", f.path) for f in corpus)
 
+    def test_a_partly_selected_file_keeps_none(self, lexed, monkeypatch):
+        # at k=5 the golden query selects the one chunk of each golden file
+        # and 2 of mod_00.py's 4; the empty file has no chunk to leave out
+        empty = SourceFile("pkg/__init__.py", "")
+        synth = synth_corpus(seed=8, n_files=2)
+        corpus = [*GOLDEN_FILES, *synth, empty]
+        cfg = golden_config(selection=SelectionConfig(k=5, layers=2))
+        cold = cold_plan(corpus, GOLDEN_QUERY, cfg)
+        picked = [c["file"] for c in json.loads(cold[0])["chunks"]]
+        assert picked == ["alpha.py", "beta.py", "gamma.py", "mod_00.py", "mod_00.py"]
+        packed = []
+        pack = pipeline.pack_texts
+
+        def pack_counted(text, tokens):
+            packed.append(text)
+            return pack(text, tokens)
+
+        monkeypatch.setattr(pipeline, "pack_texts", pack_counted)
+        assert planned(corpus, GOLDEN_QUERY, cfg) == cold
+        assert packed == [f.content for f in (*GOLDEN_FILES, empty)]
+        unfilled = {key for key, entry in pipeline._MEMO.items() if entry is None}
+        assert unfilled == {memo_key(f.content, cfg) for f in synth}
+        # the second sight lexes and packs the partly selected file and the unselected one
+        packed.clear()
+        lexed.clear()
+        assert planned(corpus, GOLDEN_QUERY, cfg) == cold
+        assert lexed == self.lexes(synth) and packed == [f.content for f in synth]
+        assert None not in pipeline._MEMO.values()
+
     def test_identical_files_at_two_paths(self, lexed):
         twin = SourceFile("alpha_copy.py", GOLDEN_FILES[0].content)
         corpus = [*GOLDEN_FILES, twin]
@@ -882,9 +1013,9 @@ class TestFileMemo:
         cold = cold_plan(corpus, GOLDEN_QUERY, cfg)
         assert planned(corpus, GOLDEN_QUERY, cfg) == cold
         lexed.clear()
-        # the second sight lexes the first copy and fills one entry for both
+        # the first plan selects every file whole and fills one entry for both copies
         assert planned(corpus, GOLDEN_QUERY, cfg) == cold
-        assert lexed == self.lexes(GOLDEN_FILES)
+        assert lexed == self.lexes([])
         assert len(pipeline._MEMO) == 3
         lexed.clear()
         assert planned(corpus, GOLDEN_QUERY, cfg) == cold
@@ -906,10 +1037,10 @@ class TestFileMemo:
 
 
 class TestWarmPath:
-    """From the third plan of an unchanged corpus on, a plan reads every
-    chunk's query-independent facts from the memo, whichever chunks it
-    selects: it lexes only the query and builds no graph and no span
-    candidates."""
+    """From the third plan of an unchanged corpus on, or from the second if
+    the first selected every chunk, a plan reads every chunk's
+    query-independent facts from the memo, whichever chunks it selects: it
+    lexes only the query and builds no graph and no span candidates."""
 
     @pytest.fixture(autouse=True)
     def calls(self, monkeypatch):
@@ -963,6 +1094,24 @@ class TestWarmPath:
             assert len(json.loads(third[0])["chunks"]) == 163
         assert not hasattr(pipeline, "pickle") and not hasattr(pipeline, "unpack_tokens")
 
+    @pytest.mark.parametrize("corpus", ["golden", "synth"])
+    def test_second_plan_after_an_all_chunk_plan_makes_nothing(self, calls, corpus):
+        if corpus == "golden":
+            files, query = GOLDEN_FILES, GOLDEN_QUERY
+        else:
+            files = synth_corpus(seed=12, n_files=6)
+            query = synth_query(12, files)
+        cfg = golden_config(selection=SelectionConfig(k=1000, layers=2))
+        cold = cold_plan(files, query, cfg)
+        chunks = len(json.loads(cold[0])["chunks"])
+        first = planned(files, "where is the first helper defined", cfg)
+        assert len(json.loads(first[0])["chunks"]) == chunks
+        calls.clear()
+        second = planned(files, query, cfg)
+        assert calls == [("tokenize", "<query>")]
+        assert second[0] == cold[0]
+        assert canonical_json(second[1].to_dict()) == canonical_json(cold[1].to_dict())
+
     def test_a_chunk_no_plan_has_selected_is_read_from_its_entry(self, calls):
         # at k=1 the golden query selects alpha's chunk and the other query
         # beta's, which the two plans before it never selected
@@ -991,7 +1140,8 @@ class TestWarmPath:
                 plan, report = planned(corpus, query, cfg)
                 assert plan == expected[0] and report == expected[1]
                 made = [c for c in calls if c != ("tokenize", "<query>")]
-                # the first plan under a config keeps nothing, the second fills its entries
+                # the first plan under a config keeps only the files it selects
+                # whole, the second fills the other entries
                 assert bool(made) is (round_ < 2), (round_, made[:3])
 
 
