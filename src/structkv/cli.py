@@ -63,17 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_chunk = sub.add_parser("chunk", help="partition a corpus into chunks")
-    p_chunk.add_argument("dir")
+    p_chunk.add_argument("dir", nargs="?", help="corpus root (falls back to config corpus_dir)")
     _common(p_chunk)
     p_chunk.set_defaults(handler=_cmd_chunk)
 
     p_cpg = sub.add_parser("cpg", help="build property graphs for one file")
     p_cpg.add_argument("file")
-    p_cpg.add_argument(
-        "--dir",
-        help="corpus root (falls back to config corpus_dir); chunk ids then match "
-        "corpus-wide numbering",
-    )
+    p_cpg.add_argument("--dir", help="corpus root (falls back to config corpus_dir)")
     _common(p_cpg)
     p_cpg.set_defaults(handler=_cmd_cpg)
 
@@ -95,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="recompute retention metrics for a plan")
     p_eval.add_argument("--plan", required=True)
-    p_eval.add_argument("--dir")
+    p_eval.add_argument("--dir", help="corpus root (falls back to config corpus_dir)")
     p_eval.add_argument(
         "--gold",
         help="JSON file with 'predicted'/'gold' sets (and optionally "
@@ -126,28 +122,29 @@ def _write(outdir: str, name: str, obj: object) -> Path:
 
 
 def _corpus_dir(args: argparse.Namespace, cfg: PipelineConfig) -> str:
-    directory = getattr(args, "dir", None) or cfg.corpus_dir
+    """The corpus root of every command: ``--dir`` (``DIR`` for ``chunk``),
+    else the config's ``corpus_dir``, else a :class:`ConfigError`."""
+    directory = args.dir or cfg.corpus_dir
     if not directory:
         raise ConfigError("no corpus directory: pass --dir or set corpus_dir in the config")
     return directory
 
 
 def _cmd_chunk(args: argparse.Namespace) -> None:
+    """Write the corpus's chunks, with the ids every other command uses."""
     cfg = _load_config(args)
-    index = index_corpus(load_corpus(args.dir, cfg.include), cfg.chunking, cfg.span)
+    index = index_corpus(load_corpus(_corpus_dir(args, cfg), cfg.include), cfg.chunking, cfg.span)
     print(_write(args.out, "chunks.json", {"chunks": index.chunks}))
 
 
 def _cmd_cpg(args: argparse.Namespace) -> None:
+    """Write the built-in graph of each chunk of the corpus file that resolves
+    to ``FILE``, as sidecar documents keyed by corpus-wide chunk ids."""
     cfg = _load_config(args)
-    if directory := args.dir or cfg.corpus_dir:
-        root = Path(directory)
-        corpus = load_corpus(root, cfg.include)
-        target = Path(args.file).resolve()
-        wanted = {f.path for f in corpus if (root / f.path).resolve() == target}
-    else:
-        corpus = [load_source(args.file)]
-        wanted = {corpus[0].path}
+    root = Path(_corpus_dir(args, cfg))
+    corpus = load_corpus(root, cfg.include)
+    target = Path(args.file).resolve()
+    wanted = {f.path for f in corpus if (root / f.path).resolve() == target}
     index = index_corpus(corpus, cfg.chunking, cfg.span)
     graphs = [
         chunk_graph(chunk, index.tokens(chunk.id)) for chunk in index.chunks if chunk.file in wanted
@@ -192,10 +189,12 @@ def _cmd_compress(args: argparse.Namespace) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
+    """Recompute a plan's report from the corpus files it names, checking
+    each chunk's sigma against the plan's."""
     cfg = _load_config(args)
     plan = CompressionPlan.from_dict(decode_json(Path(args.plan).read_bytes(), args.plan))
     # plan paths are relative to the corpus root; absolute ones stay as they are
-    root = Path(args.dir or cfg.corpus_dir or ".")
+    root = Path(_corpus_dir(args, cfg))
     names = sorted({c.file for c in plan.chunks})
     tokens_by_file = {name: tokenize(load_source(root / name)) for name in names}
     external = load_external_cpgs(cfg.external_cpg_file) if cfg.external_cpg_file else {}

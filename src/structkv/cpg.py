@@ -53,7 +53,6 @@ class CpgNode:
     kind: NodeKind
     token_range: tuple[int, int]  # chunk-local, half-open
     line: int
-    symbols: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,6 @@ def build_cpg(ast: Ast, chunk: Chunk, tokens: list[Token]) -> Cpg:
 
 
 # -- token-scan helpers ------------------------------------------------------
-
-
-def identifiers_in(tokens: list[Token], span: tuple[int, int]) -> frozenset[str]:
-    sig = significant(tokens, span)
-    return frozenset(tokens[i].text for i in sig if tokens[i].kind is TokenKind.IDENTIFIER)
 
 
 def scan_uses(tokens: list[Token], span: tuple[int, int]) -> set[str]:
@@ -196,15 +190,7 @@ class _Builder:
     def new_node(self, kind: NodeKind, span: tuple[int, int]) -> int:
         span = self._trim(span)
         node_id = len(self.nodes)
-        self.nodes.append(
-            CpgNode(
-                id=node_id,
-                kind=kind,
-                token_range=span,
-                line=self.tokens[span[0]].line,
-                symbols=identifiers_in(self.tokens, span),
-            )
-        )
+        self.nodes.append(CpgNode(node_id, kind, span, self.tokens[span[0]].line))
         return node_id
 
     def _trim(self, span: tuple[int, int]) -> tuple[int, int]:

@@ -150,11 +150,8 @@ class _Parser:
     def _parse_statement(self, i: int) -> tuple[Stmt, int]:
         ln = self.lines[i]
         first = self.tokens[ln.sig_start]
-        if first.kind is TokenKind.KEYWORD:
-            if first.text in _COMPOUND:
-                return self._compound(i, first.text)
-            if first.text in ("elif", "else"):
-                self._diag(first.line, f"'{first.text}' without matching 'if'")
+        if first.kind is TokenKind.KEYWORD and first.text in _COMPOUND:
+            return self._compound(i, first.text)
         return self._simple(ln.start, ln.end, significant(self.tokens, (ln.start, ln.end))), i + 1
 
     def _depth0(self, sig: list[int]) -> Iterator[int]:

@@ -29,11 +29,11 @@ from .errors import ConfigError, SchemaError, UnsupportedKindError
 def canonical_json(obj: object) -> str:
     """Exactly the text of ``json.dumps(obj, sort_keys=True, separators=(",",
     ":"), allow_nan=False)``, ASCII-escaped, where a record (dataclass
-    instance) is written as the object of its fields and a frozenset as a
-    sorted array; any other type JSON lacks raises :class:`TypeError`, and a
-    NaN or infinite float :class:`ValueError`. A tuple object that appears
-    more than once (the kept indices every layer of a chunk shares) is
-    encoded once per call."""
+    instance) is written as the object of its fields; any other type JSON
+    lacks (a set, say) raises :class:`TypeError`, and a NaN or infinite
+    float :class:`ValueError`. A tuple object that appears more than once
+    (the kept indices every layer of a chunk shares) is encoded once per
+    call."""
     out: list[str] = []
     _write(obj, out, {})
     return "".join(out)
@@ -42,8 +42,6 @@ def canonical_json(obj: object) -> str:
 def _encode(obj: object) -> object:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -333,13 +331,13 @@ def _reader(tp: object) -> typing.Callable[[object, str], object]:
                     f"{_label(path)} has the unsupported value {value!r}"
                 ) from None
 
-    elif origin is frozenset or args[-1:] == (...,):
+    elif args[-1:] == (...,):
         read_item = _reader(args[0])
 
         def read(value, path):
             if not isinstance(value, list):
                 raise _mistyped(path, value, "an array")
-            return origin(read_item(v, path) for v in value)
+            return tuple(read_item(v, path) for v in value)
 
     elif origin is tuple:
         read_items = [_reader(a) for a in args]

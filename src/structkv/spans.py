@@ -93,14 +93,14 @@ class SpanSelection(NamedTuple):
 
 
 def protect_chunk(
-    table: SpanTable | None,
+    table: SpanTable,
     budget: int,
     cfg: SpanConfig,
     names: Names,
     query_syms: frozenset[str],
 ) -> tuple[tuple[int, ...], tuple[SpanRecord, ...], int]:
     """(protected tokens, chosen spans, span budget) of one chunk, from its
-    candidates (None only when spans are off) and its identifier names.
+    candidates and its identifier names.
 
     The protected set is empty when spans are off or none is chosen, and
     otherwise exactly ``budget`` tokens: :func:`protect_tokens` pads the

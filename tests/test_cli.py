@@ -1,14 +1,20 @@
 import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from plan_helpers import GOLDEN_FILES, GOLDEN_QUERY, golden_config, sans_fingerprint
 from structkv import scoring
+from structkv.chunking import ChunkConfig
 from structkv.cli import _build_parser, main
 from structkv.config import PipelineConfig
+from structkv.cpg import CpgNode, import_cpg_json
 from structkv.errors import ConfigError, SchemaError
+from structkv.pipeline import index_corpus, load_corpus
 from structkv.plan import CompressionPlan, canonical_json
+from structkv.spans import SpanConfig
 
 ALPHA = (
     "def read_config(path):\n    raw = load(path)\n    cfg = parse(raw)\n"
@@ -85,6 +91,13 @@ class TestChunkCommand:
         assert listed == planned
         assert planned[0][0] == "a.py"
 
+    def test_root_from_config_corpus_dir(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["chunk", "--config", str(config_file), "--out", str(out)]) == 0
+        assert [c["file"] for c in read_json(out / "chunks.json")["chunks"]] == [
+            "alpha.py", "beta.py"
+        ]
+
 
 class TestCpgCommand:
     def test_emits_sidecar_documents(self, corpus_dir, config_file, tmp_path):
@@ -130,13 +143,44 @@ class TestCpgCommand:
         assert rc == 0
         assert read_json(out / "cpg.json")[0]["chunk_id"] == 1  # as the plan numbers it
 
-    def test_single_file_without_corpus_root(self, corpus_dir, tmp_path):
+    def test_file_without_corpus_root_is_config_error(self, corpus_dir, tmp_path, capsys):
+        # numbering one file's chunks from 0 would bind its documents to the
+        # wrong chunks of any larger corpus
         cfg = tmp_path / "bare.json"
         cfg.write_text(json.dumps({"chunking": {"min_chunk_tokens": 4}}))
         out = tmp_path / "out"
         rc = main(["cpg", str(corpus_dir / "beta.py"), "--config", str(cfg), "--out", str(out)])
-        assert rc == 0
-        assert read_json(out / "cpg.json")[0]["chunk_id"] == 0
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+        assert not out.exists()
+
+    def test_sidecar_of_every_file_plans_as_the_builtin_graphs(self, tmp_path):
+        root = tmp_path / "golden"
+        root.mkdir()
+        for f in GOLDEN_FILES:
+            (root / f.path).write_text(f.content)
+        doc = {**json.loads(canonical_json(golden_config())), "corpus_dir": str(root),
+               "query": GOLDEN_QUERY}
+        cfg, with_sidecar = tmp_path / "cfg.json", tmp_path / "sidecar.json"
+        cfg.write_text(json.dumps(doc))
+        documents = []
+        for f in GOLDEN_FILES:
+            out = tmp_path / "cpg" / f.path
+            assert main(["cpg", str(root / f.path), "--config", str(cfg), "--out", str(out)]) == 0
+            documents += read_json(out / "cpg.json")
+        assert [d["chunk_id"] for d in documents] == [0, 1, 2]
+        nodes = [n for d in documents for n in d["nodes"]]
+        assert nodes and all(n.keys() == {"id", "kind", "token_range", "line"} for n in nodes)
+        sidecar = tmp_path / "cpgs.json"
+        sidecar.write_text(json.dumps(documents))
+        with_sidecar.write_text(json.dumps({**doc, "external_cpg_file": str(sidecar)}))
+        plans = []
+        for config in (cfg, with_sidecar):
+            out = tmp_path / config.stem
+            assert main(["compress", "--config", str(config), "--out", str(out)]) == 0
+            plans.append((out / "plan.json").read_text())
+        assert sans_fingerprint(plans[0]) == sans_fingerprint(plans[1])
+        assert plans[0] != plans[1]
 
     def test_file_outside_the_corpus_root(self, corpus_dir, tmp_path, capsys):
         outside = tmp_path / "outside.py"
@@ -263,7 +307,7 @@ class TestCompressCommand:
                 {
                     "chunk_id": 1,
                     "nodes": [
-                        {"id": 0, "kind": "call", "token_range": [0, 999], "line": 1, "symbols": []}
+                        {"id": 0, "kind": "call", "token_range": [0, 999], "line": 1}
                     ],
                     "edges": [],
                 },
@@ -652,12 +696,20 @@ class TestErrorObjects:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command", [["score", "--query", "q"], ["compress", "--query", "q"]],
-        ids=["score", "compress"],
+        "command",
+        [["score", "--query", "q"], ["compress", "--query", "q"], ["cpg", "{root}/alpha.py"],
+         ["evaluate", "--plan", "{plan}"]],
+        ids=["score", "compress", "cpg", "evaluate"],
     )
-    def test_no_corpus_directory(self, tmp_path, capsys, command):
+    def test_no_corpus_directory(self, corpus_dir, tmp_path, capsys, command, monkeypatch):
+        # not even the working directory, which holds a corpus the plan's files name
+        planned = tmp_path / "planned"
+        main(["compress", "--dir", str(corpus_dir), "--query", "q", "--out", str(planned)])
+        monkeypatch.chdir(corpus_dir)
+        capsys.readouterr()
         out = tmp_path / "o"
-        assert main([*command, "--out", str(out)]) == 1
+        args = [a.format(root=corpus_dir, plan=planned / "plan.json") for a in command]
+        assert main([*args, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {
             "type": "ConfigError",
@@ -834,3 +886,19 @@ def test_readme_config_block_is_the_default_config():
     doc = json.loads(block)
     assert PipelineConfig.from_dict(doc) == PipelineConfig()
     assert doc == json.loads(canonical_json(PipelineConfig()))  # every key is shown
+
+
+def test_readme_graph_document_is_what_cpg_writes(corpus_dir, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Integrating a real model", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    (chunk, _) = index_corpus(load_corpus(corpus_dir), ChunkConfig(), SpanConfig()).chunks
+    example = import_cpg_json(block, chunk)
+    out = tmp_path / "out"
+    assert main(["cpg", str(corpus_dir / "alpha.py"), "--dir", str(corpus_dir),
+                 "--out", str(out)]) == 0
+    (written,) = read_json(out / "cpg.json")
+    (node,) = json.loads(block)["nodes"]
+    assert node.keys() == written["nodes"][0].keys() == {f.name for f in fields(CpgNode)}
+    # the example is alpha's call load(path), renumbered as the only node
+    assert {**node, "id": 2} in written["nodes"] and example.chunk_id == written["chunk_id"]

@@ -16,8 +16,9 @@ from structkv.cpg import (
     import_cpg_json,
 )
 from structkv.errors import SchemaError, TokenRangeError, UnsupportedKindError
+from structkv.lexer import TokenKind
 from structkv.parsing import parse_subset
-from structkv.pipeline import index_corpus, load_corpus
+from structkv.pipeline import index_corpus, load_corpus, load_external_cpgs
 from structkv.spans import SpanConfig
 
 
@@ -68,12 +69,13 @@ class TestStructuralProperties:
 
     def test_pdg_source_defines_symbol_in_dst(self):
         for case in CASES:
-            cpg, _, _ = graph(case["code"])
-            nodes = {n.id: n for n in cpg.nodes}
+            cpg, _, toks = graph(case["code"])
+            identifiers = [t.text if t.kind is TokenKind.IDENTIFIER else None for t in toks]
+            names = {n.id: set(identifiers[slice(*n.token_range)]) - {None} for n in cpg.nodes}
             for e in cpg.edges:
                 if e.kind is EdgeKind.PDG:
                     assert e.src != e.dst
-                    shared = nodes[e.src].symbols & nodes[e.dst].symbols
+                    shared = names[e.src] & names[e.dst]
                     assert shared, f"{case['name']}: edge {e} shares no symbol"
 
     def test_node_ids_dense_and_ranges_within_chunk(self):
@@ -152,6 +154,18 @@ class TestInterchange:
         _, chunk, _ = graph(CASES[0]["code"])
         with pytest.raises(SchemaError):
             import_cpg_json(b"{not json", chunk)
+
+    def test_node_symbols_rejected(self, tmp_path):
+        # nodes no longer carry identifier sets; an older document names the key
+        cpg, chunk, _ = graph(CASES[0]["code"])
+        doc = json.loads(export_cpg_json(cpg))
+        doc["nodes"][0]["symbols"] = []
+        with pytest.raises(SchemaError, match=r"^graph: unknown key 'symbols' in 'nodes'$"):
+            import_cpg_json(json.dumps(doc), chunk)
+        sidecar = tmp_path / "cpgs.json"
+        sidecar.write_text(json.dumps([doc]))
+        with pytest.raises(SchemaError, match=r"cpgs\.json: unknown key 'symbols' in 'nodes'$"):
+            load_external_cpgs(sidecar)
 
     def test_missing_keys_rejected(self):
         _, chunk, _ = graph(CASES[0]["code"])

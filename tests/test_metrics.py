@@ -25,7 +25,7 @@ def score(plan, cpgs):
 
 
 def node(nid, kind, start, end):
-    return CpgNode(nid, NodeKind(kind), (start, end), 1, frozenset())
+    return CpgNode(nid, NodeKind(kind), (start, end), 1)
 
 
 def fake_plan(chunk_specs):

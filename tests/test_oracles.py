@@ -118,9 +118,9 @@ def test_nodes_with_empty_token_ranges():
     n = index.chunks[0].length
     cpg = Cpg(
         (
-            CpgNode(0, NodeKind.CALL, (3, 3), 1, frozenset()),
-            CpgNode(1, NodeKind.RETURN, (n - 3, n - 1), 3, frozenset()),
-            CpgNode(2, NodeKind.CONTROL, (0, 0), 1, frozenset()),
+            CpgNode(0, NodeKind.CALL, (3, 3), 1),
+            CpgNode(1, NodeKind.RETURN, (n - 3, n - 1), 3),
+            CpgNode(2, NodeKind.CONTROL, (0, 0), 1),
         ),
         (),
         0,
@@ -142,7 +142,7 @@ def test_layers_sharing_a_keep_set(kept):
     (chunk,) = plan.chunks
     layers = tuple(dataclasses.replace(layer, kept=kept, positions=kept) for layer in chunk.layers)
     plan = dataclasses.replace(plan, chunks=(dataclasses.replace(chunk, layers=layers),))
-    cpg = Cpg((CpgNode(0, NodeKind.ASSIGN, (1, 3), 1, frozenset()),), (), chunk.chunk_id)
+    cpg = Cpg((CpgNode(0, NodeKind.ASSIGN, (1, 3), 1),), (), chunk.chunk_id)
     report = structure_score(plan, {0: kind_mask(cpg, chunk.length)})
     assert report == oracle_structure_score(plan, {0: cpg})
     assert report.pairs_counted == 3

@@ -341,7 +341,7 @@ class TestRunPipeline:
     def test_sidecar_graphs_shape_the_fingerprint(self):
         cfg = golden_config()
         empty = {"chunk_id": 1, "nodes": [], "edges": []}
-        node = {"id": 0, "kind": "call", "token_range": [0, 2], "line": 1, "symbols": []}
+        node = {"id": 0, "kind": "call", "token_range": [0, 2], "line": 1}
         docs = [
             None,
             {1: json.dumps(empty)},

@@ -184,8 +184,6 @@ scalars = st.one_of(
     st.none(),
     st.sampled_from([*Kind, *Level]),
     st.just(Empty()),
-    st.frozensets(st.integers()),
-    st.frozensets(st.text(max_size=3)),
 )
 flat_tuples = st.lists(st.integers() | st.sampled_from(EDGE_FLOATS), max_size=8).map(tuple)
 

@@ -43,7 +43,7 @@ class TestExtractFeatures:
     def test_call_only_graph(self):
         chunk, _ = single_chunk("a(b)\nc(d)\ne(f)\n")
         nodes = tuple(
-            CpgNode(i, NodeKind.CALL, (i, i + 1), 1, frozenset()) for i in range(3)
+            CpgNode(i, NodeKind.CALL, (i, i + 1), 1) for i in range(3)
         )
         f = extract_features(Cpg(nodes=nodes, edges=(), chunk_id=chunk.id))
         assert f.as_dict() == {

@@ -259,7 +259,7 @@ def test_build_spans_exact(row):
     chunk, toks = single_chunk(code)
     cpg = Cpg(
         tuple(
-            CpgNode(i, NodeKind(kind), span, toks[span[0]].line, frozenset())
+            CpgNode(i, NodeKind(kind), span, toks[span[0]].line)
             for i, (kind, span) in enumerate(nodes)
         ),
         tuple(CpgEdge(a, b, EdgeKind.PDG) for a, b in defuse),
@@ -335,7 +335,7 @@ class TestQueryProtection:
         chunk, toks = single_chunk(TEN_LINES)
         cpg = Cpg(
             tuple(
-                CpgNode(i, NodeKind(kind), span, toks[span[0]].line, frozenset())
+                CpgNode(i, NodeKind(kind), span, toks[span[0]].line)
                 for i, (kind, span) in enumerate(nodes)
             ),
             (),
@@ -703,7 +703,7 @@ def chunk_cases(draw):
     for i in range(draw(st.integers(0, 10))):
         start = draw(st.integers(0, len(toks) - 1))
         end = draw(st.integers(start + 1, min(len(toks), start + 4)))
-        nodes.append(CpgNode(i, draw(kinds), (start, end), toks[start].line, frozenset()))
+        nodes.append(CpgNode(i, draw(kinds), (start, end), toks[start].line))
     ids = st.integers(0, max(len(nodes) - 1, 0))
     pairs = draw(st.lists(st.tuples(ids, ids), max_size=3 if nodes else 0))
     edges = [CpgEdge(a, b, EdgeKind.PDG) for a, b in pairs]
