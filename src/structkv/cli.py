@@ -67,8 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p_chunk)
     p_chunk.set_defaults(handler=_cmd_chunk)
 
-    p_cpg = sub.add_parser("cpg", help="build property graphs for one file")
-    p_cpg.add_argument("file")
+    p_cpg = sub.add_parser("cpg", help="build every chunk's property graph, as a sidecar")
     p_cpg.add_argument("--dir", help="corpus root (falls back to config corpus_dir)")
     _common(p_cpg)
     p_cpg.set_defaults(handler=_cmd_cpg)
@@ -138,19 +137,11 @@ def _cmd_chunk(args: argparse.Namespace) -> None:
 
 
 def _cmd_cpg(args: argparse.Namespace) -> None:
-    """Write the built-in graph of each chunk of the corpus file that resolves
-    to ``FILE``, as sidecar documents keyed by corpus-wide chunk ids."""
+    """Write the built-in graph of every chunk of the corpus, in chunk-id
+    order, as the sidecar array ``external_cpg_file`` reads."""
     cfg = _load_config(args)
-    root = Path(_corpus_dir(args, cfg))
-    corpus = load_corpus(root, cfg.include)
-    target = Path(args.file).resolve()
-    wanted = {f.path for f in corpus if (root / f.path).resolve() == target}
-    index = index_corpus(corpus, cfg.chunking, cfg.span)
-    graphs = [
-        chunk_graph(chunk, index.tokens(chunk.id)) for chunk in index.chunks if chunk.file in wanted
-    ]
-    if not graphs:
-        raise ParameterError(f"{args.file}: no chunks produced (is it under the corpus root?)")
+    index = index_corpus(load_corpus(_corpus_dir(args, cfg), cfg.include), cfg.chunking, cfg.span)
+    graphs = [chunk_graph(chunk, index.tokens(chunk.id)) for chunk in index.chunks]
     print(_write(args.out, "cpg.json", graphs))
 
 

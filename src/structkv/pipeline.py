@@ -14,20 +14,21 @@ Lexing, chunking and everything a plan reads of a chunk besides its score
 are reused across plans in one process. One module-level memo, keyed by
 (sha256 of a file's UTF-8 text, chunking config, ``min_span_tokens``,
 ``merge_gap_lines``), holds every file of the last indexed corpus of each
-chunking config and span shape (the last two key fields); only
-``index_corpus`` reads or rebinds it. A file new to that corpus maps to
-None, so a file indexed once costs one digest, unless the plan selects all
-its chunks, none with an external graph document: the plan then makes its
-entry from the facts it built, in place of the None (no key is added and
-no entry replaced). A file in two corpora in a row maps to an entry, made
-whole from the tokens the second plan lexed and never changed: where each
-token sits in the content (``lexer.TokenTexts``), and each chunk's token
-and line ranges and facts (``_Facts``: identifier names, built-in graph
-facts and span candidates, the last built whether or not spans are on). A
-later plan reads them all from the entry, so it builds no token list and
-no graph; the HTTP scorer's texts are sliced from the current content,
-which has the same digest. A kept file is lexed again only for a chunk
-with an external graph document, which never reads its entry.
+chunking config and span shape (the last two key fields). Only
+``index_corpus`` binds or writes it, and it makes every entry before it
+publishes the memo, so an entry never changes once published. A file new
+to that corpus maps to None, so a file indexed once costs one digest,
+unless the corpus has no more chunks than the plan selects: that plan
+builds every chunk's facts anyway, so each file's entry is made then. A
+file in two corpora in a row maps to an entry, made whole from the tokens
+the second plan lexed: where each token sits in the content
+(``lexer.TokenTexts``), and each chunk's token and line ranges and facts
+(``_Facts``: identifier names, built-in graph facts and span candidates,
+the last built whether or not spans are on). A later plan reads them all
+from the entry, so it builds no token list and no graph; the HTTP
+scorer's texts are sliced from the current content, which has the same
+digest. A kept file is lexed again only for a chunk with an external
+graph document, which never reads its entry.
 For all 163 ``asyncio`` chunks the entries hold about 0.28 MB of token
 positions, 1.0 MB of names, 0.09 MB of graph facts and 0.07 MB of span
 arrays. Nothing is written to disk.
@@ -49,8 +50,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import groupby
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,22 +135,20 @@ class _Entry(NamedTuple):
 _Key = tuple[bytes, ChunkConfig, int, int]
 
 # The files of the last indexed corpus of each chunking config and span
-# shape (see the module docstring); only index_corpus reads or rebinds it,
-# and a plan fills only the None of a file whose every chunk it selected.
+# shape (see the module docstring); only index_corpus reads, writes or binds it.
 _MEMO: dict[_Key, _Entry | None] = {}
 
 
 @dataclass(frozen=True)
 class CorpusIndex:
     """The query-independent view of a corpus: chunks numbered from 0 in the
-    order of the files' path strings, each chunk's facts from its file's
-    memo entry (None: not kept), each file's memo key, and the memo they
-    were published in. A kept file's tokens are made only when asked for."""
+    order of the files' path strings, and each chunk's facts from its
+    file's memo entry (None: not kept). A kept file's tokens are made only
+    when asked for."""
 
     chunks: tuple[Chunk, ...]  # chunks[i].id == i
     facts: tuple[_Facts | None, ...]  # facts[i] is chunks[i]'s
-    keys: dict[str, _Key]  # by file path
-    memo: dict[_Key, _Entry | None]
+    entries: dict[str, _Entry | None]  # by file path, as published
     contents: dict[str, str]  # by file path
     lexed: dict[str, list[Token]]  # by file path: lexed when indexed, or when first asked for
 
@@ -168,19 +168,20 @@ class CorpusIndex:
         chunk, facts = self.chunks[chunk_id], self.facts[chunk_id]
         if facts is None:
             return self.tokens(chunk_id)
-        content, texts = self.contents[chunk.file], self.memo[self.keys[chunk.file]].texts
+        content, texts = self.contents[chunk.file], self.entries[chunk.file].texts
         return scoring.KeptChunk(
             facts.names, partial(token_texts, content, texts, *chunk.token_range)
         )
 
 
 def index_corpus(
-    files: Sequence[SourceFile], chunking: ChunkConfig, span: spans_mod.SpanConfig
+    files: Sequence[SourceFile], chunking: ChunkConfig, span: spans_mod.SpanConfig, k: int = 0
 ) -> CorpusIndex:
     """Lex and chunk every file, or read both from the memo, then publish
     the memo with these files as its corpus for ``chunking`` and ``span``'s
-    two shaping fields; the one place chunk ids are assigned and the memo
-    replaced."""
+    two shaping fields; the one place chunk ids are assigned and memo
+    entries made. If the corpus has at most ``k`` chunks (a plan that
+    selects every chunk), every file lexed here gets its entry."""
     global _MEMO
     previous = _MEMO
     tail = (chunking, span.min_span_tokens, span.merge_gap_lines)
@@ -199,8 +200,7 @@ def index_corpus(
             toks = lexed[f.path] = tokenize(f)
             file_chunks = partition_chunks(f, toks, chunking, start_id=len(chunks))
             if key in previous:
-                kept = (chunk_facts(c, toks[slice(*c.token_range)], span) for c in file_chunks)
-                entry = _entry(f.content, toks, file_chunks, kept)
+                entry = _entry(f.content, toks, file_chunks, span)
         else:
             file_chunks = [
                 Chunk(len(chunks) + i, f.path, (start, end), lines, end - start)
@@ -208,35 +208,26 @@ def index_corpus(
             ]
         memo[key] = entry
         chunks.extend(file_chunks)
-        facts.extend([None] * len(file_chunks) if entry is None else [k for *_, k in entry.chunks])
-    _MEMO = memo
+        facts.extend([None] * len(file_chunks) if entry is None else [c[2] for c in entry.chunks])
     contents = {f.path: f.content for f in files}
-    return CorpusIndex(tuple(chunks), tuple(facts), keys, memo, contents, lexed)
+    if len(chunks) <= k:
+        by_file = {path: [*group] for path, group in groupby(chunks, lambda c: c.file)}
+        for path, toks in lexed.items():
+            own, key = by_file.get(path, []), keys[path]
+            memo[key] = memo[key] or _entry(contents[path], toks, own, span)
+            for c, (*_, made) in zip(own, memo[key].chunks):
+                facts[c.id] = made
+    _MEMO = memo
+    entries = {path: memo[key] for path, key in keys.items()}
+    return CorpusIndex(tuple(chunks), tuple(facts), entries, contents, lexed)
 
 
-def _entry(text: str, toks: list[Token], chunks: list[Chunk], facts: Iterable[_Facts]) -> _Entry:
-    """A file's memo entry from its tokens and its chunks with their facts, in order."""
+def _entry(text: str, toks: list[Token], chunks: list[Chunk], span: spans_mod.SpanConfig) -> _Entry:
+    """A file's memo entry from its tokens and its chunks, in order, each
+    with the facts built from its own tokens."""
+    facts = (chunk_facts(c, toks[slice(*c.token_range)], span) for c in chunks)
     ranges = tuple((c.token_range, c.line_range, k) for c, k in zip(chunks, facts))
     return _Entry(pack_texts(text, toks), ranges)
-
-
-def _keep_whole(index: CorpusIndex, facts: dict[int, _Facts], imported: dict[int, Cpg]) -> None:
-    """Make the entry of each file of ``index`` still None whose every chunk
-    has built-in facts in ``facts``, in the memo ``index`` was published in.
-    Only this plan writes to that memo, and a value replacement never
-    changes the size of a dict that a concurrent ``index_corpus`` iterates."""
-    whole = {path: [] for path in index.lexed if index.memo[index.keys[path]] is None}
-    for c in index.chunks:
-        if c.file in whole:
-            if c.id in facts and c.id not in imported:
-                whole[c.file].append(c)
-            else:
-                del whole[c.file]
-    for path, chunks in whole.items():
-        key = index.keys[path]
-        if index.memo[key] is None:
-            kept = (facts[c.id] for c in chunks)
-            index.memo[key] = _entry(index.contents[path], index.lexed[path], chunks, kept)
 
 
 def chunk_graph(chunk: Chunk, tokens: list[Token]) -> Cpg:
@@ -277,11 +268,9 @@ def _selected_facts(
     return out
 
 
-def context_tokens(
-    query: str | Sequence[Token], cfg: PipelineConfig
-) -> tuple[list[Token], list[Token]]:
+def context_tokens(query: str, cfg: PipelineConfig) -> tuple[list[Token], list[Token]]:
     """(query tokens, prefix tokens); the query must produce a token."""
-    query_tokens = tokenize(SourceFile("<query>", query)) if isinstance(query, str) else [*query]
+    query_tokens = tokenize(SourceFile("<query>", query))
     if not query_tokens:
         raise ParameterError("query must produce at least one token")
     prefix_tokens = tokenize(SourceFile("<prefix>", cfg.prefix)) if cfg.prefix else []
@@ -310,7 +299,7 @@ def score_chunks(
 
 def run_pipeline(
     corpus: Sequence[SourceFile],
-    query: str | Sequence[Token],
+    query: str,
     cfg: PipelineConfig,
     external_cpgs: dict[int, str | bytes | Cpg] | None = None,
 ) -> tuple[CompressionPlan, RetentionReport]:
@@ -335,14 +324,14 @@ def run_pipeline(
 
 def _plan(
     corpus: Sequence[SourceFile],
-    query: str | Sequence[Token],
+    query: str,
     cfg: PipelineConfig,
     external_cpgs: dict[int, str | bytes | Cpg] | None,
     backend: attn.MockAttentionBackend | attn.HttpAttentionBackend,
 ) -> tuple[CompressionPlan, RetentionReport]:
     query_tokens, prefix_tokens = context_tokens(query, cfg)
     prefix_len = len(prefix_tokens)
-    index = index_corpus(corpus, cfg.chunking, cfg.span)
+    index = index_corpus(corpus, cfg.chunking, cfg.span, cfg.selection.k)
     docs = external_cpgs or {}
     if unknown := sorted(set(docs) - set(range(len(index.chunks)))):
         raise SchemaError(f"graph documents for chunk ids the corpus lacks: {unknown}")
@@ -352,7 +341,6 @@ def _plan(
     selected = [index.chunks[cid] for cid in selected_ids]
 
     facts = _selected_facts(selected, index, imported, cfg.span)
-    _keep_whole(index, facts, imported)
 
     sigmas = [scoring.structural_score(facts[c.id].features) for c in selected]
     normalized = alloc.normalize_scores(sigmas, cfg.allocation)

@@ -102,16 +102,7 @@ class TestChunkCommand:
 class TestCpgCommand:
     def test_emits_sidecar_documents(self, corpus_dir, config_file, tmp_path):
         out = tmp_path / "out"
-        rc = main(
-            [
-                "cpg",
-                str(corpus_dir / "alpha.py"),
-                "--config",
-                str(config_file),
-                "--out",
-                str(out),
-            ]
-        )
+        rc = main(["cpg", "--config", str(config_file), "--out", str(out)])
         assert rc == 0
         docs = read_json(out / "cpg.json")
         assert isinstance(docs, list) and docs[0]["chunk_id"] == 0
@@ -121,38 +112,34 @@ class TestCpgCommand:
     def test_corpus_wide_ids_with_dir(self, corpus_dir, config_file, tmp_path):
         out = tmp_path / "out"
         rc = main(
-            [
-                "cpg",
-                str(corpus_dir / "beta.py"),
-                "--dir",
-                str(corpus_dir),
-                "--config",
-                str(config_file),
-                "--out",
-                str(out),
-            ]
+            ["cpg", "--dir", str(corpus_dir), "--config", str(config_file), "--out", str(out)]
         )
         assert rc == 0
         docs = read_json(out / "cpg.json")
-        assert docs[0]["chunk_id"] == 1  # beta sorts after alpha
+        assert [d["chunk_id"] for d in docs] == [0, 1]  # beta sorts after alpha
 
     def test_corpus_wide_ids_from_config_corpus_dir(self, corpus_dir, config_file, tmp_path):
         out = tmp_path / "out"
-        rc = main(["cpg", str(corpus_dir / "beta.py"), "--config", str(config_file),
-                   "--out", str(out)])
+        rc = main(["cpg", "--config", str(config_file), "--out", str(out)])
         assert rc == 0
-        assert read_json(out / "cpg.json")[0]["chunk_id"] == 1  # as the plan numbers it
+        # as the plan numbers them
+        assert [d["chunk_id"] for d in read_json(out / "cpg.json")] == [0, 1]
 
     def test_file_without_corpus_root_is_config_error(self, corpus_dir, tmp_path, capsys):
-        # numbering one file's chunks from 0 would bind its documents to the
-        # wrong chunks of any larger corpus
+        # no --dir and no corpus_dir: there is no corpus whose chunks to number
         cfg = tmp_path / "bare.json"
         cfg.write_text(json.dumps({"chunking": {"min_chunk_tokens": 4}}))
         out = tmp_path / "out"
-        rc = main(["cpg", str(corpus_dir / "beta.py"), "--config", str(cfg), "--out", str(out)])
+        rc = main(["cpg", "--config", str(cfg), "--out", str(out)])
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
         assert not out.exists()
+
+    def test_empty_corpus_writes_an_empty_sidecar(self, tmp_path):
+        root, out = tmp_path / "empty", tmp_path / "out"
+        root.mkdir()
+        assert main(["cpg", "--dir", str(root), "--out", str(out)]) == 0
+        assert read_json(out / "cpg.json") == []
 
     def test_sidecar_of_every_file_plans_as_the_builtin_graphs(self, tmp_path):
         root = tmp_path / "golden"
@@ -163,16 +150,13 @@ class TestCpgCommand:
                "query": GOLDEN_QUERY}
         cfg, with_sidecar = tmp_path / "cfg.json", tmp_path / "sidecar.json"
         cfg.write_text(json.dumps(doc))
-        documents = []
-        for f in GOLDEN_FILES:
-            out = tmp_path / "cpg" / f.path
-            assert main(["cpg", str(root / f.path), "--config", str(cfg), "--out", str(out)]) == 0
-            documents += read_json(out / "cpg.json")
+        out = tmp_path / "cpg"
+        assert main(["cpg", "--config", str(cfg), "--out", str(out)]) == 0
+        sidecar = out / "cpg.json"
+        documents = read_json(sidecar)
         assert [d["chunk_id"] for d in documents] == [0, 1, 2]
         nodes = [n for d in documents for n in d["nodes"]]
         assert nodes and all(n.keys() == {"id", "kind", "token_range", "line"} for n in nodes)
-        sidecar = tmp_path / "cpgs.json"
-        sidecar.write_text(json.dumps(documents))
         with_sidecar.write_text(json.dumps({**doc, "external_cpg_file": str(sidecar)}))
         plans = []
         for config in (cfg, with_sidecar):
@@ -181,28 +165,6 @@ class TestCpgCommand:
             plans.append((out / "plan.json").read_text())
         assert sans_fingerprint(plans[0]) == sans_fingerprint(plans[1])
         assert plans[0] != plans[1]
-
-    def test_file_outside_the_corpus_root(self, corpus_dir, tmp_path, capsys):
-        outside = tmp_path / "outside.py"
-        outside.write_text(ALPHA)
-        out = tmp_path / "out"
-        assert main(["cpg", str(outside), "--dir", str(corpus_dir), "--out", str(out)]) == 1
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err == {
-            "type": "ParameterError",
-            "message": f"{outside}: no chunks produced (is it under the corpus root?)",
-        }
-        assert not out.exists()
-
-    def test_file_matched_after_resolving(self, corpus_dir, config_file, tmp_path, monkeypatch):
-        monkeypatch.chdir(corpus_dir)
-        out = tmp_path / "out"
-        rc = main(
-            ["cpg", "beta.py", "--dir", str(corpus_dir), "--config", str(config_file),
-             "--out", str(out)]
-        )
-        assert rc == 0
-        assert read_json(out / "cpg.json")[0]["chunk_id"] == 1
 
 
 class TestScoreCommand:
@@ -697,7 +659,7 @@ class TestErrorObjects:
 
     @pytest.mark.parametrize(
         "command",
-        [["score", "--query", "q"], ["compress", "--query", "q"], ["cpg", "{root}/alpha.py"],
+        [["score", "--query", "q"], ["compress", "--query", "q"], ["cpg"],
          ["evaluate", "--plan", "{plan}"]],
         ids=["score", "compress", "cpg", "evaluate"],
     )
@@ -708,7 +670,7 @@ class TestErrorObjects:
         monkeypatch.chdir(corpus_dir)
         capsys.readouterr()
         out = tmp_path / "o"
-        args = [a.format(root=corpus_dir, plan=planned / "plan.json") for a in command]
+        args = [a.format(plan=planned / "plan.json") for a in command]
         assert main([*args, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {
@@ -895,9 +857,8 @@ def test_readme_graph_document_is_what_cpg_writes(corpus_dir, tmp_path):
     (chunk, _) = index_corpus(load_corpus(corpus_dir), ChunkConfig(), SpanConfig()).chunks
     example = import_cpg_json(block, chunk)
     out = tmp_path / "out"
-    assert main(["cpg", str(corpus_dir / "alpha.py"), "--dir", str(corpus_dir),
-                 "--out", str(out)]) == 0
-    (written,) = read_json(out / "cpg.json")
+    assert main(["cpg", "--dir", str(corpus_dir), "--out", str(out)]) == 0
+    written, _ = read_json(out / "cpg.json")
     (node,) = json.loads(block)["nodes"]
     assert node.keys() == written["nodes"][0].keys() == {f.name for f in fields(CpgNode)}
     # the example is alpha's call load(path), renumbered as the only node

@@ -409,7 +409,7 @@ def planned(*args, **kwargs):
 
 def warmed(*args, **kwargs):
     """Plan twice: the first plan sees every file for the first time and
-    keeps only the files it selected whole, the second fills the memo."""
+    keeps none unless it selects every chunk, the second fills the memo."""
     planned(*args, **kwargs)
     return planned(*args, **kwargs)
 
@@ -441,7 +441,7 @@ class TestGraphMemo:
     """Built-in graphs are reused across plans in one process: the memo
     entry of a chunk's file text holds what a plan reads of every chunk's
     graph from the file's second sight on, or from its first if that plan
-    selected all of its chunks; a warm plan equals a cold one."""
+    selects every chunk of the corpus; a warm plan equals a cold one."""
 
     @pytest.fixture(autouse=True)
     def builds(self, monkeypatch):
@@ -474,10 +474,10 @@ class TestGraphMemo:
         first, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
         assert self.built(builds) == [(0, "alpha.py"), (1, "beta.py")]  # the selected chunks
         builds.clear()
-        # alpha and beta were selected whole, so their entries are made; the
-        # second sight of gamma makes its entry from its chunk's graph
+        # the first plan selected 2 of 3 chunks, so it kept no entry; the
+        # second sight makes every file's entry from its chunks' graphs
         second, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
-        assert self.built(builds) == [(2, "gamma.py")]
+        assert self.built(builds) == [(0, "alpha.py"), (1, "beta.py"), (2, "gamma.py")]
         builds.clear()
         third, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
         assert first + "\n" == expected and second == third == first
@@ -571,24 +571,62 @@ class TestGraphMemo:
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
         assert builds == []
 
-    def test_a_file_with_a_sidecar_chunk_gets_no_first_sight_entry(self, builds):
+    def test_a_file_with_a_sidecar_chunk_gets_its_builtin_entry_at_first_sight(self, builds):
         cfg = golden_config(selection=SelectionConfig(k=1000, layers=2))
         docs = {1: json.dumps({"chunk_id": 1, "nodes": [], "edges": []})}
         builtin = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         sidecar = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
         builds.clear()
-        # every chunk is selected, but beta.py's has a document: it keeps None
+        # every chunk is selected: beta.py's, which has a document, gets its
+        # entry from its built-in graph too
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs) == sidecar
-        assert self.built(builds) == [(0, "alpha.py"), (2, "gamma.py")]
+        assert self.built(builds) == [(0, "alpha.py"), (1, "beta.py"), (2, "gamma.py")]
         unfilled = [key for key, entry in pipeline._MEMO.items() if entry is None]
-        assert unfilled == [memo_key(GOLDEN_FILES[1].content, cfg)]
+        assert unfilled == []
         builds.clear()
-        # without the sidecar, beta's second sight builds its graph
+        # without the sidecar, beta's chunk is read from its entry
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
-        assert self.built(builds) == [(1, "beta.py")]
+        assert builds == []
         builds.clear()
         assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
         assert builds == []
+
+    def test_an_all_chunk_sidecar_plan_equals_one_that_keeps_nothing(self, builds, monkeypatch):
+        cfg = golden_config(selection=SelectionConfig(k=1000, layers=2))
+        docs = {1: json.dumps({"chunk_id": 1, "nodes": [], "edges": []})}
+        builtin = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        index = pipeline.index_corpus
+        with monkeypatch.context() as m:
+            # indexed as for a plan of fewer chunks: every selected chunk's
+            # facts are built after scoring, from its tokens or its document
+            m.setattr(pipeline, "index_corpus", lambda *args: index(*args[:3]))
+            unkept = cold_plan(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
+        assert unkept != builtin
+        builds.clear()
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs) == unkept
+        assert len(self.built(builds)) == 3
+        builds.clear()
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg) == builtin
+        assert builds == []
+
+    def test_a_plan_never_writes_the_published_memo(self, builds, monkeypatch):
+        cfg = golden_config(selection=SelectionConfig(k=1000, layers=2))
+        index = pipeline.index_corpus
+        published = []
+
+        def indexing(*args):
+            result = index(*args)
+            published.append((pipeline._MEMO, dict(pipeline._MEMO)))
+            return result
+
+        monkeypatch.setattr(pipeline, "index_corpus", indexing)
+        for docs in (None, {1: json.dumps({"chunk_id": 1, "nodes": [], "edges": []})}):
+            pipeline._MEMO = {}
+            run_pipeline(GOLDEN_FILES, GOLDEN_QUERY, cfg, external_cpgs=docs)
+            (memo, snapshot), = published
+            published.clear()
+            assert pipeline._MEMO is memo and same(memo, snapshot)
+            assert len(memo) == 3 and None not in memo.values()
 
     def test_an_entry_holds_every_chunks_facts_from_the_second_sight_on(
         self, builds, monkeypatch
@@ -680,8 +718,8 @@ class TestGraphMemo:
 
     def test_first_sight_entries_beside_concurrent_indexing(self):
         # every plan selects every chunk and sees one file for the first
-        # time, so each fills an entry while other threads index the memo
-        # that holds it
+        # time, so each index makes that file's entry while other threads
+        # plan with the memos they were given
         cfg = golden_config(selection=SelectionConfig(k=1000, layers=2))
 
         def corpus(t, i):
@@ -718,7 +756,7 @@ class TestGraphMemo:
         query = synth_query(4, corpus)
         planned(corpus, query, cfg)
         # the memo holds the files of the last indexed corpus; this first
-        # sight selects no file whole, so it keeps none
+        # sight selects 3 of more chunks, so it keeps none
         assert set(pipeline._MEMO) == {memo_key(text, cfg) for text in texts.values()}
         assert kept_facts() == {}
         plan, _ = run_pipeline(corpus, query, cfg)
@@ -776,19 +814,14 @@ class TestSpanMemo:
         cold = {q: cold_plan(corpus, q, cfg) for q in asks}
         picks = {tuple(c["chunk_id"] for c in json.loads(cold[q][0])["chunks"]) for q in asks}
         assert len(picks) > 1  # the asks select different chunks
-        per_file = [len(partition_chunks(f, tokenize(f), cfg.chunking)) for f in corpus]
-        chunks = sum(per_file)
-        first = [c["file"] for c in json.loads(cold[asks[0]][0])["chunks"]]
-        # the files the first plan selects whole: golden's one-chunk alpha.py
-        whole = sum(n for f, n in zip(corpus, per_file) if first.count(f.path) == n)
-        assert whole == (1 if corpus is GOLDEN_FILES else 0)
+        chunks = sum(len(partition_chunks(f, tokenize(f), cfg.chunking)) for f in corpus)
         for i, q in enumerate([*asks, *asks]):
             built.clear()
             assert planned(corpus, q, cfg) == cold[q]
             if i == 0:  # a first sight builds the selected chunks' candidates only
                 assert built == [c["chunk_id"] for c in json.loads(cold[q][0])["chunks"]]
-            else:  # the second builds those of every chunk not kept, later plans none
-                assert len(built) == (chunks - whole if i == 1 else 0)
+            else:  # the second builds those of every chunk, later plans none
+                assert len(built) == (chunks if i == 1 else 0)
         assert len(kept_facts()) == chunks > k
 
     def test_other_span_fields_build_again(self, built):
@@ -798,10 +831,10 @@ class TestSpanMemo:
         cold = [cold_plan(GOLDEN_FILES, GOLDEN_QUERY, c) for c in cfgs]
         warmed(GOLDEN_FILES, GOLDEN_QUERY, cfg)
         kept = kept_facts()
-        # a new shape is a new memo slot, whose first plan keeps the files it
-        # selects whole (alpha and beta) and whose second makes the others'
+        # a new shape is a new memo slot, whose first plan builds the 2
+        # selected chunks and keeps no entry and whose second makes all 3
         # entries; alternating the two shapes evicts neither
-        for i, builds in [(1, 2), (0, 0), (1, 1), (0, 0), (1, 0)]:
+        for i, builds in [(1, 2), (0, 0), (1, 3), (0, 0), (1, 0)]:
             built.clear()
             assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfgs[i]) == cold[i]
             assert len(built) == builds
@@ -867,8 +900,8 @@ def reachable(root):
 class TestFileMemo:
     """A file's token positions and chunks are kept, by its text, chunking
     config and span shape, once two plans in a row have seen it, or once one
-    plan has selected all of its chunks; later plans neither lex nor chunk
-    it."""
+    plan has selected every chunk of its corpus; later plans neither lex nor
+    chunk it."""
 
     @pytest.fixture(autouse=True)
     def lexed(self, monkeypatch):
@@ -898,22 +931,33 @@ class TestFileMemo:
 
     def test_third_plan_of_an_unchanged_corpus_lexes_nothing(self, lexed):
         plans = set()
-        # the first plan selects alpha and beta whole, so the second lexes gamma only
-        for expected in (self.lexes(GOLDEN_FILES), self.lexes(GOLDEN_FILES[2:]), self.lexes([])):
+        # the first plan selects 2 of 3 chunks and keeps none, so the second lexes all
+        for expected in (self.lexes(GOLDEN_FILES), self.lexes(GOLDEN_FILES), self.lexes([])):
             lexed.clear()
             plans.add(planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())[0])
             assert lexed == expected
         assert len(plans) == 1
 
-    def test_first_sight_fills_only_wholly_selected_files(self, lexed):
+    def test_first_sight_below_k_fills_no_entry(self, lexed):
         planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
         keys = {memo_key(f.content, golden_config()) for f in GOLDEN_FILES}
         assert set(pipeline._MEMO) == keys
-        # the plan selects the one chunk of alpha.py and of beta.py, not gamma.py's
+        # the plan selects the one chunk of alpha.py and of beta.py, not gamma.py's,
+        # so no file is kept, not even the two it selected whole
         unfilled = {key for key, entry in pipeline._MEMO.items() if entry is None}
-        assert unfilled == {memo_key(GOLDEN_FILES[2].content, golden_config())}
+        assert unfilled == keys
         planned(GOLDEN_FILES, GOLDEN_QUERY, golden_config())
         assert set(pipeline._MEMO) == keys and None not in pipeline._MEMO.values()
+
+    def test_a_file_selected_whole_below_k_is_not_kept(self, lexed):
+        # at k=1 the golden query selects alpha.py's one chunk of the 3
+        cfg = golden_config(selection=SelectionConfig(k=1, layers=2))
+        plan, _ = planned(GOLDEN_FILES, GOLDEN_QUERY, cfg)
+        assert [c["file"] for c in json.loads(plan)["chunks"]] == ["alpha.py"]
+        assert pipeline._MEMO[memo_key(GOLDEN_FILES[0].content, cfg)] is None
+        lexed.clear()
+        assert planned(GOLDEN_FILES, GOLDEN_QUERY, cfg)[0] == plan
+        assert lexed == self.lexes(GOLDEN_FILES)
 
     def test_edited_file_is_lexed_again(self, lexed):
         edited = [*GOLDEN_FILES[:2], SourceFile("gamma.py", GOLDEN_FILES[2].content + "z = 1\n")]
@@ -996,14 +1040,15 @@ class TestFileMemo:
 
         monkeypatch.setattr(pipeline, "pack_texts", pack_counted)
         assert planned(corpus, GOLDEN_QUERY, cfg) == cold
-        assert packed == [f.content for f in (*GOLDEN_FILES, empty)]
+        # 5 of more chunks are selected, so no file is kept, whole or not
+        assert packed == []
         unfilled = {key for key, entry in pipeline._MEMO.items() if entry is None}
-        assert unfilled == {memo_key(f.content, cfg) for f in synth}
-        # the second sight lexes and packs the partly selected file and the unselected one
+        assert unfilled == {memo_key(f.content, cfg) for f in corpus}
+        # the second sight lexes and packs every file
         packed.clear()
         lexed.clear()
         assert planned(corpus, GOLDEN_QUERY, cfg) == cold
-        assert lexed == self.lexes(synth) and packed == [f.content for f in synth]
+        assert lexed == self.lexes(corpus) and packed == [f.content for f in corpus]
         assert None not in pipeline._MEMO.values()
 
     def test_identical_files_at_two_paths(self, lexed):
@@ -1140,8 +1185,8 @@ class TestWarmPath:
                 plan, report = planned(corpus, query, cfg)
                 assert plan == expected[0] and report == expected[1]
                 made = [c for c in calls if c != ("tokenize", "<query>")]
-                # the first plan under a config keeps only the files it selects
-                # whole, the second fills the other entries
+                # the first plan under a config keeps no file, the second
+                # fills every entry
                 assert bool(made) is (round_ < 2), (round_, made[:3])
 
 
